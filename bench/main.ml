@@ -15,8 +15,8 @@
    (lib/net_unix): reliable-FIFO throughput and ping-pong latency of the
    unmodified Transport over actual UDP loopback sockets, with the
    per-node traffic table rendered through Netstats.  Part 6 runs the
-   one-process engine scale bench (E12 machinery, every hot-path knob
-   on) and writes BENCH_engine.json — simulated events/sec, client
+   one-process engine scale bench (E12 machinery, the scale mode with
+   sequencer batching) and writes BENCH_engine.json — simulated events/sec, client
    request rates, and the max population holding the takeover-latency
    ceiling. *)
 

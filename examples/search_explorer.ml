@@ -49,7 +49,7 @@ let () =
     (* Encode exactly as the framework client does. *)
     let msg = F.Request { session_id = sid; seq; body = q } in
     Gcs.open_send gcs cproc
-      (Haf_core.Naming.session_group sid)
+      (Haf_core.Naming.session_group ~shards:policy.Policy.session_shards sid)
       (Marshal.to_string msg []);
     Events.emit events ~now:(Engine.now engine)
       (Events.Request_sent { client = cproc; session_id = sid; seq })

@@ -33,8 +33,7 @@ module Make (S : Service_intf.SERVICE) = struct
   type group_msg =
     | List_units of { client : int }
     | Start_session of { session_id : string; unit_id : string; client : int }
-    | Propagate of { session_id : string; snap : S.context Unit_db.snapshot }
-    | Propagate_batch of { snaps : (string * S.context Unit_db.snapshot) list }
+    | Propagate of { snaps : (string * S.context Unit_db.snapshot) list }
     | End_session of { session_id : string }
     | State_digest of { sender : int; vid : View.Id.t; digest : Unit_db.digest list }
     | State_delta of {
@@ -160,12 +159,11 @@ module Make (S : Service_intf.SERVICE) = struct
              group: suppress self-assignment until the first exchange
              completes (or a grace period proves us alone), else a
              restarted node would duel the live primary. *)
-      mutable u_loads : (int, float) Hashtbl.t option;
-          (* Member load table for incremental placement
-             ([Policy.incremental_assign]): valid only between full
-             selections — any path that runs {!reassign} or replaces the
-             database drops it, and the next incremental start rebuilds
-             it from the live sessions. *)
+      mutable u_loads : Selection.loads option;
+          (* Member load table for incremental placement (sharded mode):
+             valid only between full selections — any path that runs
+             {!reassign} or replaces the database drops it, and the next
+             incremental start rebuilds it from the live sessions. *)
     }
 
     type t = {
@@ -177,18 +175,17 @@ module Make (S : Service_intf.SERVICE) = struct
       catalog : string list;
       units : (string, ustate) Hashtbl.t;
       sessions : (string, slocal) Hashtbl.t;
-      shard_refs : (string, int) Hashtbl.t;
-          (* Sharded session groups ([Policy.session_shards] > 0): how
-             many local sessions hold a role in each shard group.  The
-             daemon joins a shard group on 0 -> 1 and leaves on 1 -> 0;
-             only [sl_role] None<->Some edges move the count. *)
+      group_refs : (string, int) Hashtbl.t;
+          (* How many local sessions hold a role in each session group
+             (always 0 or 1 for per-session groups).  The daemon joins a
+             group on 0 -> 1 and leaves on 1 -> 0; only [sl_role]
+             None<->Some edges move the count. *)
       store : Haf_store.Store.t option;
       mutable store_timers : Engine.timer list;
       mutable audit_timer : Engine.timer option;
       mutable prop_timer : Engine.timer option;
-          (* The server-level batched-propagation timer
-             ([Policy.batch_propagation]); per-session [sl_prop] timers
-             are not created in that mode. *)
+          (* The server-level propagation timer (sharded mode);
+             per-session [sl_prop] timers are not created in that mode. *)
       mutable svc_view : View.t option;
       mutable running : bool;
       trace_component : string;  (* "exchange.<proc>", built once *)
@@ -220,26 +217,30 @@ module Make (S : Service_intf.SERVICE) = struct
     (* -------------------------------------------------------------- *)
     (* Session-group membership                                        *)
 
-    let[@hot] shard_group t session_id =
-      Naming.session_shard_group ~shards:t.policy.Policy.session_shards session_id
+    (* [Policy.session_shards] > 0 selects the scale design: shard
+       groups, one propagation frame per unit per period, incremental
+       placement.  Everything else is the paper's per-session design. *)
+    let sharded t = t.policy.Policy.session_shards > 0
 
-    (* Refcounted membership for sharded session groups: one GCS group
-       carries a whole shard of sessions, so the daemon joins when the
-       first local role in the shard appears and leaves when the last
-       one goes.  Callers invoke these only on [sl_role] None<->Some
-       edges — a Backup<->Primary transition keeps the ref it holds. *)
-    let[@hot] acquire_shard t session_id =
-      let g = shard_group t session_id in
-      let n = Option.value (Hashtbl.find_opt t.shard_refs g) ~default:0 in
-      Hashtbl.replace t.shard_refs g (n + 1);
+    (* Refcounted session-group membership.  A per-session group holds
+       one session, so its count is 0 or 1; a shard group carries a
+       whole shard, so the daemon joins when the first local role in it
+       appears and leaves when the last one goes.  Callers invoke these
+       only on [sl_role] None<->Some edges — a Backup<->Primary
+       transition keeps the ref it holds — so the daemon is a member of
+       exactly the groups of the sessions this server holds a role in. *)
+    let[@hot] acquire_group t session_id =
+      let g = Naming.session_group ~shards:t.policy.Policy.session_shards session_id in
+      let n = Option.value (Hashtbl.find_opt t.group_refs g) ~default:0 in
+      Hashtbl.replace t.group_refs g (n + 1);
       if n = 0 then Gcs.join t.gcs t.proc g
 
-    let[@hot] release_shard t session_id =
-      let g = shard_group t session_id in
-      match Hashtbl.find_opt t.shard_refs g with
-      | Some n when n > 1 -> Hashtbl.replace t.shard_refs g (n - 1)
+    let[@hot] release_group t session_id =
+      let g = Naming.session_group ~shards:t.policy.Policy.session_shards session_id in
+      match Hashtbl.find_opt t.group_refs g with
+      | Some n when n > 1 -> Hashtbl.replace t.group_refs g (n - 1)
       | Some _ ->
-          Hashtbl.remove t.shard_refs g;
+          Hashtbl.remove t.group_refs g;
           Gcs.leave t.gcs t.proc g
       | None -> ()
 
@@ -354,56 +355,51 @@ module Make (S : Service_intf.SERVICE) = struct
            });
       snap
 
-    let do_propagate t sl =
+    (* One propagation frame: the snapshots of [sls], local primaries of
+       [unit_id] in session-id order, travel in a single [Propagate]
+       multicast to the content group.  The per-session timer passes one
+       session; the sharded-mode server timer passes every local primary
+       of the unit, amortizing framing from O(sessions) to O(units)
+       messages per period. *)
+    let do_propagate t unit_id sls =
       if
-        t.running
-        && sl.sl_role = Some Primary
+        t.running && sls <> []
         (* Risky-pattern choice point (paper §4): the explorer may crash
            the primary at the instant it would propagate session context. *)
         && not (Engine.choice t.engine ~site:"propagate" ~proc:t.proc)
       then
-        let snap = snapshot_of t sl in
-        multicast_content t sl.sl_unit (Propagate { session_id = sl.sl_session; snap })
+        multicast_content t unit_id
+          (Propagate
+             { snaps = List.map (fun sl -> (sl.sl_session, snapshot_of t sl)) sls })
 
-    (* Batched propagation ([Policy.batch_propagation]): one server-level
-       timer sweeps every local primary once per period and ships a
-       single [Propagate_batch] multicast per content unit — identical
-       snapshots, receiver semantics and choice point as the per-session
-       path, with the framing cost amortized from O(sessions) to
-       O(units) messages per period.  (Deliberately not [@hot]: this is
+    (* The sharded-mode server timer: one frame per content unit holding
+       every local primary's snapshot.  (Deliberately not [@hot]: this is
        the once-per-period sweep whose cost is already amortized; the
        per-snapshot receive path [apply_propagate] is the hot one.) *)
-    let do_propagate_all t =
-      if t.running then begin
-        let by_unit = Hashtbl.create 4 in
-        Det_tbl.iter_sorted ~compare:String.compare
-          (fun _ sl ->
-            if sl.sl_role = Some Primary then
-              Hashtbl.replace by_unit sl.sl_unit
-                (sl :: Option.value (Hashtbl.find_opt by_unit sl.sl_unit) ~default:[]))
-          t.sessions;
-        Det_tbl.iter_sorted ~compare:String.compare
-          (fun u sls ->
-            if not (Engine.choice t.engine ~site:"propagate" ~proc:t.proc) then begin
-              (* [sls] was consed from a sorted sweep, so this restores
-                 session-id order — receivers apply deterministically. *)
-              let snaps =
-                List.map (fun sl -> (sl.sl_session, snapshot_of t sl)) (List.rev sls)
-              in
-              if snaps <> [] then multicast_content t u (Propagate_batch { snaps })
-            end)
-          by_unit
-      end
+    let propagate_units t =
+      let by_unit = Hashtbl.create 4 in
+      Det_tbl.iter_sorted ~compare:String.compare
+        (fun _ sl ->
+          if sl.sl_role = Some Primary then
+            Hashtbl.replace by_unit sl.sl_unit
+              (sl :: Option.value (Hashtbl.find_opt by_unit sl.sl_unit) ~default:[]))
+        t.sessions;
+      (* [sls] was consed from a sorted sweep, so [List.rev] restores
+         session-id order — receivers apply deterministically. *)
+      Det_tbl.iter_sorted ~compare:String.compare
+        (fun u sls -> do_propagate t u (List.rev sls))
+        by_unit
 
     let start_primary_timers t sl =
       if sl.sl_tick = None then
         sl.sl_tick <-
           Some (Engine.every t.engine ~period:S.tick_period (fun () -> do_tick t sl));
-      if (not t.policy.Policy.batch_propagation) && sl.sl_prop = None then
+      if (not (sharded t)) && sl.sl_prop = None then
         sl.sl_prop <-
           Some
             (Engine.every t.engine ~period:t.policy.Policy.propagation_period (fun () ->
-                 do_propagate t sl))
+                 do_propagate t sl.sl_unit
+                   (if sl.sl_role = Some Primary then [ sl ] else [])))
 
     (* Takeover position adjustment: the new primary only knows the
        position as of [sl_base_at].  Under [Resume] it simply continues
@@ -473,9 +469,7 @@ module Make (S : Service_intf.SERVICE) = struct
                })
         end;
         sl.sl_role <- Some Primary;
-        (if t.policy.Policy.session_shards = 0 then
-           Gcs.join t.gcs t.proc (Naming.session_group sl.sl_session)
-         else if not had_live then acquire_shard t sl.sl_session);
+        if not had_live then acquire_group t sl.sl_session;
         emit t
           (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary });
         start_primary_timers t sl
@@ -493,9 +487,7 @@ module Make (S : Service_intf.SERVICE) = struct
                  { server = t.proc; session_id = sl.sl_session; role = Primary })
         | Some Backup | None -> ());
         sl.sl_role <- Some Backup;
-        (if t.policy.Policy.session_shards = 0 then
-           Gcs.join t.gcs t.proc (Naming.session_group sl.sl_session)
-         else if not had_role then acquire_shard t sl.sl_session);
+        if not had_role then acquire_group t sl.sl_session;
         emit t
           (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Backup })
       end
@@ -528,9 +520,7 @@ module Make (S : Service_intf.SERVICE) = struct
                { server = t.proc; session_id = sl.sl_session; role = Backup })
       | None -> ());
       sl.sl_role <- None;
-      (if t.policy.Policy.session_shards = 0 then
-         Gcs.leave t.gcs t.proc (Naming.session_group sl.sl_session)
-       else if held then release_shard t sl.sl_session);
+      if held then release_group t sl.sl_session;
       Hashtbl.remove t.sessions sl.sl_session
 
     let apply_assignment t us (a : Selection.assignment) =
@@ -572,6 +562,13 @@ module Make (S : Service_intf.SERVICE) = struct
               | None -> ())
           | None, None -> ())
 
+    let prev_of (s : S.context Unit_db.session) =
+      {
+        Selection.p_session_id = s.Unit_db.session_id;
+        p_primary = s.Unit_db.primary;
+        p_backups = s.Unit_db.backups;
+      }
+
     let reassign t us ~rebalance =
       match us.u_view with
       | _ when us.u_recovering -> ()
@@ -580,98 +577,40 @@ module Make (S : Service_intf.SERVICE) = struct
           (* Full selection supersedes any incremental load table; the
              next incremental start rebuilds it from the result. *)
           us.u_loads <- None;
-          let prevs =
-            Unit_db.live_sessions us.u_db
-            |> List.map (fun (s : S.context Unit_db.session) ->
-                   {
-                     Selection.p_session_id = s.Unit_db.session_id;
-                     p_primary = s.Unit_db.primary;
-                     p_backups = s.Unit_db.backups;
-                   })
-          in
           let assignments =
             Selection.assign ~n_backups:t.policy.Policy.n_backups
-              ~members:view.View.members ~rebalance prevs
+              ~members:view.View.members ~rebalance
+              (List.map prev_of (Unit_db.live_sessions us.u_db))
           in
           List.iter (apply_assignment t us) assignments
 
-    (* Incremental placement ([Policy.incremental_assign]): a brand-new
-       session is placed without re-running the full selection — the
-       least-loaded member takes the primary role and the next
-       least-loaded the backups, exactly {!Selection.assign}'s phase-2/3
-       rule for a session with no history, against a load table
-       maintained across starts.  The table, the tie-break and the view
-       are identical at every member, so the paper's no-extra-round
-       agreement is preserved; any view change falls back to the full
-       selection, which drops the table.  Admission cost per session:
-       O(members) instead of O(sessions). *)
-    let bump_load loads m w =
-      match Hashtbl.find_opt loads m with
-      | Some l -> Hashtbl.replace loads m (l +. w)
-      | None -> ()
-
-    (* Rebuilds the table from the unit database; runs only when the
-       cache was invalidated (view change, recovery), so it is the rare
-       slow path behind the [@hot] admission below. *)
-    let rebuild_loads us members =
-      let loads = Hashtbl.create 8 in
-      List.iter (fun m -> Hashtbl.replace loads m 0.) members;
-      List.iter
-        (fun (s : S.context Unit_db.session) ->
-          (match s.Unit_db.primary with Some p -> bump_load loads p 1. | None -> ());
-          List.iter (fun b -> bump_load loads b Selection.backup_weight) s.Unit_db.backups)
-        (Unit_db.live_sessions us.u_db);
-      loads
-
-    (* {!Selection.least_loaded}'s deterministic scan as a first-order
-       loop: skips [primary] and [chosen], -1 means "none eligible".
-       Members are process ids, always >= 0. *)
-    let[@hot] rec least_loaded_member (loads : (int, float) Hashtbl.t) ~primary
-        ~chosen ~best members =
-      match members with
-      | [] -> best
-      | c :: rest ->
-          if c = primary || List.memq c chosen then
-            least_loaded_member loads ~primary ~chosen ~best rest
-          else if best < 0 then least_loaded_member loads ~primary ~chosen ~best:c rest
-          else
-            let lb = Hashtbl.find loads best and lc = Hashtbl.find loads c in
-            let best = if lc < lb || (lc = lb && c < best) then c else best in
-            least_loaded_member loads ~primary ~chosen ~best rest
-
-    let[@hot] rec pick_incremental_backups loads members ~primary chosen k =
-      if k = 0 then List.rev chosen
-      else
-        match least_loaded_member loads ~primary ~chosen ~best:(-1) members with
-        | -1 -> List.rev chosen
-        | b ->
-            bump_load loads b Selection.backup_weight;
-            pick_incremental_backups loads members ~primary (b :: chosen) (k - 1)
-
+    (* Incremental placement (sharded mode): a brand-new session is
+       placed against a {!Selection.loads} table kept across starts
+       instead of re-running the full selection — the same primary
+       {!Selection.assign} would pick, in O(members) instead of
+       O(sessions).  The table, the tie-break and the view are identical
+       at every member, so the paper's no-extra-round agreement is
+       preserved; any view change falls back to the full selection,
+       which drops the table, and the next start rebuilds it. *)
     let[@hot] assign_new_session t us session_id =
       match us.u_view with
       | _ when us.u_recovering -> ()
       | None -> ()
-      | Some view ->
-          let members = List.sort_uniq Int.compare view.View.members in
+      | Some view -> (
           let loads =
             match us.u_loads with
             | Some l -> l
             | None ->
-                let l = rebuild_loads us members in
+                let l =
+                  Selection.loads_of ~members:view.View.members
+                    (List.map prev_of (Unit_db.live_sessions us.u_db))
+                in
                 us.u_loads <- Some l;
                 l
           in
-          (match least_loaded_member loads ~primary:(-1) ~chosen:[] ~best:(-1) members with
-          | -1 -> ()
-          | primary ->
-              bump_load loads primary 1.;
-              let backups =
-                pick_incremental_backups loads members ~primary []
-                  t.policy.Policy.n_backups
-              in
-              apply_assignment t us
-                { Selection.a_session_id = session_id; a_primary = primary; a_backups = backups })
+          match Selection.place loads ~n_backups:t.policy.Policy.n_backups session_id with
+          | Some a -> apply_assignment t us a
+          | None -> ())
 
     (* -------------------------------------------------------------- *)
     (* Self-stabilization: unit-db audit and reset-and-rejoin          *)
@@ -787,9 +726,8 @@ module Make (S : Service_intf.SERVICE) = struct
           | None -> grant ())
       | Some _ | None -> ()
 
-    (* One propagated snapshot landing in the unit database — shared by
-       the per-session [Propagate] arm and each element of a
-       [Propagate_batch]. *)
+    (* One propagated snapshot landing in the unit database — applied
+       for each element of a [Propagate] frame. *)
     let merge_applied xs ys = List.sort_uniq Int.compare (List.rev_append xs ys)
 
     let[@hot] apply_propagate t us ~sender session_id snap =
@@ -819,15 +757,11 @@ module Make (S : Service_intf.SERVICE) = struct
           refresh_checksum us;
           if not existed then begin
             store_log t (P_session { unit_id = us.u_id; session_id; client; started_at });
-            if t.policy.Policy.incremental_assign then
-              assign_new_session t us session_id
+            if sharded t then assign_new_session t us session_id
             else reassign t us ~rebalance:false
           end;
           grant_if_primary t us session_id
-      | Propagate { session_id; snap } ->
-          apply_propagate t us ~sender session_id snap;
-          refresh_checksum us
-      | Propagate_batch { snaps } ->
+      | Propagate { snaps } ->
           List.iter
             (fun (session_id, snap) -> apply_propagate t us ~sender session_id snap)
             snaps;
@@ -835,19 +769,9 @@ module Make (S : Service_intf.SERVICE) = struct
       | End_session { session_id } ->
           (match Hashtbl.find_opt t.sessions session_id with
           | Some sl ->
-              let held = sl.sl_role <> None in
               if sl.sl_role = Some Primary then
                 emit t (Events.Session_ended { session_id });
-              stop_timers sl;
-              (match sl.sl_role with
-              | Some role ->
-                  emit t (Events.Role_dropped { server = t.proc; session_id; role })
-              | None -> ());
-              sl.sl_role <- None;
-              Hashtbl.remove t.sessions session_id;
-              if t.policy.Policy.session_shards = 0 then
-                Gcs.leave t.gcs t.proc (Naming.session_group session_id)
-              else if held then release_shard t session_id
+              relinquish t sl ~new_primary:None
           | None -> ());
           (* Keep the incremental load table truthful: the ended
              session's roles stop counting before the tombstone strips
@@ -855,16 +779,7 @@ module Make (S : Service_intf.SERVICE) = struct
           (match us.u_loads with
           | Some loads when Unit_db.live us.u_db session_id -> (
               match Unit_db.find us.u_db session_id with
-              | Some sess ->
-                  let dec m w =
-                    match Hashtbl.find_opt loads m with
-                    | Some l -> Hashtbl.replace loads m (l -. w)
-                    | None -> ()
-                  in
-                  (match sess.Unit_db.primary with Some p -> dec p 1. | None -> ());
-                  List.iter
-                    (fun b -> dec b Selection.backup_weight)
-                    sess.Unit_db.backups
+              | Some sess -> Selection.unload loads (prev_of sess)
               | None -> ())
           | Some _ | None -> ());
           if Unit_db.live us.u_db session_id then
@@ -1090,8 +1005,8 @@ module Make (S : Service_intf.SERVICE) = struct
         when match (msg, us.u_view) with
              | State_digest { vid; _ }, Some v -> View.Id.equal vid v.View.id
              | State_digest _, None -> false
-             | ( ( List_units _ | Start_session _ | Propagate _
-                 | Propagate_batch _ | End_session _ | State_delta _ | Request _ ),
+             | ( ( List_units _ | Start_session _ | Propagate _ | End_session _
+                 | State_delta _ | Request _ ),
                  _ ) ->
                  false -> (
           (* A member started an exchange for our current view that we
@@ -1142,8 +1057,8 @@ module Make (S : Service_intf.SERVICE) = struct
           | State_delta { sender = xsender; vid; _ } ->
               dbg t "s%d exchange STALE %s from s%d vid=%a (want %a)" t.proc
                 us.u_id xsender View.Id.pp vid View.Id.pp ex.ex_vid
-          | ( List_units _ | Start_session _ | Propagate _ | Propagate_batch _
-            | End_session _ | Request _ ) as other ->
+          | ( List_units _ | Start_session _ | Propagate _ | End_session _
+            | Request _ ) as other ->
               ex.ex_deferred <- (sender, other) :: ex.ex_deferred)
       | None -> process_content_msg t us ~sender msg
 
@@ -1171,8 +1086,8 @@ module Make (S : Service_intf.SERVICE) = struct
           | Some v when View.coordinator v = t.proc ->
               send_p2p t client (Unit_list t.catalog)
           | Some _ | None -> ())
-      | Start_session _ | Propagate _ | Propagate_batch _ | End_session _
-      | State_digest _ | State_delta _ | Request _ ->
+      | Start_session _ | Propagate _ | End_session _ | State_digest _
+      | State_delta _ | Request _ ->
           ()
 
     (* -------------------------------------------------------------- *)
@@ -1202,20 +1117,14 @@ module Make (S : Service_intf.SERVICE) = struct
               | Some us -> on_content_msg t us ~sender msg
               | None -> ())
           | None -> (
-              match (Naming.session_of group, msg) with
-              | Some _, Request { session_id; seq; body } ->
-                  on_request t ~session_id ~seq ~body
-              | None, Request { session_id; seq; body }
-                when Naming.shard_index group <> None ->
-                  (* Sharded session groups: every member of the shard
-                     sees the request; [on_request]'s local-role filter
-                     keeps only the session's primary and backups. *)
-                  on_request t ~session_id ~seq ~body
-              | None, Request _ -> ()
-              | ( _,
-                  ( List_units _ | Start_session _ | Propagate _
-                  | Propagate_batch _ | End_session _ | State_digest _
-                  | State_delta _ ) ) ->
+              (* Any other group is a session group.  A shard group
+                 delivers every request of the shard to all its members;
+                 [on_request]'s local-role filter keeps only the
+                 session's primary and backups. *)
+              match msg with
+              | Request { session_id; seq; body } -> on_request t ~session_id ~seq ~body
+              | List_units _ | Start_session _ | Propagate _ | End_session _
+              | State_digest _ | State_delta _ ->
                   ())
 
     let on_p2p t ~sender:_ payload =
@@ -1308,7 +1217,7 @@ module Make (S : Service_intf.SERVICE) = struct
           catalog;
           units = Hashtbl.create 4;
           sessions = Hashtbl.create 16;
-          shard_refs = Hashtbl.create 8;
+          group_refs = Hashtbl.create 8;
           store;
           store_timers = [];
           audit_timer = None;
@@ -1412,11 +1321,11 @@ module Make (S : Service_intf.SERVICE) = struct
         Some
           (Engine.every t.engine ~first:audit_period ~period:audit_period (fun () ->
                audit_tick t));
-      if policy.Policy.batch_propagation then
+      if sharded t then
         t.prop_timer <-
           Some
             (Engine.every t.engine ~period:policy.Policy.propagation_period (fun () ->
-                 do_propagate_all t));
+                 propagate_units t));
       Gcs.join gcs proc Naming.service_group;
       List.iter (fun u -> Gcs.join gcs proc (Naming.content_group u)) units;
       t
@@ -1573,17 +1482,10 @@ module Make (S : Service_intf.SERVICE) = struct
         let body = S.gen_request t.rng ~seq in
         Events.emit t.events ~now:(now t)
           (Events.Request_sent { client = t.proc; session_id = cs.c_session; seq });
-        (* Sharded session groups: the client computes the same pure
-           session-id -> shard map as the servers, so routing still
-           needs no coordination. *)
-        let group =
-          if t.policy.Policy.session_shards = 0 then
-            Naming.session_group cs.c_session
-          else
-            Naming.session_shard_group ~shards:t.policy.Policy.session_shards
-              cs.c_session
-        in
-        Gcs.open_send t.gcs t.proc group
+        (* The client computes the same pure session-id -> group map as
+           the servers, so routing needs no coordination. *)
+        Gcs.open_send t.gcs t.proc
+          (Naming.session_group ~shards:t.policy.Policy.session_shards cs.c_session)
           (encode_group (Request { session_id = cs.c_session; seq; body }))
       end
 

@@ -34,13 +34,13 @@ module Make (S : Service_intf.SERVICE) : sig
     | List_units of { client : int }  (** Client -> service group. *)
     | Start_session of { session_id : string; unit_id : string; client : int }
         (** Client -> content group (totally ordered at every replica). *)
-    | Propagate of { session_id : string; snap : S.context Unit_db.snapshot }
-        (** Primary -> content group, every propagation period. *)
-    | Propagate_batch of { snaps : (string * S.context Unit_db.snapshot) list }
-        (** Every local primary's snapshot for one unit in a single
-            frame ({!Policy.t.batch_propagation}): semantically the same
-            [Propagate] messages back-to-back, O(units) instead of
-            O(sessions) multicasts per propagation period. *)
+    | Propagate of { snaps : (string * S.context Unit_db.snapshot) list }
+        (** Primary -> content group, every propagation period: (session
+            id, snapshot) pairs in session-id order, applied in order.
+            With per-session groups each session's timer sends a
+            one-element frame; in the sharded mode
+            ({!Policy.t.session_shards} > 0) one frame per unit carries
+            every local primary's snapshot. *)
     | End_session of { session_id : string }
     | State_digest of {
         sender : int;
@@ -59,8 +59,8 @@ module Make (S : Service_intf.SERVICE) : sig
             designated holder of and that some member lacks — possibly
             none, so completion stays detectable. *)
     | Request of { session_id : string; seq : int; body : S.request }
-        (** Client -> session group: a context update, seen by the
-            primary and every backup. *)
+        (** Client -> session group ({!Naming.session_group}): a
+            context update, seen by the primary and every backup. *)
 
   type p2p_msg =
     | Unit_list of string list

@@ -2,15 +2,7 @@ let service_group = "svc"
 
 let content_prefix = "content:"
 
-let session_prefix = "session:"
-
-let session_shard_prefix = "sshard:"
-
 let content_group unit_id = content_prefix ^ unit_id
-
-let session_group session_id = session_prefix ^ session_id
-
-let shard_group k = session_shard_prefix ^ string_of_int k
 
 (* 64-bit FNV-1a, masked non-negative: the same value at every member,
    on every run and substrate. *)
@@ -25,19 +17,14 @@ let[@hot] fnv1a s =
   done;
   !h land max_int
 
-let session_shard_group ~shards session_id =
-  shard_group (fnv1a session_id mod shards)
+let[@hot] session_group ~shards session_id =
+  if shards = 0 then "session:" ^ session_id
+  else "sshard:" ^ string_of_int (fnv1a session_id mod shards)
 
 let is_service_group g = String.equal g service_group
 
-let strip prefix g =
-  if String.length g > String.length prefix
-     && String.sub g 0 (String.length prefix) = prefix
-  then Some (String.sub g (String.length prefix) (String.length g - String.length prefix))
+let content_unit_of g =
+  let n = String.length content_prefix in
+  if String.length g > n && String.sub g 0 n = content_prefix then
+    Some (String.sub g n (String.length g - n))
   else None
-
-let content_unit_of g = strip content_prefix g
-
-let session_of g = strip session_prefix g
-
-let shard_index g = Option.bind (strip session_shard_prefix g) int_of_string_opt

@@ -12,29 +12,19 @@ val content_group : string -> string
 (** [content_group unit_id]: the group of servers replicating one content
     unit. *)
 
-val session_group : string -> string
-(** [session_group session_id]: primary + backups of one live session. *)
-
-val shard_group : int -> string
-(** [shard_group k]: the k-th session-shard group — the bounded-count
-    alternative to per-session groups under {!Policy.t.session_shards}. *)
-
-val session_shard_group : shards:int -> string -> string
-(** [session_shard_group ~shards session_id]: the shard group serving
-    [session_id] when sessions map onto [shards] fixed groups.  The map
-    is a hand-written FNV-1a of the id (never the polymorphic
-    [Hashtbl.hash]) mod [shards]: pure in the session id, so every
-    server and every client computes the same group with no
-    coordination — the same property the paper demands of the
-    per-session names. *)
+val session_group : shards:int -> string -> string
+(** [session_group ~shards session_id]: the group carrying one live
+    session's requests to its primary and backups, under
+    {!Policy.t.session_shards} = [shards].  With [shards = 0] it is the
+    session's own group, [session:<id>].  With [shards = k > 0] it is
+    one of [k] fixed shard groups, [sshard:<i>], shared by every session
+    whose id hashes to [i]; members that hold no role in a session drop
+    its requests.  The hash is a hand-written FNV-1a of the id (never
+    the polymorphic [Hashtbl.hash]) mod [k]: pure in the session id, so
+    every server and every client computes the same group with no
+    coordination. *)
 
 val is_service_group : string -> bool
 
 val content_unit_of : string -> string option
 (** Inverse of {!content_group}. *)
-
-val session_of : string -> string option
-(** Inverse of {!session_group}. *)
-
-val shard_index : string -> int option
-(** Inverse of {!shard_group}. *)

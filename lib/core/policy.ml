@@ -7,8 +7,6 @@ type t = {
   rebalance_on_join : bool;
   grant_timeout : float;
   session_shards : int;
-  batch_propagation : bool;
-  incremental_assign : bool;
 }
 
 let default =
@@ -19,8 +17,6 @@ let default =
     rebalance_on_join = true;
     grant_timeout = 2.0;
     session_shards = 0;
-    batch_propagation = false;
-    incremental_assign = false;
   }
 
 let vod_paper = { default with n_backups = 0; propagation_period = 0.5 }
@@ -40,6 +36,4 @@ let takeover_to_string = function
 let pp ppf t =
   Format.fprintf ppf "backups=%d prop=%gs takeover=%s rebalance=%b" t.n_backups
     t.propagation_period (takeover_to_string t.takeover) t.rebalance_on_join;
-  if t.session_shards > 0 then Format.fprintf ppf " shards=%d" t.session_shards;
-  if t.batch_propagation then Format.fprintf ppf " batch-prop";
-  if t.incremental_assign then Format.fprintf ppf " incr-assign"
+  if t.session_shards > 0 then Format.fprintf ppf " shards=%d" t.session_shards

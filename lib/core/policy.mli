@@ -31,35 +31,31 @@ type t = {
       (** Client-side: re-send the start-session request if no grant
           arrived within this long. *)
   session_shards : int;
-      (** 0 (the default) gives every session its own GCS group, the
-          paper's literal design.  Positive [k] maps sessions onto [k]
-          fixed shard groups instead ({!Naming.session_shard_group}):
-          requests fan out to the shard's members and non-involved
-          servers drop them, so semantics are unchanged, but group
-          count — and with it heartbeat advert size and view-change
-          work — stays bounded at 10{^5}+ concurrent sessions. *)
-  batch_propagation : bool;
-      (** Off (the default): one [Propagate] multicast per session per
-          propagation period, the paper's literal design.  On: each
-          server runs a single propagation timer that batches every
-          local primary's snapshot into one [Propagate_batch] multicast
-          per content unit per period — same payloads and receiver
-          semantics, O(units) instead of O(sessions) framing. *)
-  incremental_assign : bool;
-      (** Off (the default): every [Start_session] re-runs the full
-          deterministic selection over the unit database.  On: a fresh
-          session is placed incrementally (least-loaded primary, then
-          backups) against a load table maintained across starts —
-          identical at every member, so agreement still needs no extra
-          round — and any view change falls back to the full
-          selection.  Turns session admission from O(sessions) to O(1)
-          amortized. *)
+      (** The one scale setting.  0 (the default) is the paper's
+          design: every session gets its own GCS group
+          ({!Naming.session_group}), each primary propagates each
+          session on its own timer, and every [Start_session] re-runs
+          the full deterministic selection.
+
+          Positive [k] selects the scale design, which bounds
+          per-session cost at 10{^5}+ concurrent sessions:
+          - sessions map onto [k] fixed shard groups; requests fan out
+            to the shard's members and non-involved servers drop them;
+          - each server runs one propagation timer and ships every local
+            primary's snapshot for a content unit in one frame per
+            period;
+          - a fresh session is placed incrementally against a load
+            table kept identical at every member; any view change falls
+            back to the full selection.
+
+          The scale design is not the default because it moves the
+          paper-facing numbers (duplicates per takeover, steady-state
+          balance); ARCHITECTURE.md §11 records by how much. *)
 }
 
 val default : t
-(** 1 backup, 0.5 s propagation, [Resume] takeover, rebalancing on;
-    per-session groups, per-session propagation, full selection (the
-    scale knobs all off). *)
+(** 1 backup, 0.5 s propagation, [Resume] takeover, rebalancing on,
+    [session_shards = 0]. *)
 
 val vod_paper : t
 (** The configuration of the VoD service of [2]: no backups, 0.5 s

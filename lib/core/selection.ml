@@ -8,17 +8,33 @@ type assignment = { a_session_id : string; a_primary : int; a_backups : int list
 
 let backup_weight = 0.5
 
-(* Least-loaded member, ties broken by id: deterministic. *)
+(* Least-loaded member, ties broken by id: deterministic.  A
+   first-order loop, so the [@hot] incremental placement below can use
+   it: skips [primary] and [chosen], -1 means "none eligible".  Members
+   are process ids, always >= 0. *)
+let[@hot] rec least_loaded_member (tbl : (int, float) Hashtbl.t) ~primary ~chosen ~best
+    members =
+  match members with
+  | [] -> best
+  | c :: rest ->
+      if c = primary || List.memq c chosen then
+        least_loaded_member tbl ~primary ~chosen ~best rest
+      else if best < 0 then least_loaded_member tbl ~primary ~chosen ~best:c rest
+      else
+        let lb = Hashtbl.find tbl best and lc = Hashtbl.find tbl c in
+        let best = if lc < lb || (lc = lb && c < best) then c else best in
+        least_loaded_member tbl ~primary ~chosen ~best rest
+
 let least_loaded loads candidates =
-  match candidates with
-  | [] -> None
-  | _ ->
-      Some
-        (List.fold_left
-           (fun best c ->
-             let lb = Hashtbl.find loads best and lc = Hashtbl.find loads c in
-             if lc < lb || (lc = lb && c < best) then c else best)
-           (List.hd candidates) (List.tl candidates))
+  match least_loaded_member loads ~primary:(-1) ~chosen:[] ~best:(-1) candidates with
+  | -1 -> None
+  | m -> Some m
+
+(* Adds [w] to member [m]'s load; roles on non-members are ignored. *)
+let bump_member tbl m w =
+  match Hashtbl.find_opt tbl m with
+  | Some l -> Hashtbl.replace tbl m (l +. w)
+  | None -> ()
 
 (* Three phases, all deterministic in the inputs:
    1. sticky primaries keep their sessions and their load is counted,
@@ -31,7 +47,6 @@ let assign ~n_backups ~members ~rebalance prevs =
   let members = List.sort_uniq Int.compare members in
   let loads = Hashtbl.create 8 in
   List.iter (fun m -> Hashtbl.replace loads m 0.) members;
-  let bump m w = Hashtbl.replace loads m (Hashtbl.find loads m +. w) in
   let total = List.length prevs in
   let cap = ceil (float_of_int total /. float_of_int (List.length members)) in
   let prevs =
@@ -44,7 +59,7 @@ let assign ~n_backups ~members ~rebalance prevs =
       | Some p when List.mem p members && ((not rebalance) || Hashtbl.find loads p < cap)
         ->
           Hashtbl.replace kept prev.p_session_id p;
-          bump p 1.
+          bump_member loads p 1.
       | Some _ | None -> ())
     prevs;
   let primaries =
@@ -87,7 +102,7 @@ let assign ~n_backups ~members ~rebalance prevs =
                   | Some m -> m
                   | None -> assert false)
             in
-            bump p 1.;
+            bump_member loads p 1.;
             (prev, p))
       prevs
   in
@@ -108,12 +123,71 @@ let assign ~n_backups ~members ~rebalance prevs =
           with
           | None -> List.rev chosen
           | Some b ->
-              bump b backup_weight;
+              bump_member loads b backup_weight;
               pick_backups (b :: chosen) (k - 1)
       in
       let backups = pick_backups [] n_backups in
       { a_session_id = prev.p_session_id; a_primary = primary; a_backups = backups })
     primaries
+
+(* Incremental placement: a fresh session in a stable view gets exactly
+   the primary {!assign} would give it — phase 1 keeps every live
+   session's primary, so phase 2 picks the member with the fewest
+   primaries — and backups picked against the weighted load of every
+   live role, where {!assign}'s phase 3 counts only the backups of
+   sessions before it in id order.  Both tables start at 0 for every
+   member and ignore roles on non-members. *)
+type loads = {
+  l_members : int list;  (* sorted, distinct *)
+  l_primaries : (int, float) Hashtbl.t;
+  l_weighted : (int, float) Hashtbl.t;
+}
+
+let count_roles loads ~sign prev =
+  (match prev.p_primary with
+  | Some p ->
+      bump_member loads.l_primaries p sign;
+      bump_member loads.l_weighted p sign
+  | None -> ());
+  List.iter (fun b -> bump_member loads.l_weighted b (sign *. backup_weight)) prev.p_backups
+
+let loads_of ~members prevs =
+  let members = List.sort_uniq Int.compare members in
+  let zeroed () =
+    let tbl = Hashtbl.create 8 in
+    List.iter (fun m -> Hashtbl.replace tbl m 0.) members;
+    tbl
+  in
+  let loads = { l_members = members; l_primaries = zeroed (); l_weighted = zeroed () } in
+  List.iter (count_roles loads ~sign:1.) prevs;
+  loads
+
+let unload loads prev = count_roles loads ~sign:(-1.) prev
+
+let load_table loads =
+  List.map
+    (fun m -> (m, Hashtbl.find loads.l_primaries m, Hashtbl.find loads.l_weighted m))
+    loads.l_members
+
+let[@hot] rec place_backups loads ~primary chosen k =
+  if k = 0 then List.rev chosen
+  else
+    match least_loaded_member loads.l_weighted ~primary ~chosen ~best:(-1) loads.l_members with
+    | -1 -> List.rev chosen
+    | b ->
+        bump_member loads.l_weighted b backup_weight;
+        place_backups loads ~primary (b :: chosen) (k - 1)
+
+let[@hot] place loads ~n_backups session_id =
+  match
+    least_loaded_member loads.l_primaries ~primary:(-1) ~chosen:[] ~best:(-1) loads.l_members
+  with
+  | -1 -> None
+  | primary ->
+      bump_member loads.l_primaries primary 1.;
+      bump_member loads.l_weighted primary 1.;
+      let a_backups = place_backups loads ~primary [] n_backups in
+      Some { a_session_id = session_id; a_primary = primary; a_backups }
 
 let load_of assignments server =
   List.fold_left

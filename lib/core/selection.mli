@@ -37,10 +37,37 @@ val assign :
 
     @raise Invalid_argument if [members] is empty. *)
 
-val backup_weight : float
-(** Load contributed by one backup role (1/2; a primary counts 1).
-    Exposed so the framework's incremental load table uses the same
-    weights as {!assign}. *)
+(** {2 Incremental placement}
+
+    A load table kept across session starts, so a fresh session is
+    placed in O(members) instead of re-running {!assign} over every live
+    session.  Every replica holds the same table and applies the same
+    starts and ends in total order, so they all agree with no extra
+    round.  The table is valid only while the view is stable; callers
+    drop it on any view change and rebuild it with {!loads_of}. *)
+
+type loads
+
+val loads_of : members:int list -> prev list -> loads
+(** The table for [members] given the live sessions [prevs]: per member,
+    its primary count and its weighted load (primaries 1, backups
+    1/2).  Roles held by non-members are ignored. *)
+
+val place : loads -> n_backups:int -> string -> assignment option
+(** [place loads ~n_backups session_id] places a fresh session and
+    counts its roles in [loads].  The primary is the member with the
+    fewest primaries, lowest id on ties: exactly the primary
+    [assign ~rebalance:false] gives a session with no history when every
+    live session's primary is a member.  Backups are the least loaded
+    members by weighted load.  They can differ from {!assign}'s, whose
+    phase 3 counts only the backups of sessions earlier in id order.
+    [None] only if the table has no members. *)
+
+val unload : loads -> prev -> unit
+(** Stop counting an ended session's roles. *)
+
+val load_table : loads -> (int * float * float) list
+(** (member, primary count, weighted load), by member: for tests. *)
 
 val load_of : assignment list -> int -> float
 (** [load_of assignments server]: primaries count 1, backups 1/2. *)

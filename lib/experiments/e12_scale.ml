@@ -43,12 +43,13 @@ let grant_latencies tl =
 (* ------------------------------------------------------------------ *)
 
 (* The sweep above keeps the paper's literal per-session design; this
-   bench turns on every hot-path knob at once — sharded session groups,
-   batched sequencing, batched propagation, incremental placement, the
-   timer wheel underneath — and drives the population to the point where
-   the literal design stops being runnable.  Equivalence of each knob to
-   its literal counterpart is property-tested separately (see
-   test_core/test_gcs_units); here the run stays fully monitored, so
+   bench runs the scale mode ([Policy.session_shards] > 0: shard
+   groups, one propagation frame per unit, incremental placement) with
+   batched sequencing, and drives the population to the point where the
+   literal design stops being runnable.  Sequencer batching and
+   incremental placement's primary pick are property-tested against
+   the default paths (test_gcs_units, test_core), and test_chaos runs
+   the scale mode under faults; here the run stays fully monitored, so
    "10^5 sessions, 0 violations" is an observed claim.
 
    The synthetic service streams an item every 0.2 s — at 10^5 sessions
@@ -129,8 +130,6 @@ let bench_scenario ~sessions =
         Policy.default with
         n_backups = 1;
         session_shards = 64;
-        batch_propagation = true;
-        incremental_assign = true;
         propagation_period = 5.;
         rebalance_on_join = false;
       };

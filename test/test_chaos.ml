@@ -9,6 +9,7 @@ module Scenario = Haf_experiments.Scenario
 module Metrics = Haf_stats.Metrics
 module Config = Haf_gcs.Config
 module R = Haf_experiments.Runner.Make (Haf_services.Synthetic)
+module Engine = Haf_sim.Engine
 
 let check = Alcotest.check
 
@@ -184,6 +185,84 @@ let test_chaos_trace_deterministic () =
   check Alcotest.bool "different seed, different trace" false
     (render tl1 = render tl3)
 
+(* The scale mode under the same faults as the paper's mode: one seeded
+   schedule at [session_shards] 0 and 4.  Right after every monitor
+   probe, the run must have no violations, and every live server's
+   daemon must be a member of exactly the session groups of the
+   sessions it holds a role in — no group leaked by a crash, reset or
+   handoff, none missing. *)
+let test_chaos_scale_mode () =
+  List.iter
+    (fun shards ->
+      let seed = 1600 in
+      let sc =
+        {
+          (chaos_scenario ~seed) with
+          Scenario.policy = { Haf_core.Policy.default with session_shards = shards };
+        }
+      in
+      let sched =
+        Chaos.generate ~seed:(seed * 7) ~intensity:2.0 ~horizon:sc.Scenario.duration
+          ~n_servers:sc.Scenario.n_servers ~n_units:sc.Scenario.n_units ()
+      in
+      let probes = ref 0 and roles = ref 0 in
+      let check_membership w =
+        incr probes;
+        let at = Engine.now w.R.engine in
+        check Alcotest.int
+          (Printf.sprintf "shards=%d t=%.1f: no violations" shards at)
+          0
+          (List.length (R.violations w));
+        let group sid = Haf_core.Naming.session_group ~shards sid in
+        let expected =
+          List.map
+            (fun (p, srv) ->
+              let served = R.Fw.Server.sessions_served srv in
+              roles := !roles + List.length served;
+              (p, List.sort_uniq String.compare (List.map (fun (sid, _) -> group sid) served)))
+            (R.live_servers w)
+        in
+        let candidates =
+          List.sort_uniq String.compare
+            (List.map group (R.all_session_ids w) @ List.concat_map snd expected)
+        in
+        let wrong =
+          List.concat_map
+            (fun (p, groups) ->
+              List.filter_map
+                (fun g ->
+                  let joined = Haf_gcs.Gcs.view_of w.R.gcs p g <> None in
+                  if joined = List.mem g groups then None
+                  else Some (Printf.sprintf "s%d %s %s" p (if joined then "leaked" else "missing") g))
+                candidates)
+            expected
+        in
+        check (Alcotest.list Alcotest.string)
+          (Printf.sprintf "shards=%d t=%.1f: session-group membership" shards at)
+          [] wrong
+      in
+      let interval = sc.Scenario.monitor_interval in
+      let _tl, w =
+        R.run_scenario sc ~prepare:(fun w ->
+            R.apply_schedule w sched;
+            let rec probe_at t =
+              if t <= sc.Scenario.duration then
+                ignore
+                  (Engine.schedule_at w.R.engine ~time:t (fun () ->
+                       (* Equal instants fire in scheduling order, so a
+                          zero delay lands just after the monitor's probe. *)
+                       ignore
+                         (Engine.schedule w.R.engine ~delay:0. (fun () -> check_membership w));
+                       probe_at (t +. interval)))
+            in
+            probe_at interval)
+      in
+      check Alcotest.int (Printf.sprintf "shards=%d: final violations" shards) 0
+        (List.length (R.violations w));
+      check Alcotest.bool (Printf.sprintf "shards=%d: probed live roles" shards) true
+        (!probes > 10 && !roles > 0))
+    [ 0; 4 ]
+
 (* A failure detector tuned below the injected delay: the spike forges
    a failure, the two sides each elect a primary, and when the spike
    ends they share one clique component — the monitor must flag it. *)
@@ -343,6 +422,7 @@ let suite =
           test_chaos_trace_deterministic;
         Alcotest.test_case "monitor catches dual primary" `Slow
           test_monitor_catches_dual_primary;
+        Alcotest.test_case "scale mode under chaos" `Slow test_chaos_scale_mode;
       ] );
     ( "chaos.stabilize",
       [

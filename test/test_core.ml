@@ -15,13 +15,24 @@ let check = Alcotest.check
 let test_naming_roundtrip () =
   check (Alcotest.option Alcotest.string) "content" (Some "movie:1")
     (Naming.content_unit_of (Naming.content_group "movie:1"));
-  check (Alcotest.option Alcotest.string) "session" (Some "c001-0")
-    (Naming.session_of (Naming.session_group "c001-0"));
+  check Alcotest.string "per-session group" "session:c001-0"
+    (Naming.session_group ~shards:0 "c001-0");
+  check Alcotest.string "shard group is pure in the id"
+    (Naming.session_group ~shards:8 "c001-0")
+    (Naming.session_group ~shards:8 "c001-0");
+  List.iter
+    (fun sid ->
+      let g = Naming.session_group ~shards:4 sid in
+      check Alcotest.bool (sid ^ " maps to one of 4 shards") true
+        (List.mem g [ "sshard:0"; "sshard:1"; "sshard:2"; "sshard:3" ]))
+    [ "c001-0"; "c002-7"; "x" ];
   check Alcotest.bool "service" true (Naming.is_service_group Naming.service_group);
   check (Alcotest.option Alcotest.string) "not a content group" None
     (Naming.content_unit_of Naming.service_group);
   check (Alcotest.option Alcotest.string) "session is not content" None
-    (Naming.content_unit_of (Naming.session_group "x"))
+    (Naming.content_unit_of (Naming.session_group ~shards:0 "x"));
+  check (Alcotest.option Alcotest.string) "shard is not content" None
+    (Naming.content_unit_of (Naming.session_group ~shards:4 "x"))
 
 (* ------------------------------------------------------------------ *)
 (* Policy *)
@@ -177,6 +188,60 @@ let prop_selection_balanced =
       let count m = List.length (List.filter (fun x -> x.Selection.a_primary = m) a) in
       let share = float_of_int n /. 4. in
       List.for_all (fun m -> float_of_int (count m) <= ceil share) members)
+
+(* Incremental placement against the full selection.  For a stable
+   view, live sessions whose primaries are members, and a fresh session,
+   the incremental primary is exactly the one [assign ~rebalance:false]
+   gives it.  Random starts and ends on the cached table must then
+   leave it equal to a rebuild from the surviving sessions. *)
+let prop_incremental_matches_assign =
+  QCheck.Test.make ~name:"incremental placement matches full selection" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Rng = Haf_sim.Rng in
+      let rng = Rng.create seed in
+      let members = Rng.sample rng (Rng.int_in rng 1 5) [ 0; 1; 2; 3; 4; 5; 6 ] in
+      let n_backups = Rng.int rng 3 in
+      let random_prev sid =
+        let primary = Rng.pick rng members in
+        let others = List.filter (fun m -> m <> primary) members in
+        let backups = Rng.sample rng (Int.min n_backups (List.length others)) others in
+        prev ~primary:(Some primary) ~backups sid
+      in
+      let live = ref (List.init (Rng.int rng 30) (fun i -> random_prev (Printf.sprintf "s%03d" i))) in
+      let loads = Selection.loads_of ~members !live in
+      (* The "+" suffix sorts the fresh id anywhere among the live ones. *)
+      let fresh = Printf.sprintf "s%03d+" (Rng.int rng 30) in
+      let full = Selection.assign ~n_backups ~members ~rebalance:false (prev fresh :: !live) in
+      let expected =
+        List.find (fun a -> a.Selection.a_session_id = fresh) full
+      in
+      let primary_matches =
+        match Selection.place loads ~n_backups fresh with
+        | Some a ->
+            live :=
+              prev ~primary:(Some a.Selection.a_primary) ~backups:a.Selection.a_backups fresh
+              :: !live;
+            a.Selection.a_primary = expected.Selection.a_primary
+        | None -> false
+      in
+      for i = 1 to Rng.int rng 40 do
+        match !live with
+        | _ :: _ when Rng.bool rng ->
+            let victim = Rng.pick rng !live in
+            Selection.unload loads victim;
+            live := List.filter (fun p -> p != victim) !live
+        | _ -> (
+            let sid = Printf.sprintf "n%03d" i in
+            match Selection.place loads ~n_backups sid with
+            | Some a ->
+                live :=
+                  prev ~primary:(Some a.Selection.a_primary) ~backups:a.Selection.a_backups sid
+                  :: !live
+            | None -> ())
+      done;
+      primary_matches
+      && Selection.load_table loads = Selection.load_table (Selection.loads_of ~members !live))
 
 (* ------------------------------------------------------------------ *)
 (* Unit_db *)
@@ -459,6 +524,7 @@ let suite =
             prop_selection_valid;
             prop_selection_idempotent;
             prop_selection_balanced;
+            prop_incremental_matches_assign;
           ]
     );
     ( "core.unit_db",

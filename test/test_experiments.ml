@@ -146,23 +146,21 @@ let test_e9_runs () =
       check Alcotest.bool "has rows" true (String.length rendered > 200)
   | None -> Alcotest.fail "e9 missing"
 
-(* All four fast-path knobs at once — sharded session groups, batched
-   context propagation, incremental placement, batched sequencing —
-   plus a mid-run primary crash.  Each knob is equivalence-tested in
-   isolation elsewhere; this is the combined end-to-end check that the
-   monitored protocol still grants, streams, and takes over cleanly
+(* The scale mode ([session_shards] > 0: shard groups, one propagation
+   frame per unit, incremental placement) together with sequencer
+   batching, plus a mid-run primary crash.  Of these, only sequencer
+   batching is equivalence-tested in isolation (test_gcs_units);
+   incremental placement's primary is checked against the full
+   selection (test_core), and the scale mode runs under a chaos
+   schedule (test_chaos).  This is the combined end-to-end check that
+   the monitored protocol still grants, streams, and takes over cleanly
    with everything switched on. *)
 let test_fast_path_knobs_combined () =
   let sc =
     {
       (small_scenario ~seed:11 ()) with
       Scenario.policy =
-        {
-          Haf_core.Policy.default with
-          session_shards = 4;
-          batch_propagation = true;
-          incremental_assign = true;
-        };
+{ Haf_core.Policy.default with session_shards = 4 };
       gcs_config = { Haf_gcs.Config.default with seq_batch_window = 0.05 };
     }
   in
