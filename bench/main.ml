@@ -1,24 +1,23 @@
-(* Benchmark harness.
+(* Benchmark harness: the measurements no other command takes.
 
-   Part 1 regenerates every evaluation table (experiments E1..E15 — the
-   paper's Section-4 analysis turned quantitative; see EXPERIMENTS.md for
-   the paper-vs-measured discussion).  Part 2 runs bechamel
-   microbenchmarks of the hot operations underneath: deterministic
-   selection, unit-database maintenance, wire marshalling, the risk-model
-   integral, the event engine and a whole in-simulation GCS multicast
-   round.  Part 3 re-measures the stable-storage path and writes
-   BENCH_store.json — store op latencies plus the E14 recovery tables in
-   machine-readable form.  Part 4 measures the chaos/monitor harness
-   itself — schedule generation, text roundtrip, ddmin shrinking, and
-   the monitor's per-event observation overhead — and writes
-   BENCH_chaos.json.  Part 5 exercises the real-time substrate
-   (lib/net_unix): reliable-FIFO throughput and ping-pong latency of the
-   unmodified Transport over actual UDP loopback sockets, with the
-   per-node traffic table rendered through Netstats.  Part 6 runs the
-   one-process engine scale bench (E12 machinery, the scale mode with
-   sequencer batching) and writes BENCH_engine.json — simulated events/sec, client
-   request rates, and the max population holding the takeover-latency
-   ceiling. *)
+   Part 2 runs bechamel microbenchmarks of the hot operations
+   underneath: deterministic selection, unit-database maintenance, wire
+   marshalling, the risk-model integral, the event engine and a whole
+   in-simulation GCS multicast round.  Part 3 re-measures the
+   stable-storage path and writes BENCH_store.json — store op latencies
+   plus the E14 recovery tables in machine-readable form.  Part 4
+   measures the chaos/monitor harness itself — schedule generation,
+   text roundtrip, ddmin shrinking, and the monitor's per-event
+   observation overhead — and writes BENCH_chaos.json.  Part 5 exercises
+   the real-time substrate (lib/net_unix): reliable-FIFO throughput and
+   ping-pong latency of the unmodified Transport over actual UDP
+   loopback sockets, with the per-node traffic table rendered through
+   Netstats.
+
+   The part numbers are the names the docs cite.  Parts 1 and 6 are CLI
+   commands: the evaluation tables are `haf_experiments` with no
+   arguments, and the engine scale bench (BENCH_engine.json) is
+   `haf_experiments --engine-bench N --engine-json PATH`. *)
 
 open Bechamel
 open Toolkit
@@ -556,9 +555,6 @@ let udp_loopback_bench () =
   Udp.close u
 
 let () =
-  print_endline "=== Part 1: evaluation tables (experiments E1..E18, quick mode) ===";
-  print_newline ();
-  Haf_experiments.Registry.run_all ~quick:true Format.std_formatter;
   print_endline "=== Part 2: microbenchmarks ===";
   print_newline ();
   print_estimates "microbenchmarks (monotonic clock)" (estimate microbenches);
@@ -578,18 +574,4 @@ let () =
   print_endline "wrote BENCH_stabilize.json";
   print_endline "=== Part 5: real UDP loopback substrate (lib/net_unix) ===";
   print_newline ();
-  udp_loopback_bench ();
-  print_endline "=== Part 6: engine scale (sharded hot paths, one process) ===";
-  print_newline ();
-  (* The full 10^5 ladder is the CLI's job (haf_experiments
-     --engine-bench); the tracked artifact uses rungs that keep the
-     whole bench run under a couple of minutes.  The shared driver
-     fails the bench run on any monitor violation or throughput-floor
-     regression, exactly as the CLI does. *)
-  let ok =
-    (* haf-lint: allow R1 — CPU clock injected from the binary for the
-       cpu-s reporting column only; it never feeds the simulation. *)
-    Haf_experiments.E12_scale.bench ~clock:Sys.time ~ladder:[ 1_000; 10_000 ]
-      ~json:"BENCH_engine.json" Format.std_formatter
-  in
-  if not ok then exit 1
+  udp_loopback_bench ()

@@ -136,7 +136,11 @@ let pp ppf s =
 let sort_schedule s =
   List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) s
 
-let generate ?(max_delay = 0.2) ?(corruption = 0) ~seed ~intensity ~horizon
+(* Cap on {!Delay} extras: below the default suspicion timeout, so a
+   delay spike slows the fabric without forging failures. *)
+let max_delay = 0.2
+
+let generate ?(corruption = 0) ~seed ~intensity ~horizon
     ~n_servers ~n_units () =
   let rng = Rng.create seed in
   let n_incidents =
@@ -192,8 +196,6 @@ let generate ?(max_delay = 0.2) ?(corruption = 0) ~seed ~intensity ~horizon
           (t0 +. dur, Link { src; dst; up = true });
         ]
     | `Delay ->
-        (* Kept under the suspicion timeout by default, so a delay spike
-           slows the fabric without forging failures. *)
         let src, dst = pair rng in
         let extra = 0.05 +. Rng.float rng (Float.max 0.01 (max_delay -. 0.05)) in
         [ (t0, Delay { src; dst; extra }); (t0 +. dur, Delay { src; dst; extra = 0. }) ]

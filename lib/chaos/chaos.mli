@@ -65,7 +65,6 @@ type schedule = (float * op) list
 (** Time-sorted, times in seconds of virtual time. *)
 
 val generate :
-  ?max_delay:float ->
   ?corruption:int ->
   seed:int ->
   intensity:float ->
@@ -77,9 +76,8 @@ val generate :
 (** Compile a seed into a schedule of paired incidents (fault at [t],
     repair at [t + duration]) over [horizon] seconds.  [intensity]
     scales the incident count (1.0 ≈ one incident per 8 s).
-    [max_delay] caps {!Delay} extras (default 0.2 s — below the default
-    suspicion timeout, so delay spikes degrade without forging
-    failures; raise it to attack a mis-configured failure detector).
+    {!Delay} extras are capped at 0.2 s — below the default suspicion
+    timeout, so delay spikes degrade without forging failures.
     [corruption] (default 0) is the relative weight of {!Corrupt}
     incidents in the mix; 0 disables them entirely, keeping schedules
     generated before the corruption fault model existed byte-identical.

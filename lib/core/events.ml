@@ -59,22 +59,18 @@ type sink = {
          rare (a handful per run), so rebuilding the array there is
          cheap. *)
   retain : bool;  (* false: taps only, no timeline accumulation *)
-  mutable n_emitted : int;
 }
 
-let make_sink ?(retain = true) () = { items = []; taps = [||]; retain; n_emitted = 0 }
+let make_sink ?(retain = true) () = { items = []; taps = [||]; retain }
 
 let subscribe sink f = sink.taps <- Array.append sink.taps [| f |]
 
 let[@hot] emit sink ~now ev =
-  sink.n_emitted <- sink.n_emitted + 1;
   if sink.retain then sink.items <- (now, ev) :: sink.items;
   let taps = sink.taps in
   for i = 0 to Array.length taps - 1 do
     (Array.unsafe_get taps i) ~now ev
   done
-
-let total_emitted sink = sink.n_emitted
 
 let events sink = List.rev sink.items
 

@@ -76,8 +76,7 @@ val make_sink : ?retain:bool -> unit -> sink
 (** [retain] (default [true]): keep the full timeline for post-hoc
     analysis.  [~retain:false] keeps memory flat for huge runs — events
     still reach every tap (so the online monitor and streaming metrics
-    work unchanged) but {!events} stays empty; only {!total_emitted}
-    counts them. *)
+    work unchanged) but {!events} stays empty. *)
 
 val subscribe : sink -> (now:float -> t -> unit) -> unit
 (** Register an online tap: called synchronously on every {!emit}, in
@@ -91,9 +90,6 @@ val events : sink -> (float * t) list
 (** Oldest first. *)
 
 val count : sink -> (t -> bool) -> int
-
-val total_emitted : sink -> int
-(** Events emitted over the sink's lifetime, retained or not. *)
 
 val clear : sink -> unit
 

@@ -137,7 +137,9 @@ module Make (S : Service_intf.SERVICE) = struct
       ex_vid : View.Id.t;
       ex_expected : int list;
       mutable ex_digests : (int * Unit_db.digest list) list;
-      mutable ex_delta_sent : bool;
+      mutable ex_plan : Unit_db.plan_entry list option;
+          (* [None] until every expected digest is in; then the plan our
+             delta was cut from, which completion also reads. *)
       mutable ex_deltas : (int * S.context Unit_db.record list) list;
       mutable ex_deferred : (int * group_msg) list;  (* newest first *)
     }
@@ -632,6 +634,25 @@ module Make (S : Service_intf.SERVICE) = struct
         (fun _ us acc -> acc && unit_verdict us = None)
         t.units true
 
+    (* A unit rebuilt from stable storage or reset by the audit holds
+       back from self-assignment ([u_recovering]) until a state exchange
+       reconciles it with surviving members.  If after a couple of
+       suspicion timeouts no exchange has completed or is under way, we
+       are genuinely alone (whole-group crash): proceed with what we
+       have. *)
+    let recover_alone_after_grace t units =
+      let grace = 2. *. (Gcs.config t.gcs).Haf_gcs.Config.suspect_timeout in
+      ignore
+        (Engine.schedule t.engine ~delay:grace (fun () ->
+             if t.running then
+               List.iter
+                 (fun us ->
+                   if us.u_recovering && us.u_exchange = None then begin
+                     us.u_recovering <- false;
+                     reassign t us ~rebalance:false
+                   end)
+                 units))
+
     (* Reset-and-rejoin for a convicted unit database: relinquish every
        local role, fall back to an empty replica, and leave+rejoin the
        content group — the resulting view change triggers the ordinary
@@ -655,13 +676,7 @@ module Make (S : Service_intf.SERVICE) = struct
       refresh_checksum us;
       Gcs.leave t.gcs t.proc (Naming.content_group us.u_id);
       Gcs.join t.gcs t.proc (Naming.content_group us.u_id);
-      let grace = 2. *. (Gcs.config t.gcs).Haf_gcs.Config.suspect_timeout in
-      ignore
-        (Engine.schedule t.engine ~delay:grace (fun () ->
-             if t.running && us.u_recovering && us.u_exchange = None then begin
-               us.u_recovering <- false;
-               reassign t us ~rebalance:false
-             end))
+      recover_alone_after_grace t [ us ]
 
     let audit_units t =
       if !Haf_gcs.Audit.enabled then
@@ -798,50 +813,21 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let pp_senders ppf deltas = View.pp_procs ppf (List.map fst deltas)
 
-    (* For every session in the digest set, the copy every member agrees
-       is authoritative: the maximum under the total order
-       {!Unit_db.digest_preference}, computed over the same digests at
-       every member. *)
-    let best_digests ex =
-      let sids =
-        List.concat_map
-          (fun (_, ds) -> List.map (fun d -> d.Unit_db.d_session_id) ds)
-          ex.ex_digests
-        |> List.sort_uniq String.compare
-      in
-      List.map
-        (fun sid ->
-          let candidates =
-            List.filter_map
-              (fun (_, ds) ->
-                List.find_opt (fun d -> d.Unit_db.d_session_id = sid) ds)
-              ex.ex_digests
-          in
-          match candidates with
-          | [] -> assert false
-          | d0 :: rest ->
-              ( sid,
-                List.fold_left
-                  (fun acc d ->
-                    if Unit_db.digest_preference d acc > 0 then d else acc)
-                  d0 rest ))
-        sids
-
     (* Assignment fields travel in the digests, not in the deltas: once
        every digest is in, each member installs the winning digest's
        primary/backups locally, so records that differ only in
        assignment never need to ship.  This keeps the [prevs] that
        {!reassign} feeds to the deterministic selection identical at
        every member. *)
-    let reconcile_assignments us ex =
+    let reconcile_assignments us plan =
       List.iter
-        (fun (sid, (d : Unit_db.digest)) ->
+        (fun { Unit_db.pl_session_id = sid; pl_best = d; _ } ->
           if Unit_db.mem us.u_db sid && d.Unit_db.d_primary >= 0 then
             Unit_db.set_assignment us.u_db sid ~primary:d.Unit_db.d_primary
               ~backups:d.Unit_db.d_backups)
-        (best_digests ex)
+        plan
 
-    let exchange_complete t us ex =
+    let exchange_complete t us ex plan =
       dbg t "s%d exchange COMPLETE %s vid=%a senders=[%a]" t.proc us.u_id View.Id.pp
         ex.ex_vid pp_senders ex.ex_deltas;
       let deltas =
@@ -849,7 +835,7 @@ module Make (S : Service_intf.SERVICE) = struct
         |> List.concat_map snd
       in
       Unit_db.merge_records us.u_db deltas;
-      reconcile_assignments us ex;
+      reconcile_assignments us plan;
       refresh_checksum us;
       if deltas <> [] then
         store_log t (P_merge { unit_id = us.u_id; records = deltas });
@@ -872,69 +858,18 @@ module Make (S : Service_intf.SERVICE) = struct
         (fun (sender, msg) -> process_content_msg t us ~sender msg)
         (List.rev ex.ex_deferred)
 
-    (* Which of my records must I ship?  For every session mentioned in
-       any digest: the preferred copy is the maximum under the total
-       order {!Unit_db.digest_preference}; among the members holding
-       content as fresh (assignment fields are reconciled from the
-       digests, so they don't force a ship), the lowest proc id is the
-       designated sender; and the record only travels at all if some
+    (* Which of my records must I ship?  {!Unit_db.exchange_plan} names,
+       for every session in any digest, the preferred copy, the lowest
+       member holding content as fresh (assignment fields are reconciled
+       from the digests, so they don't force a ship) and whether some
        member is missing the session or holds strictly older content.
-       Every member computes this from the same digest set, so exactly
-       one member ships each needed record and nothing else moves. *)
-    let compute_delta t us ex =
-      let members = List.sort Int.compare ex.ex_expected in
-      let digest_of m sid =
-        match List.assoc_opt m ex.ex_digests with
-        | None -> None
-        | Some ds -> List.find_opt (fun d -> d.Unit_db.d_session_id = sid) ds
-      in
-      let sids =
-        List.concat_map
-          (fun (_, ds) -> List.map (fun d -> d.Unit_db.d_session_id) ds)
-          ex.ex_digests
-        |> List.sort_uniq String.compare
-      in
-      let my_records = Unit_db.export us.u_db in
-      List.filter_map
-        (fun sid ->
-          let holders =
-            List.filter_map
-              (fun m -> Option.map (fun d -> (m, d)) (digest_of m sid))
-              members
-          in
-          match holders with
-          | [] -> None
-          | (_, d0) :: _ ->
-              let best =
-                List.fold_left
-                  (fun acc (_, d) ->
-                    if Unit_db.digest_preference d acc > 0 then d else acc)
-                  d0 (List.tl holders)
-              in
-              let sender =
-                List.filter
-                  (fun (_, d) -> Unit_db.digest_snap_compare d best = 0)
-                  holders
-                |> List.map fst
-                |> List.fold_left Int.min max_int
-              in
-              let someone_needs =
-                List.exists
-                  (fun m ->
-                    match digest_of m sid with
-                    | None -> true
-                    | Some d -> Unit_db.digest_snap_compare best d > 0)
-                  members
-              in
-              if sender = t.proc && someone_needs then
-                List.find_opt (fun r -> r.Unit_db.r_session_id = sid) my_records
-              else None)
-        sids
-
+       Every member computes it from the same digest set, so exactly one
+       member ships each needed record and nothing else moves. *)
     let send_delta t us ex =
-      if not ex.ex_delta_sent then begin
-        ex.ex_delta_sent <- true;
-        let records = compute_delta t us ex in
+      if ex.ex_plan = None then begin
+        let plan = Unit_db.exchange_plan ~members:ex.ex_expected ex.ex_digests in
+        ex.ex_plan <- Some plan;
+        let records = Unit_db.delta us.u_db ~me:t.proc plan in
         let msg = State_delta { sender = t.proc; vid = ex.ex_vid; records } in
         emit t
           (Events.Exchange_sent
@@ -959,7 +894,7 @@ module Make (S : Service_intf.SERVICE) = struct
           ex_vid = view.View.id;
           ex_expected = view.View.members;
           ex_digests = [];
-          ex_delta_sent = false;
+          ex_plan = None;
           ex_deltas = [];
           ex_deferred = carried;
         }
@@ -1046,12 +981,13 @@ module Make (S : Service_intf.SERVICE) = struct
                 us.u_id xsender View.Id.pp vid (List.length records);
               if not (List.mem_assoc xsender ex.ex_deltas) then begin
                 ex.ex_deltas <- (xsender, records) :: ex.ex_deltas;
-                if
-                  ex.ex_delta_sent
-                  && List.for_all
-                       (fun m -> List.mem_assoc m ex.ex_deltas)
-                       ex.ex_expected
-                then exchange_complete t us ex
+                match ex.ex_plan with
+                | Some plan
+                  when List.for_all
+                         (fun m -> List.mem_assoc m ex.ex_deltas)
+                         ex.ex_expected ->
+                    exchange_complete t us ex plan
+                | Some _ | None -> ()
               end
           | State_digest { sender = xsender; vid; _ }
           | State_delta { sender = xsender; vid; _ } ->
@@ -1267,27 +1203,11 @@ module Make (S : Service_intf.SERVICE) = struct
                    snapshot_lost = r.rec_snapshot_lost;
                  });
           if sessions > 0 then begin
-            Det_tbl.iter_sorted ~compare:String.compare
-              (fun _ us -> if Unit_db.size us.u_db > 0 then us.u_recovering <- true)
-              t.units;
-            (* Hold the recovered state back from self-assignment until a
-               state exchange reconciles us with surviving members.  If no
-               exchange completes within a couple of suspicion timeouts we
-               are genuinely alone (whole-group crash): proceed with what
-               the store gave us. *)
-            let grace =
-              2. *. (Gcs.config gcs).Haf_gcs.Config.suspect_timeout
-            in
-            ignore
-              (Engine.schedule t.engine ~delay:grace (fun () ->
-                   if t.running then
-                     Det_tbl.iter_sorted ~compare:String.compare
-                       (fun _ us ->
-                         if us.u_recovering && us.u_exchange = None then begin
-                           us.u_recovering <- false;
-                           reassign t us ~rebalance:false
-                         end)
-                       t.units))
+            let units = Det_tbl.sorted_values ~compare:String.compare t.units in
+            List.iter
+              (fun us -> if Unit_db.size us.u_db > 0 then us.u_recovering <- true)
+              units;
+            recover_alone_after_grace t units
           end;
           start_store_timers t st);
       Gcs.set_app gcs proc
@@ -1378,7 +1298,6 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable c_granted : bool;
       mutable c_next_seq : int;
       mutable c_received : (int * float) list;  (* response id, time; newest first *)
-      mutable c_n_received : int;  (* counted even when the list is off *)
       mutable c_grant_timer : Engine.timer option;
       mutable c_req_timer : Engine.timer option;
       mutable c_end_timer : Engine.timer option;
@@ -1448,7 +1367,6 @@ module Make (S : Service_intf.SERVICE) = struct
               | Some cs when not cs.c_done ->
                   if t.retain_responses then
                     cs.c_received <- (id, Engine.now engine) :: cs.c_received;
-                  cs.c_n_received <- cs.c_n_received + 1;
                   cs.c_last_response <- Engine.now engine;
                   Events.emit t.events ~now:(Engine.now engine)
                     (Events.Response_received
@@ -1513,7 +1431,6 @@ module Make (S : Service_intf.SERVICE) = struct
           c_granted = false;
           c_next_seq = 1;
           c_received = [];
-          c_n_received = 0;
           c_grant_timer = None;
           c_req_timer = None;
           c_end_timer = None;
@@ -1590,11 +1507,6 @@ module Make (S : Service_intf.SERVICE) = struct
       match Hashtbl.find_opt t.sessions session_id with
       | Some cs -> List.rev cs.c_received
       | None -> []
-
-    let received_count t session_id =
-      match Hashtbl.find_opt t.sessions session_id with
-      | Some cs -> cs.c_n_received
-      | None -> 0
 
     let granted t session_id =
       match Hashtbl.find_opt t.sessions session_id with

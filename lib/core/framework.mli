@@ -205,8 +205,7 @@ module Make (S : Service_intf.SERVICE) : sig
         and the silence watchdog.  [retain_responses] (default [true]):
         keep the per-session (id, time) response list {!received}
         serves; [false] keeps client memory flat at bench scale — the
-        stream still drives the watchdog and {!received_count}, but
-        {!received} answers []. *)
+        stream still drives the watchdog, but {!received} answers []. *)
 
     val proc : t -> int
 
@@ -232,9 +231,6 @@ module Make (S : Service_intf.SERVICE) : sig
     val received : t -> string -> (int * float) list
     (** (response id, arrival time) for a session, oldest first.
         Empty under [~retain_responses:false]. *)
-
-    val received_count : t -> string -> int
-    (** Responses delivered to a session, retained or not. *)
 
     val session_ids : t -> string list
   end

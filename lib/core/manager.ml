@@ -4,10 +4,6 @@ type health = { h_unit : string; h_live_replicas : int; h_sessions : int }
 
 type reason = Under_replicated of string | Overloaded of string
 
-let reason_to_string = function
-  | Under_replicated u -> Printf.sprintf "under-replicated:%s" u
-  | Overloaded u -> Printf.sprintf "overloaded:%s" u
-
 type t = {
   engine : Engine.t;
   cooldown : float;

@@ -23,8 +23,6 @@ type reason =
   | Under_replicated of string  (** Unit below the replica floor. *)
   | Overloaded of string  (** Unit above the sessions-per-replica ceiling. *)
 
-val reason_to_string : reason -> string
-
 type t
 
 val create :

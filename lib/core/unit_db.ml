@@ -226,6 +226,68 @@ let digest_preference a b =
 
 let preference ra rb = digest_preference (digest_of_record ra) (digest_of_record rb)
 
+type plan_entry = {
+  pl_session_id : string;
+  pl_best : digest;
+  pl_sender : int;
+  pl_needed : bool;
+}
+
+let exchange_plan ~members digests =
+  let advertised =
+    List.map
+      (fun m -> (m, Option.value (List.assoc_opt m digests) ~default:[]))
+      (List.sort_uniq Int.compare members)
+  in
+  (* member -> session id -> its copy; the first digest for an id wins *)
+  let copies =
+    List.map
+      (fun (m, ds) ->
+        let tbl = Hashtbl.create (List.length ds) in
+        List.iter
+          (fun d ->
+            if not (Hashtbl.mem tbl d.d_session_id) then
+              Hashtbl.replace tbl d.d_session_id d)
+          ds;
+        (m, tbl))
+      advertised
+  in
+  let n_members = List.length advertised in
+  List.concat_map (fun (_, ds) -> List.map (fun d -> d.d_session_id) ds) advertised
+  |> List.sort_uniq String.compare
+  |> List.map (fun sid ->
+         (* holders in ascending member id; never empty, since [sid] came
+            from one of them *)
+         let held =
+           List.filter_map
+             (fun (m, tbl) -> Option.map (fun d -> (m, d)) (Hashtbl.find_opt tbl sid))
+             copies
+         in
+         let best =
+           List.fold_left
+             (fun acc (_, d) -> if digest_preference d acc > 0 then d else acc)
+             (snd (List.hd held)) held
+         in
+         let sender, _ =
+           List.find (fun (_, d) -> digest_snap_compare d best = 0) held
+         in
+         {
+           pl_session_id = sid;
+           pl_best = best;
+           pl_sender = sender;
+           pl_needed =
+             List.length held < n_members
+             || List.exists (fun (_, d) -> digest_snap_compare best d > 0) held;
+         })
+
+let delta t ~me plan =
+  List.filter_map
+    (fun e ->
+      if e.pl_sender = me && e.pl_needed then
+        Option.map record_of_session (find t e.pl_session_id)
+      else None)
+    plan
+
 let merge_records t records =
   List.iter
     (fun r ->

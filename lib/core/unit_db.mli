@@ -125,6 +125,30 @@ val digest_preference : digest -> digest -> int
 val preference : _ record -> _ record -> int
 (** {!digest_preference} lifted to records. *)
 
+type plan_entry = {
+  pl_session_id : string;
+  pl_best : digest;  (** The winning copy under {!digest_preference}. *)
+  pl_sender : int;
+      (** The lowest member holding content as fresh as [pl_best] (by
+          {!digest_snap_compare}): the one member that ships it. *)
+  pl_needed : bool;
+      (** Some member lacks the session or holds older content, so the
+          record must travel at all. *)
+}
+
+val exchange_plan : members:int list -> (int * digest list) list -> plan_entry list
+(** The state exchange's one decision, from every member's digests:
+    for each session any of [members] advertises, in ascending id, which
+    copy wins, who ships it, and whether anyone needs it.  Only
+    [members] are read (only view members can multicast a digest in the
+    view), each member's first digest for an id counts, and every member
+    computes the same plan from the same digests.  O(sessions × members)
+    after hashing the digests. *)
+
+val delta : 'ctx t -> me:int -> plan_entry list -> 'ctx record list
+(** The records member [me] ships under a plan: those it is the sender
+    of and someone needs, in plan order. *)
+
 val merge_records : 'ctx t -> 'ctx record list -> unit
 (** Union by session id.  For sessions known on both sides, the record
     preferred by {!preference} wins the snapshot and the recorded

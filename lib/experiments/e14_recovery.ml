@@ -258,7 +258,9 @@ let wipe_table ~quick =
           let sc = wipe_scenario ~seed ~duration ~store in
           let tl, _ =
             R.run_scenario sc ~prepare:(fun w ->
-                R.schedule_unit_wipe w ~at:wipe_at ~unit_k:0 ~repair:10.)
+                ignore
+                  (Haf_sim.Engine.schedule_at w.R.engine ~time:wipe_at (fun () ->
+                       R.wipe_unit w ~unit_k:0 ~repair:10.)))
           in
           let post_responses =
             List.length

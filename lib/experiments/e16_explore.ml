@@ -90,8 +90,7 @@ let restart_delay = 0.4
 (* One execution: a fresh world per call (stateless model checking), the
    decision prefix forced through {!Explore.Exec}, the spec oracle
    listening on the event stream, crashes wired to the runner's
-   fault-injection path (with the automatic restart that [to_chaos]
-   mirrors). *)
+   fault-injection path, each crash restarted [restart_delay] later. *)
 let run_one cfg ~tolerant plan =
   let prev = !Framework.test_end_session_deletes in
   Framework.test_end_session_deletes := cfg.zombie;

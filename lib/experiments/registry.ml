@@ -26,8 +26,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
-
-let run_and_print ?(quick = true) ppf e =
-  List.iter (Haf_stats.Table.print ppf) (e.run ~quick)
-
-let run_all ?(quick = true) ppf = List.iter (run_and_print ~quick ppf) all

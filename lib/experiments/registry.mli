@@ -11,9 +11,3 @@ type experiment = {
 val all : experiment list
 
 val find : string -> experiment option
-
-val run_and_print : ?quick:bool -> Format.formatter -> experiment -> unit
-
-val run_all : ?quick:bool -> Format.formatter -> unit
-(** Both printers take the output formatter explicitly — stdout only
-    exists at the [bin/] edge (haf-lint rule R4). *)

@@ -47,14 +47,6 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
     mutable stabilizer : Stabilize.t option;
         (* Convergence oracle, when an experiment attached one; probed
            from the monitor loop, told of injections by apply_schedule. *)
-    claims : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-        (* server -> sessions it claims primary for, maintained by an
-           event tap.  The legality probe's dirty-set path asks this
-           index for sessions with >= 2 claims instead of scanning every
-           session id; each candidate is then verified against ground
-           truth ([Server.is_primary_of]). *)
-    claim_counts : (string, int) Hashtbl.t;
-        (* session -> live primary-claim count; absent = 0. *)
     unit_ks : int list;
         (* [0 .. n_units-1], hoisted: the monitor loop used to rebuild
            this list on every tick. *)
@@ -81,45 +73,6 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
       Monitor.create ~network:(Gcs.network gcs)
         ~servers:(Gcs.servers gcs) ~policy:sc.policy ~gcs:sc.gcs_config ~events ()
     in
-    (* Primary-claims index for the legality probe's dirty-set path:
-       mirrors role events into per-server claim sets, so the probe only
-       has to ground-truth sessions that could conceivably have two
-       primaries. *)
-    let claims = Hashtbl.create 16 in
-    let claim_counts = Hashtbl.create 64 in
-    let bump sid d =
-      let n = Option.value (Hashtbl.find_opt claim_counts sid) ~default:0 + d in
-      if n <= 0 then Hashtbl.remove claim_counts sid
-      else Hashtbl.replace claim_counts sid n
-    in
-    Events.subscribe events (fun ~now:_ ev ->
-        match (ev : Events.t) with
-        | Role_assumed { server; session_id; role = Primary } ->
-            let sub =
-              match Hashtbl.find_opt claims server with
-              | Some s -> s
-              | None ->
-                  let s = Hashtbl.create 32 in
-                  Hashtbl.replace claims server s;
-                  s
-            in
-            if not (Hashtbl.mem sub session_id) then begin
-              Hashtbl.replace sub session_id ();
-              bump session_id 1
-            end
-        | Role_dropped { server; session_id; role = Primary } -> (
-            match Hashtbl.find_opt claims server with
-            | Some sub when Hashtbl.mem sub session_id ->
-                Hashtbl.remove sub session_id;
-                bump session_id (-1)
-            | Some _ | None -> ())
-        | Server_crashed { server } -> (
-            match Hashtbl.find_opt claims server with
-            | Some sub ->
-                Hashtbl.iter (fun sid () -> bump sid (-1)) sub;
-                Hashtbl.remove claims server
-            | None -> ())
-        | _ -> ());
     let stores = Hashtbl.create 8 in
     (match sc.store with
     | Some cfg ->
@@ -161,8 +114,6 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
         rng;
         corrupt_armed;
         stabilizer = None;
-        claims;
-        claim_counts;
         unit_ks = List.init sc.n_units (fun k -> k);
       }
     in
@@ -345,27 +296,21 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
     in
     plan start
 
-  (* Simultaneous loss of an entire content group: every replica of unit
-     [unit_k] crashes at the same instant and restarts [repair] seconds
-     later.  Without stable storage this is unsurvivable — nobody in the
-     merged view ever held the unit database, so sessions restart from
-     scratch.  With a store each replica recovers its database from
-     snapshot+WAL and the digest/delta exchange reconciles the copies. *)
-  let schedule_unit_wipe w ~at ~unit_k ~repair =
-    ignore
-      (Engine.schedule_at w.engine ~time:at (fun () ->
-           let victims =
-             List.filter
-               (fun p -> Gcs.alive w.gcs p)
-               (Scenario.servers_for_unit w.scenario unit_k)
-           in
-           List.iter (fun p -> crash_server w p) victims;
-           List.iter
-             (fun p ->
-               ignore
-                 (Engine.schedule w.engine ~delay:repair (fun () ->
-                      restart_server w p)))
-             victims))
+  (* Simultaneous loss of an entire content group: every live replica
+     of unit [unit_k] crashes now and restarts [repair] seconds later.
+     Without stable storage this is unsurvivable — nobody in the merged
+     view ever held the unit database, so sessions restart from scratch.
+     With a store each replica recovers its database from snapshot+WAL
+     and the digest/delta exchange reconciles the copies. *)
+  let wipe_unit w ~unit_k ~repair =
+    let victims =
+      List.filter (Gcs.alive w.gcs) (Scenario.servers_for_unit w.scenario unit_k)
+    in
+    List.iter (crash_server w) victims;
+    List.iter
+      (fun p ->
+        ignore (Engine.schedule w.engine ~delay:repair (fun () -> restart_server w p)))
+      victims
 
   (* ---------------------------------------------------------------- *)
   (* Chaos schedules                                                   *)
@@ -414,15 +359,7 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
           let k = ((u mod Int.max 1 sc.Scenario.n_units) + sc.Scenario.n_units)
                   mod Int.max 1 sc.Scenario.n_units
           in
-          let victims =
-            List.filter (Gcs.alive w.gcs) (Scenario.servers_for_unit sc k)
-          in
-          List.iter (fun p -> crash_server w p) victims;
-          List.iter
-            (fun p ->
-              ignore
-                (Engine.schedule w.engine ~delay:5. (fun () -> restart_server w p)))
-            victims
+          wipe_unit w ~unit_k:k ~repair:5.
       | Chaos.Corrupt { server; target } ->
           (* Arm one injection at the victim's instrumented corruption
              site; the damage itself is applied by the component at its
@@ -459,7 +396,8 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
      rule).  Only sessions with >= 2 event-level primary claims can fail:
      everything else has at most one server whose role events say
      "primary", and role events are emitted synchronously with the
-     belief change, so the claims index cannot under-count.  Each
+     belief change, so the monitor's claims index
+     ({!Monitor.multi_primary_sessions}) cannot under-count.  Each
      candidate is still judged against ground truth
      ([Server.is_primary_of]), never against the index itself. *)
   let unique_primaries w =
@@ -479,9 +417,42 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
             ps)
         ps
     in
-    Hashtbl.fold (fun sid n acc -> if n >= 2 then sid :: acc else acc) w.claim_counts []
-    |> List.sort String.compare
-    |> List.for_all unique_ok
+    List.for_all unique_ok (Monitor.multi_primary_sessions w.monitor)
+
+  (* Every pair of settled members of one content-group view that can
+     reach each other, per unit: [(unit, p, q, agree)] with [p < q] and
+     [agree] iff their unit databases hold the same assignments.  Both
+     the legality oracle and invariant (d)'s probe read this. *)
+  let assignment_pairs w =
+    let net = Gcs.network w.gcs in
+    let servers = Gcs.servers w.gcs in
+    let live = live_servers w in
+    List.concat_map
+      (fun k ->
+        let u = Scenario.unit_name k in
+        let holders =
+          List.filter_map
+            (fun (p, srv) ->
+              if Fw.Server.unit_settled srv u then
+                match (Fw.Server.unit_view srv u, Fw.Server.db srv u) with
+                | Some vid, Some db -> Some (p, vid, db)
+                | _ -> None
+              else None)
+            live
+        in
+        List.concat_map
+          (fun (p, vid, db) ->
+            List.filter_map
+              (fun (q, vid', db') ->
+                if
+                  p < q
+                  && Haf_gcs.View.Id.equal vid vid'
+                  && Network.reachable net ~among:servers p q
+                then Some (u, p, q, Haf_core.Unit_db.equal_assignments db db')
+                else None)
+              holders)
+          holders)
+      w.unit_ks
 
   (* A "legal configuration" in the self-stabilization sense: every live
      process passes its local audits (GCS per-group checks and the
@@ -493,8 +464,6 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
      from an unhardened one (stays illegal) without the build under test
      grading its own homework. *)
   let legal_configuration w =
-    let net = Gcs.network w.gcs in
-    let servers = Gcs.servers w.gcs in
     let live = live_servers w in
     let audits_ok =
       List.for_all
@@ -504,30 +473,7 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
         live
     in
     let assignments_agree =
-      List.for_all
-        (fun k ->
-          let u = Scenario.unit_name k in
-          let holders =
-            List.filter_map
-              (fun (p, srv) ->
-                if Fw.Server.unit_settled srv u then
-                  match (Fw.Server.unit_view srv u, Fw.Server.db srv u) with
-                  | Some vid, Some db -> Some (p, vid, db)
-                  | _ -> None
-                else None)
-              live
-          in
-          List.for_all
-            (fun (p, vid, db) ->
-              List.for_all
-                (fun (q, vid', db') ->
-                  p >= q
-                  || (not (Haf_gcs.View.Id.equal vid vid'))
-                  || (not (Network.reachable net ~among:servers p q))
-                  || Haf_core.Unit_db.equal_assignments db db')
-                holders)
-            holders)
-        w.unit_ks
+      List.for_all (fun (_, _, _, agree) -> agree) (assignment_pairs w)
     in
     audits_ok && unique_primaries w && assignments_agree
 
@@ -554,53 +500,27 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
      at slightly different instants, and that skew is not a bug. *)
   let probe_assignments w pending =
     let now = Engine.now w.engine in
-    let sc = w.scenario in
-    let net = Gcs.network w.gcs in
-    let servers = Gcs.servers w.gcs in
     List.iter
-      (fun k ->
-        let u = Scenario.unit_name k in
-        let holders =
-          List.filter_map
-            (fun (p, srv) ->
-              if Fw.Server.unit_settled srv u then
-                match (Fw.Server.unit_view srv u, Fw.Server.db srv u) with
-                | Some vid, Some db -> Some (p, vid, db)
-                | _ -> None
-              else None)
-            (live_servers w)
-        in
-        List.iter
-          (fun (p, vid, db) ->
-            List.iter
-              (fun (q, vid', db') ->
-                if
-                  p < q
-                  && Haf_gcs.View.Id.equal vid vid'
-                  && Network.reachable net ~among:servers p q
-                then
-                  let key = Printf.sprintf "%s/%d/%d" u p q in
-                  if Haf_core.Unit_db.equal_assignments db db' then
-                    Hashtbl.remove pending key
-                  else
-                    match Hashtbl.find_opt pending key with
-                    | None -> Hashtbl.replace pending key now
-                    | Some first when first = infinity -> ()  (* reported *)
-                    | Some first ->
-                        if now -. first >= 2. *. sc.Scenario.monitor_interval then begin
-                          Monitor.report w.monitor ~now
-                            ~invariant:Haf_stats.Metrics.Assignment_agreement
-                            ~detail:
-                              (Printf.sprintf
-                                 "s%d and s%d share view of %s but disagree on \
-                                  assignments (for %.2fs)"
-                                 p q u (now -. first))
-                            ();
-                          Hashtbl.replace pending key infinity
-                        end)
-              holders)
-          holders)
-      w.unit_ks
+      (fun (u, p, q, agree) ->
+        let key = Printf.sprintf "%s/%d/%d" u p q in
+        if agree then Hashtbl.remove pending key
+        else
+          match Hashtbl.find_opt pending key with
+          | None -> Hashtbl.replace pending key now
+          | Some first when first = infinity -> ()  (* reported *)
+          | Some first ->
+              if now -. first >= 2. *. w.scenario.Scenario.monitor_interval then begin
+                Monitor.report w.monitor ~now
+                  ~invariant:Haf_stats.Metrics.Assignment_agreement
+                  ~detail:
+                    (Printf.sprintf
+                       "s%d and s%d share view of %s but disagree on \
+                        assignments (for %.2fs)"
+                       p q u (now -. first))
+                  ();
+                Hashtbl.replace pending key infinity
+              end)
+      (assignment_pairs w)
 
   let start_monitor w =
     let pending = Hashtbl.create 16 in

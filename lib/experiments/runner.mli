@@ -35,11 +35,6 @@ module Make (S : Haf_core.Service_intf.SERVICE) : sig
             answer by the engine's corruptor hook. *)
     mutable stabilizer : Haf_monitor.Stabilize.t option;
         (** Convergence oracle, once {!track_stabilization} attached one. *)
-    claims : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-        (** Event-maintained primary-claims index (server -> claimed
-            sessions), feeding {!unique_primaries}. *)
-    claim_counts : (string, int) Hashtbl.t;
-        (** Session -> live primary-claim count (absent = 0). *)
     unit_ks : int list;
         (** [0 .. n_units-1], hoisted out of the per-tick probes. *)
   }
@@ -110,10 +105,11 @@ module Make (S : Haf_core.Service_intf.SERVICE) : sig
       — the paper's "every session group member failing" loss pattern,
       with P(all die) = kill_prob^(group size). *)
 
-  val schedule_unit_wipe : world -> at:float -> unit_k:int -> repair:float -> unit
-  (** Crash {e every} live replica of content unit [unit_k] at the same
-      instant, restarting each [repair] seconds later: the total-loss
-      scenario the paper declares unsurvivable without stable storage. *)
+  val wipe_unit : world -> unit_k:int -> repair:float -> unit
+  (** Crash {e every} live replica of content unit [unit_k] now,
+      restarting each [repair] seconds later: the total-loss scenario the
+      paper declares unsurvivable without stable storage.  Chaos
+      [Wipe_unit] ops run through this too. *)
 
   val apply_schedule : world -> Haf_chaos.Chaos.schedule -> unit
   (** Schedule every op of a chaos schedule against this world (server

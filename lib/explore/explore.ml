@@ -1,5 +1,4 @@
 module Engine = Haf_sim.Engine
-module Chaos = Haf_chaos.Chaos
 
 (* ---------------------------------------------------------------- *)
 (* Decisions.  A decision names one resolved choice point, with keys
@@ -94,19 +93,6 @@ let pp ppf s =
   List.iter
     (fun (t, d) -> Format.fprintf ppf "%8.3f  %s@," t (decision_to_string d))
     s
-
-(* Fault decisions translate to the chaos vocabulary: the crash (and the
-   harness's automatic restart) become a replayable fault schedule for
-   the chaos interpreter; delivery orderings have no chaos counterpart. *)
-let to_chaos ?(restart_delay = 0.4) (s : schedule) : Chaos.schedule =
-  List.concat_map
-    (fun (t, d) ->
-      match d with
-      | Crash { proc; _ } ->
-          [ (t, Chaos.Crash proc); (t +. restart_delay, Chaos.Restart proc) ]
-      | Deliver _ | No_crash _ -> [])
-    s
-  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
 
 (* ---------------------------------------------------------------- *)
 (* Executor control: installs the engine's picker and chooser so one

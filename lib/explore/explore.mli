@@ -56,13 +56,6 @@ val of_string : string -> (schedule, string) result
 
 val pp : Format.formatter -> schedule -> unit
 
-val to_chaos : ?restart_delay:float -> schedule -> Haf_chaos.Chaos.schedule
-(** Project the fault decisions onto the chaos vocabulary: each [Crash]
-    becomes a [Chaos.Crash] at its recorded time with a [Chaos.Restart]
-    [restart_delay] (default 0.4 s) later — matching the explore
-    harness's automatic restart — so a counterexample's fault content
-    replays under the chaos interpreter too. *)
-
 (** {1 One execution} *)
 
 exception Replay_divergence of string

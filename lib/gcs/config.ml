@@ -2,7 +2,6 @@ type t = {
   heartbeat_interval : float;
   suspect_timeout : float;
   flush_timeout : float;
-  open_send_ttl : int;
   seq_batch_window : float;
 }
 
@@ -11,7 +10,6 @@ let default =
     heartbeat_interval = 0.1;
     suspect_timeout = 0.35;
     flush_timeout = 0.6;
-    open_send_ttl = 2;
     seq_batch_window = 0.;
   }
 
@@ -20,11 +18,9 @@ let validate t =
   else if t.suspect_timeout < 2. *. t.heartbeat_interval then
     Error "suspect_timeout must be at least two heartbeat intervals"
   else if t.flush_timeout <= 0. then Error "flush_timeout must be positive"
-  else if t.open_send_ttl < 0 then Error "open_send_ttl must be non-negative"
   else if t.seq_batch_window < 0. then Error "seq_batch_window must be non-negative"
   else Ok t
 
 let pp ppf t =
-  Format.fprintf ppf "hb=%gs suspect=%gs flush=%gs ttl=%d batch=%gs"
-    t.heartbeat_interval t.suspect_timeout t.flush_timeout t.open_send_ttl
-    t.seq_batch_window
+  Format.fprintf ppf "hb=%gs suspect=%gs flush=%gs batch=%gs"
+    t.heartbeat_interval t.suspect_timeout t.flush_timeout t.seq_batch_window

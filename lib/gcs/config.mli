@@ -11,9 +11,6 @@ type t = {
       (** How long a coordinator waits for flush replies before
           re-proposing without the laggards, and how long a flushed member
           waits for an install before giving up on the proposer. *)
-  open_send_ttl : int;
-      (** Relay hops allowed for open-group sends routed through
-          non-member daemons. *)
   seq_batch_window : float;
       (** When positive, the sequencer buffers submissions and flushes
           them every [seq_batch_window] seconds: one [Wire.Data]

@@ -96,7 +96,6 @@ type t = {
   mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
       (* Observer for audit failures (the framework emits events from
          it); called just before the group resets. *)
-  mutable audits_failed : int;
   mutable resets : int;
 }
 
@@ -144,7 +143,6 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     timers = [];
     view_changes = 0;
     audit_hook = None;
-    audits_failed = 0;
     resets = 0;
   }
 
@@ -227,8 +225,6 @@ let stats_view_changes t = t.view_changes
 let incarnation t = t.incarnation
 
 let set_audit_hook t h = t.audit_hook <- h
-
-let stats_audits_failed t = t.audits_failed
 
 let stats_resets t = t.resets
 
@@ -601,7 +597,6 @@ let audit_group t gs =
     | Audit.Sound -> true
     | (Audit.Bad_view _ | Audit.Bad_counter _ | Audit.Bad_clock _
       | Audit.Bad_record _) as v ->
-        t.audits_failed <- t.audits_failed + 1;
         tr t "audit failed: %a — reset and rejoin" pp_verdict v;
         (match t.audit_hook with
         | Some hook -> hook ~group:gs.group v
@@ -993,6 +988,10 @@ let multicast t group payload =
       gs.outstanding <- (uid, payload) :: gs.outstanding;
       submit t gs { Wire.uid; orig = t.me; payload }
 
+(* Relay hops allowed for an open-group send routed through non-member
+   daemons. *)
+let open_send_ttl = 2
+
 let open_send t group payload =
   match Hashtbl.find_opt t.gstates group with
   | Some _ -> multicast t group payload
@@ -1004,7 +1003,7 @@ let open_send t group payload =
       List.iter
         (fun p ->
           send_reliable t p
-            (Wire.Open_send { group; entry; ttl = t.config.Config.open_send_ttl }))
+            (Wire.Open_send { group; entry; ttl = open_send_ttl }))
         targets
 
 let p2p t ~dst payload = send_reliable t dst (Wire.P2p { payload })

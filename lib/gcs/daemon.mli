@@ -133,7 +133,5 @@ val audit_ok : t -> bool
     Independent of {!Audit.enabled} — the convergence oracle evaluates
     it on hardened and unhardened builds alike. *)
 
-val stats_audits_failed : t -> int
-
 val stats_resets : t -> int
 (** Group resets taken by the audit-failure path. *)

@@ -55,5 +55,3 @@ let reachable t p =
   match Hashtbl.find_opt t.peers p with
   | Some peer -> not peer.suspect
   | None -> false
-
-let last_heard t p = Option.map (fun peer -> peer.last) (Hashtbl.find_opt t.peers p)

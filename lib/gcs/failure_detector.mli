@@ -37,5 +37,3 @@ val suspects : t -> proc list
 
 val reachable : t -> proc -> bool
 (** Monitored and not suspected. *)
-
-val last_heard : t -> proc -> float option

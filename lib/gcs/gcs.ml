@@ -14,7 +14,6 @@ type slot = {
   mutable callbacks : Daemon.callbacks;
   mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
       (* Like callbacks: re-applied to the successor daemon on restart. *)
-  mutable retired_audits_failed : int;
   mutable retired_resets : int;
   mutable retired_view_changes : int;  (* from previous incarnations *)
   mutable last_incarnation : int option;
@@ -31,7 +30,6 @@ type t = {
   transport : Transport.t;
   gcs_config : Config.t;
   trace : Trace.t;
-  client_hb : float;
   slots : (proc, slot) Hashtbl.t;
   mutable server_list : proc list;
 }
@@ -58,14 +56,12 @@ let config t = t.gcs_config
 
 let servers t = List.rev t.server_list
 
-let is_server t p =
-  match Hashtbl.find_opt t.slots p with
-  | Some { role = Server; _ } -> true
-  | Some { role = Client; _ } | None -> false
-
 let spawn_daemon ?incarnation t proc role =
+  (* Clients probe at a third of the servers' heartbeat rate. *)
   let heartbeat_interval =
-    match role with Server -> None | Client -> Some t.client_hb
+    match role with
+    | Server -> None
+    | Client -> Some (3. *. t.gcs_config.Config.heartbeat_interval)
   in
   let d =
     Daemon.create ~engine:t.engine ~transport:t.transport ~config:t.gcs_config
@@ -74,76 +70,55 @@ let spawn_daemon ?incarnation t proc role =
   Daemon.start d;
   d
 
+let new_slot role daemon =
+  {
+    role;
+    daemon;
+    callbacks = Daemon.no_callbacks;
+    audit_hook = None;
+    retired_resets = 0;
+    retired_view_changes = 0;
+    last_incarnation = None;
+  }
+
 let add_process t role =
   let proc = t.sub.Sub.add_node () in
   if role = Server then t.server_list <- proc :: t.server_list;
-  let daemon = spawn_daemon t proc role in
-  Hashtbl.replace t.slots proc
-    {
-      role;
-      daemon = Some daemon;
-      callbacks = Daemon.no_callbacks;
-      audit_hook = None;
-      retired_audits_failed = 0;
-      retired_resets = 0;
-      retired_view_changes = 0;
-      last_incarnation = None;
-    };
+  Hashtbl.replace t.slots proc (new_slot role (Some (spawn_daemon t proc role)));
   proc
 
-let create ?(net_config = Network.default_config) ?(gcs_config = Config.default)
-    ?(trace = Trace.disabled) ?client_heartbeat_interval ~num_servers engine =
+let add_server t = add_process t Server
+
+let add_client t = add_process t Client
+
+(* The fabric with no process yet: both constructors go through here. *)
+let make ?net ~gcs_config ~trace sub =
   (match Config.validate gcs_config with
   | Ok _ -> ()
-  | Error msg -> invalid_arg ("Gcs.create: " ^ msg));
+  | Error msg -> invalid_arg ("Gcs: " ^ msg));
+  {
+    engine = sub.Sub.engine;
+    net;
+    sub;
+    transport = Transport.create ~trace sub;
+    gcs_config;
+    trace;
+    slots = Hashtbl.create 32;
+    server_list = [];
+  }
+
+let create ?(net_config = Network.default_config) ?(gcs_config = Config.default)
+    ?(trace = Trace.disabled) ~num_servers engine =
   let net = Network.create ~trace engine net_config in
-  let sub = Network.substrate net in
-  let transport = Transport.create ~trace sub in
-  let client_hb =
-    Option.value client_heartbeat_interval
-      ~default:(3. *. gcs_config.Config.heartbeat_interval)
-  in
-  let t =
-    {
-      engine;
-      net = Some net;
-      sub;
-      transport;
-      gcs_config;
-      trace;
-      client_hb;
-      slots = Hashtbl.create 32;
-      server_list = [];
-    }
-  in
+  let t = make ~net ~gcs_config ~trace (Network.substrate net) in
   for _ = 1 to num_servers do
-    ignore (add_process t Server)
+    ignore (add_server t)
   done;
   t
 
-let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled)
-    ?client_heartbeat_interval ~servers ~local sub =
-  (match Config.validate gcs_config with
-  | Ok _ -> ()
-  | Error msg -> invalid_arg ("Gcs.create_on: " ^ msg));
-  let transport = Transport.create ~trace sub in
-  let client_hb =
-    Option.value client_heartbeat_interval
-      ~default:(3. *. gcs_config.Config.heartbeat_interval)
-  in
-  let t =
-    {
-      engine = sub.Sub.engine;
-      net = None;
-      sub;
-      transport;
-      gcs_config;
-      trace;
-      client_hb;
-      slots = Hashtbl.create 32;
-      server_list = [];
-    }
-  in
+let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled) ~servers ~local
+    sub =
+  let t = make ~gcs_config ~trace sub in
   (* Register every server first (so each local daemon bootstraps with
      the full contact list), then start only the daemons this process
      hosts; the rest run in other OS processes over the same wire. *)
@@ -153,17 +128,7 @@ let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled)
       if id <> p then
         invalid_arg "Gcs.create_on: servers must be consecutive ids from 0";
       t.server_list <- p :: t.server_list;
-      Hashtbl.replace t.slots p
-        {
-          role = Server;
-          daemon = None;
-          callbacks = Daemon.no_callbacks;
-          audit_hook = None;
-          retired_audits_failed = 0;
-          retired_resets = 0;
-          retired_view_changes = 0;
-          last_incarnation = None;
-        })
+      Hashtbl.replace t.slots p (new_slot Server None))
     servers;
   List.iter
     (fun p ->
@@ -174,10 +139,6 @@ let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled)
       | None -> invalid_arg "Gcs.create_on: local id is not a listed server")
     local;
   t
-
-let add_server t = add_process t Server
-
-let add_client t = add_process t Client
 
 let slot t p =
   match Hashtbl.find_opt t.slots p with
@@ -226,8 +187,6 @@ let crash t p =
   (match s.daemon with
   | Some d ->
       s.retired_view_changes <- s.retired_view_changes + Daemon.stats_view_changes d;
-      s.retired_audits_failed <-
-        s.retired_audits_failed + Daemon.stats_audits_failed d;
       s.retired_resets <- s.retired_resets + Daemon.stats_resets d;
       s.last_incarnation <- Some (Daemon.incarnation d);
       Daemon.stop d;
@@ -259,13 +218,6 @@ let total_view_changes t =
     (fun _ s acc ->
       acc + s.retired_view_changes
       + (match s.daemon with Some d -> Daemon.stats_view_changes d | None -> 0))
-    t.slots 0
-
-let total_audits_failed t =
-  Haf_sim.Det_tbl.fold_sorted ~compare:Int.compare
-    (fun _ s acc ->
-      acc + s.retired_audits_failed
-      + (match s.daemon with Some d -> Daemon.stats_audits_failed d | None -> 0))
     t.slots 0
 
 let total_resets t =

@@ -23,17 +23,16 @@ val create :
   ?net_config:Haf_net.Network.config ->
   ?gcs_config:Config.t ->
   ?trace:Haf_sim.Trace.t ->
-  ?client_heartbeat_interval:float ->
   num_servers:int ->
   Haf_sim.Engine.t ->
   t
 (** Creates [num_servers] server processes with ids [0 .. num_servers-1],
-    already started.  Clients are added afterwards with {!add_client}. *)
+    already started.  Clients are added afterwards with {!add_client};
+    they probe the servers every three server heartbeat intervals. *)
 
 val create_on :
   ?gcs_config:Config.t ->
   ?trace:Haf_sim.Trace.t ->
-  ?client_heartbeat_interval:float ->
   servers:proc list ->
   local:proc list ->
   Haf_net.Substrate.t ->
@@ -77,8 +76,6 @@ val add_server : t -> proc
 
 val add_client : t -> proc
 (** A client process: monitors the servers, does not join groups. *)
-
-val is_server : t -> proc -> bool
 
 (** {2 Application wiring} *)
 
@@ -135,9 +132,6 @@ val daemon : t -> proc -> Daemon.t
 (** The live daemon for a process.  @raise Not_found if crashed. *)
 
 val total_view_changes : t -> int
-
-val total_audits_failed : t -> int
-(** Audit failures detected across all processes, past lives included. *)
 
 val total_resets : t -> int
 (** Reset-and-rejoin recoveries taken across all processes. *)

@@ -484,20 +484,17 @@ let r9 (u : Cmt_load.unit_) =
 (* R8 — transitive determinism                                          *)
 (* ==================================================================== *)
 
+(* R8 reaches for the lexical tier's R1 and R2 bans, read from
+   {!Rules.bans} so the banned names live in one place. *)
 let banned_ref name =
-  let n = strip_stdlib name in
-  let has_prefix p =
-    String.length n >= String.length p && String.sub n 0 (String.length p) = p
-  in
-  if String.equal n "compare" || String.equal n "Hashtbl.hash" then
-    Some ("R2", "polymorphic structural operation")
-  else if has_prefix "Marshal." then Some ("R2", "Marshal")
-  else if
-    has_prefix "Random."
-    || List.exists (String.equal n)
-         [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
-  then Some ("R1", "ambient nondeterminism")
-  else None
+  List.find_map
+    (fun (b : Rules.ban) ->
+      match b.b_rule with
+      | "R1" when Rules.matches b name -> Some ("R1", "ambient nondeterminism")
+      | "R2" when Rules.matches b name ->
+          Some ("R2", "polymorphic structural operation")
+      | _ -> None)
+    Rules.bans
 
 let chain_names chain =
   String.concat " -> " (List.map (fun n -> n.Callgraph.n_name) chain)
@@ -524,7 +521,9 @@ let r8 ~allow graph =
              [
                diag ~file:node.Callgraph.n_file node.Callgraph.n_loc ~rule:"R8"
                  (Printf.sprintf
-                    "real-time substrate code (%s) is reachable from protocol                      code: %s; protocol layers are substrate-blind — only                      bin/ composition roots may pick lib/net_unix"
+                    "real-time substrate code (%s) is reachable from protocol \
+                     code: %s; protocol layers are substrate-blind — only \
+                     bin/ composition roots may pick lib/net_unix"
                     node.Callgraph.n_name (chain_names chain));
              ]
          end

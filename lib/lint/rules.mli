@@ -31,6 +31,9 @@ type ban = {
 val bans : ban list
 (** The identifier-based rules (R1–R4). *)
 
+val matches : ban -> string -> bool
+(** Does the flattened identifier fall under this ban, scope aside? *)
+
 val check_ident : path:string -> string -> (string * string) list
 (** [(rule, message)] for every ban the flattened identifier violates
     in this file. *)

@@ -535,11 +535,12 @@ let pump t ~now =
   end
   else pump_incremental t ~now
 
-let pp_summary ppf t =
-  let vs = violations t in
-  if vs = [] then Format.fprintf ppf "monitor: 0 violations (%d events)" t.events_seen
-  else begin
-    Format.fprintf ppf "monitor: %d violation(s) over %d events" (List.length vs)
-      t.events_seen;
-    List.iter (fun v -> Format.fprintf ppf "@,  %a" Metrics.pp_violation v) vs
-  end
+(* Sessions with two or more believed primaries, in ascending id.  Every
+   such session sits in [dual_watch] (the event that added the second
+   primary put it there, and only a pump with < 2 believed primaries
+   retires it), so this never scans the population. *)
+let multi_primary_sessions t =
+  Det_tbl.fold_sorted ~compare:String.compare
+    (fun sid ss acc -> if Hashtbl.length ss.ss_primaries >= 2 then sid :: acc else acc)
+    t.dual_watch []
+  |> List.rev

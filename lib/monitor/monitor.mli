@@ -110,4 +110,9 @@ val violation_count : t -> int
 val events_seen : t -> int
 (** Events observed so far (denominator for overhead benchmarks). *)
 
-val pp_summary : Format.formatter -> t -> unit
+val multi_primary_sessions : t -> string list
+(** Sessions that two or more servers currently believe they are primary
+    for, per the role and crash events seen so far, in ascending id.
+    Read from the dual-primary watch set, so it costs O(watched
+    sessions), not O(population).  The runner's legality probe takes its
+    candidates from here and judges each against ground truth. *)

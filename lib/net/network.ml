@@ -174,13 +174,6 @@ let reset_counters t =
     Substrate.zero_counters t.nodes.(i).stats
   done
 
-let total_sent t =
-  let total = ref 0 in
-  for i = 0 to t.n - 1 do
-    total := !total + t.nodes.(i).stats.datagrams_sent
-  done;
-  !total
-
 let substrate t =
   {
     Substrate.name = "sim";

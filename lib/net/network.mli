@@ -122,8 +122,6 @@ val counters : t -> node_id -> counters
 
 val reset_counters : t -> unit
 
-val total_sent : t -> int
-
 (** {2 Substrate} *)
 
 val substrate : t -> Substrate.t

@@ -56,8 +56,6 @@ type stats = {
 type t = {
   sub : Sub.t;
   engine : Engine.t;
-  rto : float;
-  max_backoff : float;
   trace : Trace.t;
   mutable give_up_after : float option;
   mutable give_ups : int;
@@ -75,13 +73,16 @@ type t = {
   raw_handlers : (int, src:int -> string -> unit) Hashtbl.t;
 }
 
-let create ?(retransmit_interval = 0.05) ?(max_backoff = 2.0) ?give_up_after
-    ?(trace = Trace.disabled) sub =
+(* Initial retransmission timeout; it doubles per silent round up to
+   [max_backoff]. *)
+let rto = 0.05
+
+let max_backoff = 2.0
+
+let create ?give_up_after ?(trace = Trace.disabled) sub =
   {
     sub;
     engine = sub.Sub.engine;
-    rto = retransmit_interval;
-    max_backoff;
     trace;
     give_up_after;
     give_ups = 0;
@@ -127,7 +128,7 @@ let sender_channel t ~src ~dst =
           unsent = Hashtbl.create 8;
           lowest_unacked = 1;
           timer = None;
-          backoff = t.rto;
+          backoff = rto;
           stalled_since = None;
         }
       in
@@ -183,11 +184,11 @@ let rec arm_timer t ~src ~dst ch =
              match t.give_up_after with
              | Some limit when stalled_for >= limit -> give_up t ~src ~dst ch
              | Some _ | None ->
-                 ch.backoff <- Float.min (ch.backoff *. 2.) t.max_backoff;
+                 ch.backoff <- Float.min (ch.backoff *. 2.) max_backoff;
                  retransmit_all t ~src ~dst ch;
                  arm_timer t ~src ~dst ch
            end
-           else ch.backoff <- t.rto))
+           else ch.backoff <- rto))
 
 let[@hot] send t ~src ~dst payload =
   let ch = sender_channel t ~src ~dst in
@@ -218,7 +219,7 @@ let[@hot] handle_ack t ~src:dst ~me:src conn cum =
       if Hashtbl.length ch.unsent = 0 then begin
         (match ch.timer with Some tm -> Engine.cancel tm | None -> ());
         ch.timer <- None;
-        ch.backoff <- t.rto
+        ch.backoff <- rto
       end
   | Some _ | None -> ()
 

@@ -35,20 +35,18 @@ type stats = {
 }
 
 val create :
-  ?retransmit_interval:float ->
-  ?max_backoff:float ->
   ?give_up_after:float ->
   ?trace:Haf_sim.Trace.t ->
   Substrate.t ->
   t
-(** [retransmit_interval] is the initial retransmission timeout (default
-    50 ms); it doubles per silent round up to [max_backoff] (default
-    2 s).  [give_up_after] is the optional give-up threshold: once a
-    channel has had payloads outstanding for that many seconds with no
-    ack at all, the channel is declared dead — its timer is cancelled,
-    its queue dropped, and {!set_on_channel_dead} is notified — instead
-    of backing off forever.  Default: never give up (the GCS transport
-    assumption: reliable delivery once eventually reconnected). *)
+(** The initial retransmission timeout is 50 ms; it doubles per silent
+    round up to 2 s.  [give_up_after] is the optional give-up
+    threshold: once a channel has had payloads outstanding for that many
+    seconds with no ack at all, the channel is declared dead — its timer
+    is cancelled, its queue dropped, and {!set_on_channel_dead} is
+    notified — instead of backing off forever.  Default: never give up
+    (the GCS transport assumption: reliable delivery once eventually
+    reconnected). *)
 
 val set_give_up_after : t -> float option -> unit
 (** Adjust the give-up threshold at runtime ([None] disables).  Applies

@@ -15,7 +15,7 @@ type t = {
   down : bool array;
   rng : Rng.t;
   buf : Bytes.t;
-  mutable drop_probability : float;
+  drop_probability : float;
   mutable allocated : int;
   mutable closed : bool;
 }
@@ -82,8 +82,6 @@ let create_local ?seed ?base_port ?drop_probability ~nodes () =
 let set_down t id down =
   check_node t id "set_down";
   t.down.(id) <- down
-
-let set_drop_probability t p = t.drop_probability <- p
 
 (* The wire format is the raw payload: the source node is recovered from
    the sender's UDP port (every node sends from its own bound socket),

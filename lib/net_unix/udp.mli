@@ -70,7 +70,5 @@ val set_down : t -> int -> bool -> unit
     are discarded on arrival) — the in-process analogue of the sim's
     crash, for conformance tests that cannot kill their own process. *)
 
-val set_drop_probability : t -> float -> unit
-
 val close : t -> unit
 (** Close all hosted sockets.  Idempotent. *)

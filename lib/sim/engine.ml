@@ -69,8 +69,6 @@ let create ?seed () = make ?seed None
 
 let create_external ?seed ~now () = make ?seed (Some now)
 
-let external_clock t = t.ext_now <> None
-
 let now t =
   match t.ext_now with
   | None -> t.clock
@@ -338,25 +336,22 @@ let set_picker t p = t.picker <- p
 
 let set_chooser t c = t.chooser <- c
 
-let choice t ~site ~proc =
-  match t.chooser with
+(* Ask a hook about a fault site, numbering each (site, proc) pair's
+   visits in [occs] so a replay can name "the k-th visit". *)
+let ask hook occs ~site ~proc =
+  match hook with
   | None -> false
   | Some f ->
       let key = (site, proc) in
-      let occ = Option.value (Hashtbl.find_opt t.choice_occ key) ~default:0 in
-      Hashtbl.replace t.choice_occ key (occ + 1);
+      let occ = Option.value (Hashtbl.find_opt occs key) ~default:0 in
+      Hashtbl.replace occs key (occ + 1);
       f ~site ~proc ~occ
+
+let choice t ~site ~proc = ask t.chooser t.choice_occ ~site ~proc
 
 let set_corruptor t c = t.corruptor <- c
 
-let corruption t ~site ~proc =
-  match t.corruptor with
-  | None -> false
-  | Some f ->
-      let key = (site, proc) in
-      let occ = Option.value (Hashtbl.find_opt t.corrupt_occ key) ~default:0 in
-      Hashtbl.replace t.corrupt_occ key (occ + 1);
-      f ~site ~proc ~occ
+let corruption t ~site ~proc = ask t.corruptor t.corrupt_occ ~site ~proc
 
 (* ---------------------------------------------------------------- *)
 

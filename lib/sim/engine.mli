@@ -49,9 +49,6 @@ val create_external : ?seed:int -> now:(unit -> float) -> unit -> t
     so the same GCS/framework code runs on both substrates.  Determinism
     guarantees obviously do not apply. *)
 
-val external_clock : t -> bool
-(** True for engines made with {!create_external}. *)
-
 val now : t -> float
 (** Current time in seconds: virtual for {!create}, the (monotonically
     clamped) external clock for {!create_external}. *)

@@ -50,8 +50,6 @@ let slot name =
       Hashtbl.replace registry name s;
       s
 
-let is_enabled () = !enabled
-
 let set_clock c = clock := c
 
 let enable () = enabled := true

@@ -30,8 +30,6 @@ type slot
 val slot : string -> slot
 (** Idempotent by name: the same name always returns the same slot. *)
 
-val is_enabled : unit -> bool
-
 val enable : unit -> unit
 
 val disable : unit -> unit

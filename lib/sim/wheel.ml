@@ -27,7 +27,6 @@
 type 'a t = {
   time : 'a -> float;
   seq : 'a -> int;
-  g_inv : float;  (* ticks per second *)
   mutable cur : int;  (* cursor tick: wheel items sit strictly above it *)
   slots : 'a list array array;
   counts : int array;  (* live items per level *)
@@ -45,10 +44,10 @@ let tick_limit = (1 lsl (bits * levels)) - 1
 
 let tick_limit_f = float_of_int tick_limit
 
-let default_granularity = 1e-3
+(* One tick is 1 ms of simulated/real time. *)
+let ticks_per_s = 1. /. 1e-3
 
-let create ?(granularity = default_granularity) ~time ~seq () =
-  if granularity <= 0. then invalid_arg "Wheel.create: granularity <= 0";
+let create ~time ~seq () =
   let leq a b =
     let ta = time a and tb = time b in
     ta < tb || (ta = tb && seq a <= seq b)
@@ -56,7 +55,6 @@ let create ?(granularity = default_granularity) ~time ~seq () =
   {
     time;
     seq;
-    g_inv = 1. /. granularity;
     cur = 0;
     slots = Array.init levels (fun _ -> Array.make width []);
     counts = Array.make levels 0;
@@ -68,8 +66,8 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-let[@hot] tick_of t time =
-  let f = time *. t.g_inv in
+let[@hot] tick_of time =
+  let f = time *. ticks_per_s in
   if f >= tick_limit_f then tick_limit
   else if f > 0. then int_of_float f
   else 0
@@ -95,7 +93,7 @@ let[@hot] place t x tick =
   t.counts.(level) <- t.counts.(level) + 1
 
 let[@hot] push t x =
-  let tick = tick_of t (t.time x) in
+  let tick = tick_of (t.time x) in
   if tick <= t.cur then Heap.push t.ready x else place t x tick;
   t.len <- t.len + 1
 
@@ -104,7 +102,7 @@ let[@hot] push t x =
 let rec redistribute t = function
   | [] -> ()
   | x :: rest ->
-      let tick = tick_of t (t.time x) in
+      let tick = tick_of (t.time x) in
       if tick <= t.cur then Heap.push t.ready x else place t x tick;
       redistribute t rest
 
@@ -210,5 +208,3 @@ let to_list t =
     done
   done;
   !acc
-
-let granularity t = 1. /. t.g_inv

@@ -6,18 +6,15 @@
     suite in [test_sim] pins wheel-vs-heap agreement on arbitrary
     interleavings).
 
-    Time is quantized to ticks of [granularity] seconds for slot
-    placement only; ordering inside a tick bucket is re-established
-    from the exact float key, so quantization never reorders.  Items
-    whose time precedes the cursor (possible when an external clock
-    fires handlers between a peek and the fired deadline) are accepted
-    and pop first, in order. *)
+    Time is quantized to 1 ms ticks for slot placement only; ordering
+    inside a tick bucket is re-established from the exact float key, so
+    quantization never reorders.  Items whose time precedes the cursor
+    (possible when an external clock fires handlers between a peek and
+    the fired deadline) are accepted and pop first, in order. *)
 
 type 'a t
 
-val create :
-  ?granularity:float -> time:('a -> float) -> seq:('a -> int) -> unit -> 'a t
-(** [granularity] defaults to 1ms of simulated/real time per tick. *)
+val create : time:('a -> float) -> seq:('a -> int) -> unit -> 'a t
 
 val push : 'a t -> 'a -> unit
 
@@ -36,5 +33,3 @@ val clear : _ t -> unit
 
 val to_list : 'a t -> 'a list
 (** All items, unordered (deterministic for a given history). *)
-
-val granularity : _ t -> float

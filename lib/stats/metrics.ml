@@ -317,12 +317,6 @@ let pp_violation ppf v =
     (match v.v_session with Some s -> " (" ^ s ^ ")" | None -> "")
     v.v_detail
 
-let count_violations ?invariant vs =
-  List.length
-    (List.filter
-       (fun v -> match invariant with None -> true | Some i -> v.v_invariant = i)
-       vs)
-
 let responses_sent ?server tl =
   List.length
     (List.filter

@@ -108,5 +108,3 @@ type violation = {
 val invariant_to_string : invariant -> string
 
 val pp_violation : Format.formatter -> violation -> unit
-
-val count_violations : ?invariant:invariant -> violation list -> int

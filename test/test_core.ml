@@ -481,6 +481,118 @@ let prop_db_tombstones_win =
           && not (Unit_db.live db2 sid))
         tombstoned)
 
+(* The two folds the exchange plan replaced, kept here as its oracle:
+   the best-copy pick (over every member's first digest per session, in
+   digest-arrival order) and the designated-sender/needs fold (over the
+   sorted members, with its own best copy). *)
+let reference_plan ~members digests =
+  let sids =
+    List.concat_map
+      (fun (_, ds) -> List.map (fun d -> d.Unit_db.d_session_id) ds)
+      digests
+    |> List.sort_uniq String.compare
+  in
+  let first_of ds sid = List.find_opt (fun d -> d.Unit_db.d_session_id = sid) ds in
+  let fold_best = function
+    | [] -> assert false
+    | d0 :: rest ->
+        List.fold_left
+          (fun acc d -> if Unit_db.digest_preference d acc > 0 then d else acc)
+          d0 rest
+  in
+  let members = List.sort Int.compare members in
+  let digest_of m sid = Option.bind (List.assoc_opt m digests) (fun ds -> first_of ds sid) in
+  List.map
+    (fun sid ->
+      let best = fold_best (List.filter_map (fun (_, ds) -> first_of ds sid) digests) in
+      let holders =
+        List.filter_map (fun m -> Option.map (fun d -> (m, d)) (digest_of m sid)) members
+      in
+      let best' = fold_best (List.map snd holders) in
+      let sender =
+        List.filter (fun (_, d) -> Unit_db.digest_snap_compare d best' = 0) holders
+        |> List.map fst
+        |> List.fold_left Int.min max_int
+      in
+      let needed =
+        List.exists
+          (fun m ->
+            match digest_of m sid with
+            | None -> true
+            | Some d -> Unit_db.digest_snap_compare best' d > 0)
+          members
+      in
+      (sid, best, sender, needed))
+    sids
+
+(* Random exchanges: 1-4 members, each advertising a few digests over a
+   small id space, so sessions missing at some members, equally fresh
+   copies, tombstones and repeated ids within one member's list all
+   occur.  Members sent their digests in arbitrary order. *)
+let arb_exchange =
+  let open QCheck.Gen in
+  let gen_digest =
+    map
+      (fun ((sid, req_seq, at), (primary, backups, ended)) ->
+        {
+          Unit_db.d_session_id = Printf.sprintf "s%d" sid;
+          d_client = sid;
+          d_started_at = 0.;
+          d_req_seq = (if ended then -1 else req_seq);
+          d_at = (if ended || req_seq < 0 then 0. else float_of_int at);
+          d_primary = (if ended then -1 else primary);
+          d_backups = (if ended then [] else backups);
+          d_ended = ended;
+        })
+      (pair
+         (triple (int_bound 5) (int_range (-1) 2) (int_bound 1))
+         (triple (int_range (-1) 3)
+            (list_size (int_bound 2) (int_bound 3))
+            (map (fun n -> n = 0) (int_bound 4))))
+  in
+  let gen =
+    int_range 1 4 >>= fun n ->
+    shuffle_l (List.init n (fun m -> m)) >>= fun order ->
+    flatten_l
+      (List.map
+         (fun m -> map (fun ds -> (m, ds)) (list_size (int_bound 6) gen_digest))
+         order)
+    >>= fun digests -> return (List.init n (fun m -> m), digests)
+  in
+  let print (members, digests) =
+    Printf.sprintf "members [%s]; %s"
+      (String.concat "," (List.map string_of_int members))
+      (String.concat "; "
+         (List.map
+            (fun (m, ds) ->
+              Printf.sprintf "s%d: %s" m
+                (String.concat " "
+                   (List.map
+                      (fun d ->
+                         Printf.sprintf "%s(seq=%d,at=%g,p=%d%s)" d.Unit_db.d_session_id
+                           d.Unit_db.d_req_seq d.Unit_db.d_at d.Unit_db.d_primary
+                           (if d.Unit_db.d_ended then ",end" else ""))
+                      ds)))
+            digests))
+  in
+  QCheck.make ~print gen
+
+let prop_exchange_plan_matches_reference =
+  QCheck.Test.make ~name:"exchange plan equals the two folds it replaced" ~count:500
+    arb_exchange (fun (members, digests) ->
+      let plan = Unit_db.exchange_plan ~members digests in
+      let reference = reference_plan ~members digests in
+      List.length plan = List.length reference
+      && List.for_all2
+           (fun (e : Unit_db.plan_entry) (sid, best, sender, needed) ->
+             (* Ties under the total preference differ only in fields
+                the exchange never reads, so "equally preferred" is the
+                right notion of the same winner. *)
+             String.equal e.pl_session_id sid
+             && Unit_db.digest_preference e.pl_best best = 0
+             && e.pl_sender = sender && e.pl_needed = needed)
+           plan reference)
+
 (* ------------------------------------------------------------------ *)
 (* Events *)
 
@@ -546,6 +658,7 @@ let suite =
             prop_db_merge_order_independent;
             prop_db_exchange_converges;
             prop_db_tombstones_win;
+            prop_exchange_plan_matches_reference;
           ] );
     ("core.events", [ Alcotest.test_case "sink" `Quick test_events_sink ]);
   ]

@@ -403,7 +403,9 @@ let test_r8_net_unix_reach () =
         "lib/net_unix/reactor.ml" d.Diag.file;
       check Alcotest.bool "message names the witness chain" true
         (contains d.Diag.message "Use2.go"
-        && contains d.Diag.message "substrate-blind")
+        && contains d.Diag.message "substrate-blind");
+      check Alcotest.bool "message has no double space" false
+        (contains d.Diag.message "  ")
   | _ -> Alcotest.fail "expected exactly one diagnostic");
   (* Unreached, it is fine: bin/ picks the substrate, and test code may
      drive it directly. *)

@@ -52,9 +52,7 @@ let test_config_validate () =
        (Config.validate { Config.default with suspect_timeout = 0.05 }));
   check Alcotest.bool "bad heartbeat" true
     (Result.is_error
-       (Config.validate { Config.default with heartbeat_interval = 0. }));
-  check Alcotest.bool "negative ttl" true
-    (Result.is_error (Config.validate { Config.default with open_send_ttl = -1 }))
+       (Config.validate { Config.default with heartbeat_interval = 0. }))
 
 (* ------------------------------------------------------------------ *)
 (* Wire: the sequencer's Data frame *)
@@ -811,8 +809,7 @@ let deliveries_with ~window seed =
   let engine = Engine.create ~seed:(seed + 77) () in
   let cfg =
     {
-      Config.default with
-      heartbeat_interval = 0.05;
+      Config.heartbeat_interval = 0.05;
       suspect_timeout = 0.12;
       flush_timeout = 0.3;
       seq_batch_window = window;

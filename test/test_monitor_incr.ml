@@ -17,8 +17,9 @@
      so the property is known to range over non-empty ledgers;
    - a scenario-level run replays one corruption-heavy chaos schedule
      with both pumps attached, and at every probe compares the
-     runner's claims-index [unique_primaries] verdict with a scan of
-     every session — the legality Stabilize's quiescence clock polls.
+     runner's [unique_primaries] verdict (candidates from the monitor's
+     claims index) with a scan of every session — the legality
+     Stabilize's quiescence clock polls.
 
    Every Network crash/recover in the random driver is mirrored as a
    [Server_crashed]/[Server_restarted] event.  This mirrors the
@@ -339,6 +340,42 @@ let test_directed_partitioned_duals_not_flagged () =
     dual
 
 (* ------------------------------------------------------------------ *)
+(* The claims index the runner's legality probe reads                  *)
+
+let test_multi_primary_sessions () =
+  let engine = Engine.create ~seed:1 () in
+  let net = Network.create engine Network.default_config in
+  let servers = List.init 3 (fun _ -> Network.add_node net) in
+  let sink = Events.make_sink ~retain:false () in
+  let m =
+    Monitor.create ~config:test_config ~network:net ~servers
+      ~policy:Haf_core.Policy.default ~gcs:Haf_gcs.Config.default ~events:sink ()
+  in
+  let emit ev = Events.emit sink ~now:1. ev in
+  let assume server session_id =
+    emit (Events.Role_assumed { server; session_id; role = Events.Primary })
+  in
+  let listed what expected =
+    check Alcotest.(list string) what expected (Monitor.multi_primary_sessions m)
+  in
+  assume 0 "sb";
+  emit (Events.Role_assumed { server = 1; session_id = "sb"; role = Events.Backup });
+  listed "one primary claim and a backup are no dual" [];
+  assume 1 "sb";
+  listed "two servers claiming sb list it" [ "sb" ];
+  assume 2 "sc";
+  assume 1 "sc";
+  assume 2 "sa";
+  assume 0 "sa";
+  listed "in ascending id" [ "sa"; "sb"; "sc" ];
+  emit (Events.Role_dropped { server = 1; session_id = "sb"; role = Events.Primary });
+  listed "a drop delists sb" [ "sa"; "sc" ];
+  emit (Events.Server_crashed { server = 2 });
+  listed "a crash delists every session it claimed" [];
+  assume 0 "sc";
+  listed "a fresh second claim lists sc again" [ "sc" ]
+
+(* ------------------------------------------------------------------ *)
 (* Scenario-level: corruption episodes on the dirty-set path           *)
 
 let stabilize_scenario =
@@ -469,6 +506,8 @@ let suite =
             test_directed_crash_suspends_staleness;
           test_case "directed: partitioned duals exempt until heal" `Quick
             test_directed_partitioned_duals_not_flagged;
+          test_case "directed: multi-primary sessions follow claims" `Quick
+            test_multi_primary_sessions;
           test_case "scenario: corruption run matches the reference scans"
             `Slow test_corruption_run_equivalence;
         ]

@@ -320,7 +320,9 @@ let test_replay_byte_identical_with_store () =
 let test_whole_group_crash_recovers_with_store () =
   let tl, _ =
     R.run_scenario stored_scenario ~prepare:(fun w ->
-        R.schedule_unit_wipe w ~at:25. ~unit_k:0 ~repair:8.)
+        ignore
+          (Engine.schedule_at w.R.engine ~time:25. (fun () ->
+               R.wipe_unit w ~unit_k:0 ~repair:8.)))
   in
   let recovered =
     List.fold_left
