@@ -1316,9 +1316,9 @@ module Make (S : Service_intf.SERVICE) = struct
       policy : Policy.t;
       retain_responses : bool;
           (* false: drop the per-session response list (the watchdog and
-             counters still see every delivery) — at 10^6 sessions the
-             retained (id, time) cells are the largest client-side
-             allocation, and nothing on the bench path reads them. *)
+             counters still see every delivery) — at 10^5 sessions, the
+             largest measured rung, the retained (id, time) cells grow by
+             one per delivery, and nothing on the bench path reads them. *)
       sessions : (string, csession) Hashtbl.t;
       mutable serial : int;
       mutable on_units : (string list -> unit) option;

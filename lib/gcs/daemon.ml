@@ -59,6 +59,34 @@ type gstate = {
   mutable left : proc list;
 }
 
+(* This daemon's advert set, built and encoded once per change.  Valid
+   while [sorted_gstates] is physically [ac_groups] and every group's
+   view id is physically the one recorded here: O(groups) pointer
+   comparisons, nothing allocated.  Every way the advert bytes can
+   change — join, leave (a new group list), install, reset or a
+   corrupted view id (a new id value) — fails that test, so no mutation
+   site needs an invalidation hook. *)
+type advert_cache = {
+  ac_groups : (string * gstate) list;
+  ac_adverts : Wire.advert list;  (* one per group of [ac_groups], same order *)
+  ac_ping : string Lazy.t;  (* the Wire payloads, each encoded on first use *)
+  ac_pong : string Lazy.t;
+}
+
+(* What this daemon knows from one peer's Pings and Pongs. *)
+type peer = {
+  index : (string, View.Id.t) Hashtbl.t;
+      (* group -> view id, from the peer's latest Ping/Pong (first
+         occurrence of a group wins); cleared and refilled in place. *)
+  mutable last_ping : (string * Wire.advert list) option;
+      (* The peer's last Ping payload, with its decoded, valid adverts. *)
+  mutable last_pong : (string * Wire.advert list) option;
+  mutable applied : (Wire.advert list * advert_cache) option;
+      (* The advert list last recorded into [index], and the advert cache
+         of this daemon it was recorded against.  [None] once something
+         else edited the peer's index or [gs.left] (a Leave). *)
+}
+
 type t = {
   me : proc;
   engine : Engine.t;
@@ -77,11 +105,9 @@ type t = {
          rebuilt on next use.  An immutable list, so a loop over it is a
          snapshot that a join or leave called back mid-loop cannot
          disturb. *)
-  adverts : (proc, (string, View.Id.t) Hashtbl.t) Hashtbl.t;
-      (* peer -> group -> view id, from the peer's latest Ping/Pong
-         (first occurrence of a group wins).  Each peer's table is
-         cleared and refilled in place. *)
-  mutable sorted_advertisers : (proc * (string, View.Id.t) Hashtbl.t) list option;
+  mutable advert_cache : advert_cache;
+  adverts : (proc, peer) Hashtbl.t;
+  mutable sorted_advertisers : (proc * peer) list option;
       (* [adverts] in proc order; dropped when a new peer is first heard. *)
   vid_mismatch : (string, (proc, float) Hashtbl.t) Hashtbl.t;
       (* group -> peer -> since: the peer advertises a different view id
@@ -111,6 +137,19 @@ let tr t fmt = Trace.emitf t.trace ~time:(now t) ~component:t.component fmt
 
 let pp_verdict ppf v = Format.pp_print_string ppf (Audit.describe v)
 
+let advert_cache groups =
+  let adverts =
+    List.map (fun (g, gs) -> { Wire.adv_group = g; adv_vid = gs.view.View.id }) groups
+  in
+  (* In descending group order: the order is part of the Ping/Pong bytes. *)
+  let descending = List.rev adverts in
+  {
+    ac_groups = groups;
+    ac_adverts = adverts;
+    ac_ping = lazy (Wire.encode (Wire.Ping { adverts = descending }));
+    ac_pong = lazy (Wire.encode (Wire.Pong { adverts = descending }));
+  }
+
 let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     ~contacts me =
   let hb = Option.value heartbeat_interval ~default:config.Config.heartbeat_interval in
@@ -134,6 +173,7 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     fd = Fd.create ~me ~suspect_timeout:config.Config.suspect_timeout;
     gstates = Hashtbl.create 8;
     sorted_gstates = None;
+    advert_cache = advert_cache [];
     adverts = Hashtbl.create 16;
     sorted_advertisers = None;
     vid_mismatch = Hashtbl.create 16;
@@ -153,9 +193,6 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
    stays uniform; the dispatcher handles it like any other. *)
 let send_reliable t dst msg =
   Transport.send t.transport ~src:t.me ~dst (Wire.encode msg)
-
-let send_raw t dst msg =
-  Transport.send_unreliable t.transport ~src:t.me ~dst (Wire.encode msg)
 
 (* Fan one frame out to every process in [dsts] but this one, encoding
    it once: every destination gets the same bytes. *)
@@ -183,11 +220,22 @@ let sorted_advertisers t =
       t.sorted_advertisers <- Some l;
       l
 
-(* In descending group order: the order is part of the Ping/Pong bytes. *)
-let my_adverts t =
-  List.rev_map
-    (fun (g, gs) -> { Wire.adv_group = g; adv_vid = gs.view.View.id })
-    (sorted_gstates t)
+let rec vids_unchanged groups adverts =
+  match (groups, adverts) with
+  | (_, gs) :: groups, a :: adverts ->
+      gs.view.View.id == a.Wire.adv_vid && vids_unchanged groups adverts
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
+
+let current_adverts t =
+  let groups = sorted_gstates t in
+  let c = t.advert_cache in
+  if c.ac_groups == groups && vids_unchanged groups c.ac_adverts then c
+  else begin
+    let c = advert_cache groups in
+    t.advert_cache <- c;
+    c
+  end
 
 let fresh_uid t =
   let serial = t.next_serial in
@@ -199,7 +247,7 @@ let fresh_uid t =
 
 let advertisers t group =
   List.filter_map
-    (fun (p, advs) -> if Hashtbl.mem advs group then Some p else None)
+    (fun (p, peer) -> if Hashtbl.mem peer.index group then Some p else None)
     (sorted_advertisers t)
 
 let believed_members t group =
@@ -344,8 +392,8 @@ let rec all_eligible t gs = function
 
 let rec eligible_advertisers_in t gs members = function
   | [] -> true
-  | (p, advs) :: rest ->
-      ((not (Hashtbl.mem advs gs.group)) || List.mem p members || not (eligible t gs p))
+  | (p, peer) :: rest ->
+      ((not (Hashtbl.mem peer.index gs.group)) || List.mem p members || not (eligible t gs p))
       && eligible_advertisers_in t gs members rest
 
 (* [candidates_for t gs = gs.view.members] without building the
@@ -546,22 +594,20 @@ let sweep_group t gs =
 (* ------------------------------------------------------------------ *)
 (* Self-stabilization: audit, reset, corruption injection              *)
 
-(* One group's verdict: first failing check wins.  Pure — shared by the
+(* One group's verdict: first failing check wins, and the later checks
+   do not run.  Pure, and allocation-free when sound — shared by the
    periodic audit, the on-receive audit and the external oracle. *)
 let group_verdict t gs =
-  let checks =
-    [
-      Audit.check_view ~me:t.me gs.view;
-      Audit.check_counters ~view:gs.view ~max_epoch:gs.max_epoch
-        ~next_seq:gs.next_seq;
+  let v = Audit.check_view ~me:t.me gs.view in
+  if not (Audit.is_sound v) then v
+  else
+    let v =
+      Audit.check_counters ~view:gs.view ~max_epoch:gs.max_epoch ~next_seq:gs.next_seq
+    in
+    if not (Audit.is_sound v) then v
+    else
       Audit.check_clock ~group:gs.group ~delivered_up_to:gs.delivered_up_to
-        ~log_holds_horizon:
-          (gs.delivered_up_to = 0 || Hashtbl.mem gs.log gs.delivered_up_to);
-    ]
-  in
-  match List.find_opt (fun v -> not (Audit.is_sound v)) checks with
-  | Some v -> v
-  | None -> Audit.Sound
+        ~log_holds_horizon:(gs.delivered_up_to = 0 || Hashtbl.mem gs.log gs.delivered_up_to)
 
 let audit_ok t =
   List.for_all (fun (_, gs) -> Audit.is_sound (group_verdict t gs)) (sorted_gstates t)
@@ -663,49 +709,67 @@ let note_mismatch t group sender =
   in
   if not (Hashtbl.mem peers sender) then Hashtbl.replace peers sender (now t)
 
-(* O(my groups + adverts): index the adverts, then one lookup per group. *)
-let record_adverts_body t sender advs =
-  let index =
-    match Hashtbl.find_opt t.adverts sender with
-    | Some index ->
-        Hashtbl.clear index;
-        index
-    | None ->
-        let index = Hashtbl.create 16 in
-        Hashtbl.replace t.adverts sender index;
-        t.sorted_advertisers <- None;
-        index
-  in
-  List.iter
-    (fun a ->
-      if not (Hashtbl.mem index a.Wire.adv_group) then
-        Hashtbl.replace index a.Wire.adv_group a.Wire.adv_vid)
-    advs;
+let peer_of t sender =
+  match Hashtbl.find_opt t.adverts sender with
+  | Some peer -> peer
+  | None ->
+      let peer =
+        {
+          index = Hashtbl.create 16;
+          last_ping = None;
+          last_pong = None;
+          applied = None;
+        }
+      in
+      Hashtbl.replace t.adverts sender peer;
+      t.sorted_advertisers <- None;
+      peer
+
+(* O(1) when neither the peer's advert list nor this daemon's advert
+   set changed since the last call; otherwise O(my groups + adverts):
+   index the adverts, then one lookup per group.  The skip is sound
+   because the indexing and the loop are idempotent: their result
+   depends only on the peer's index, this daemon's groups and view ids,
+   [gs.left] and the group's [vid_mismatch] entries, and apart from a
+   Leave (which drops [applied]) each of those changes only together
+   with a view id or the group list. *)
+let record_adverts_body t sender peer advs cache =
   (* Hearing adverts implies direct reachability: monitor the peer so the
      failure detector can vouch for it as a membership candidate. *)
   monitor_peer t sender;
   Fd.heard_from t.fd sender ~now:(now t);
-  if sender <> t.me then
-    List.iter
-      (fun (g, gs) ->
-        match Hashtbl.find_opt index g with
-        | Some vid ->
-            (* A peer we saw leave is advertising membership again: it
-               rejoined; stop excluding it from candidate sets. *)
-            if List.mem sender gs.left then
-              gs.left <- List.filter (fun p -> p <> sender) gs.left;
-            if View.Id.equal vid gs.view.View.id then clear_mismatch t g sender
-            else note_mismatch t g sender
-        | None -> clear_mismatch t g sender)
-      (sorted_gstates t)
+  match peer.applied with
+  | Some (applied, against) when applied == advs && against == cache -> ()
+  | Some _ | None ->
+      peer.applied <- Some (advs, cache);
+      let index = peer.index in
+      Hashtbl.clear index;
+      List.iter
+        (fun a ->
+          if not (Hashtbl.mem index a.Wire.adv_group) then
+            Hashtbl.replace index a.Wire.adv_group a.Wire.adv_vid)
+        advs;
+      if sender <> t.me then
+        List.iter
+          (fun (g, gs) ->
+            match Hashtbl.find_opt index g with
+            | Some vid ->
+                (* A peer we saw leave is advertising membership again: it
+                   rejoined; stop excluding it from candidate sets. *)
+                if List.mem sender gs.left then
+                  gs.left <- List.filter (fun p -> p <> sender) gs.left;
+                if View.Id.equal vid gs.view.View.id then clear_mismatch t g sender
+                else note_mismatch t g sender
+            | None -> clear_mismatch t g sender)
+          cache.ac_groups
 
-let record_adverts t sender advs =
+let record_adverts t sender peer advs cache =
   if Haf_sim.Profile.hit prof_adverts then begin
     let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
-    record_adverts_body t sender advs;
+    record_adverts_body t sender peer advs cache;
     Haf_sim.Profile.leave prof_adverts ~w0 ~c0
   end
-  else record_adverts_body t sender advs
+  else record_adverts_body t sender peer advs cache
 
 let sweep_groups t = List.iter (fun (_, gs) -> sweep_group t gs) (sorted_gstates t)
 
@@ -719,7 +783,7 @@ let heartbeat_tick_body t =
     (match Fd.monitored t.fd with
     | [] -> ()
     | peers ->
-        let ping = Wire.encode (Wire.Ping { adverts = my_adverts t }) in
+        let ping = Lazy.force (current_adverts t).ac_ping in
         List.iter
           (fun p -> Transport.send_unreliable t.transport ~src:t.me ~dst:p ping)
           peers);
@@ -859,7 +923,12 @@ let handle_leave t ~group ~who =
   | Some gs ->
       if not (List.mem who gs.left) then gs.left <- who :: gs.left;
       (match Hashtbl.find_opt t.adverts who with
-      | Some index -> Hashtbl.remove index group
+      | Some peer ->
+          Hashtbl.remove peer.index group;
+          (* The index and [gs.left] changed behind [record_adverts]'s
+             back: the leaver's next advert must be recorded in full,
+             even a byte-identical stale copy delivered late. *)
+          peer.applied <- None
       | None -> ());
       sweep_group t gs
 
@@ -902,21 +971,61 @@ let on_reliable t ~src payload =
     | Some (Wire.Ping _ | Wire.Pong _) -> ()
   end
 
+let rec adverts_equal a b =
+  match (a, b) with
+  | x :: a, y :: b ->
+      String.equal x.Wire.adv_group y.Wire.adv_group
+      && View.Id.equal x.Wire.adv_vid y.Wire.adv_vid
+      && adverts_equal a b
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* A freshly decoded list equal to the peer's other kind of advert is
+   replaced by that list, so the peer's Pings and Pongs share one list
+   and [record_adverts] sees no change between them. *)
+let shared fresh other =
+  match other with
+  | Some (_, advs) when adverts_equal fresh advs -> advs
+  | Some _ | None -> fresh
+
+let on_ping t src peer adverts =
+  let cache = current_adverts t in
+  record_adverts t src peer adverts cache;
+  Transport.send_unreliable t.transport ~src:t.me ~dst:src (Lazy.force cache.ac_pong)
+
+let on_pong t src peer adverts = record_adverts t src peer adverts (current_adverts t)
+
+(* A payload byte-equal to the peer's last Ping or Pong decodes to the
+   same, already validated adverts, so it skips [checked_decode]. *)
 let on_raw t ~src payload =
   if t.is_alive then
-    match checked_decode t payload with
-    | None -> ()
-    | Some (Wire.Ping { adverts }) ->
-        record_adverts t src adverts;
-        send_raw t src (Wire.Pong { adverts = my_adverts t })
-    | Some (Wire.Pong { adverts }) -> record_adverts t src adverts
-    (* Reliable-only traffic never legitimately arrives on the raw
-       datagram path; name every constructor (deep-lint R6) so a new
-       message kind must decide its transport explicitly. *)
-    | Some
-        (Wire.Propose _ | Wire.Flush_reply _ | Wire.Nack _ | Wire.Install _
-        | Wire.Data _ | Wire.Data_req _ | Wire.Open_send _
-        | Wire.Leave _ | Wire.P2p _) -> ()
+    match Hashtbl.find_opt t.adverts src with
+    | Some ({ last_ping = Some (bytes, adverts); _ } as p) when String.equal payload bytes
+      ->
+        on_ping t src p adverts
+    | Some ({ last_pong = Some (bytes, adverts); _ } as p) when String.equal payload bytes
+      ->
+        on_pong t src p adverts
+    | Some _ | None -> (
+        match checked_decode t payload with
+        | None -> ()
+        | Some (Wire.Ping { adverts }) ->
+            let p = peer_of t src in
+            let adverts = shared adverts p.last_pong in
+            p.last_ping <- Some (payload, adverts);
+            on_ping t src p adverts
+        | Some (Wire.Pong { adverts }) ->
+            let p = peer_of t src in
+            let adverts = shared adverts p.last_ping in
+            p.last_pong <- Some (payload, adverts);
+            on_pong t src p adverts
+        (* Reliable-only traffic never legitimately arrives on the raw
+           datagram path; name every constructor (deep-lint R6) so a new
+           message kind must decide its transport explicitly. *)
+        | Some
+            (Wire.Propose _ | Wire.Flush_reply _ | Wire.Nack _ | Wire.Install _
+            | Wire.Data _ | Wire.Data_req _ | Wire.Open_send _
+            | Wire.Leave _ | Wire.P2p _) -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)

@@ -42,6 +42,15 @@ type receiver_channel = {
   pending : (int, string) Hashtbl.t;
 }
 
+(* The last two raw frames seen at one end, as (key, value) pairs:
+   heartbeat traffic alternates between two payloads (a daemon's Ping
+   and its Pong), so two slots hold both.  [recent] is the slot used
+   last. *)
+type raw_memo = {
+  mutable recent : string * string;
+  mutable older : string * string;
+}
+
 type stats = {
   payloads_sent : int;
   payloads_delivered : int;
@@ -71,6 +80,10 @@ type t = {
   receivers : (int * int, receiver_channel) Hashtbl.t;  (* (dst, src) *)
   handlers : (int, src:int -> string -> unit) Hashtbl.t;
   raw_handlers : (int, src:int -> string -> unit) Hashtbl.t;
+  raw_sent : (int, raw_memo) Hashtbl.t;
+      (* src -> (payload, frame), the payload matched by physical identity *)
+  raw_received : (int * int, raw_memo) Hashtbl.t;
+      (* (dst, src) -> (frame, payload), the frame matched by its bytes *)
 }
 
 (* Initial retransmission timeout; it doubles per silent round up to
@@ -104,6 +117,8 @@ let create ?give_up_after ?(trace = Trace.disabled) sub =
     receivers = Hashtbl.create 64;
     handlers = Hashtbl.create 16;
     raw_handlers = Hashtbl.create 16;
+    raw_sent = Hashtbl.create 16;
+    raw_received = Hashtbl.create 64;
   }
 
 let set_give_up_after t v = t.give_up_after <- v
@@ -261,18 +276,46 @@ let note_rejected t = t.rejected <- t.rejected + 1
 
 let rejected t = t.rejected
 
+(* A hit in the older slot makes it the recent one. *)
+let promote m =
+  let hit = m.older in
+  m.older <- m.recent;
+  m.recent <- hit
+
+(* Make [(key, value)] the memo's recent slot. *)
+let remember memo key value =
+  match Hashtbl.find_opt memo key with
+  | Some m ->
+      m.older <- m.recent;
+      m.recent <- value
+  | None -> Hashtbl.replace memo key { recent = value; older = value }
+
+let[@hot] deliver_raw t me ~src payload =
+  match Hashtbl.find_opt t.raw_handlers me with
+  | Some h -> h ~src payload
+  | None -> ()
+
+(* A raw frame byte-equal to one of the last two from the same source
+   carries the same payload: hand that on without decoding again. *)
 let[@hot] dispatch t me ~src raw =
-  (* A datagram that does not decode to a frame (a corrupted replica, a
-     stray sender on the UDP port, bit rot on the wire) must not crash
-     the receiver: drop it and count it, like any other invalid input. *)
-  match decode raw with
-  | exception _ -> note_rejected t
-  | Data { conn; seq; lo; payload } -> handle_data t ~me ~src conn seq lo payload
-  | Ack { conn; cum } -> handle_ack t ~src ~me conn cum
-  | Raw payload -> (
-      match Hashtbl.find_opt t.raw_handlers me with
-      | Some h -> h ~src payload
-      | None -> ())
+  let key = (me, src) in
+  match Hashtbl.find_opt t.raw_received key with
+  | Some m when String.equal raw (fst m.recent) -> deliver_raw t me ~src (snd m.recent)
+  | Some m when String.equal raw (fst m.older) ->
+      promote m;
+      deliver_raw t me ~src (snd m.recent)
+  | Some _ | None -> (
+      (* A datagram that does not decode to a frame (a corrupted replica,
+         a stray sender on the UDP port, bit rot on the wire) must not
+         crash the receiver: drop it and count it, like any other
+         invalid input. *)
+      match decode raw with
+      | exception _ -> note_rejected t
+      | Data { conn; seq; lo; payload } -> handle_data t ~me ~src conn seq lo payload
+      | Ack { conn; cum } -> handle_ack t ~src ~me conn cum
+      | Raw payload ->
+          remember t.raw_received key (raw, payload);
+          deliver_raw t me ~src payload)
 
 let attach t node ?on_raw handler =
   Hashtbl.replace t.handlers node handler;
@@ -281,8 +324,22 @@ let attach t node ?on_raw handler =
   | None -> Hashtbl.remove t.raw_handlers node);
   t.sub.Sub.set_receiver node (fun ~src raw -> dispatch t node ~src raw)
 
+(* The frame of a raw payload, encoded once however many times the same
+   payload (physically) is sent: a heartbeat fans one Ping out to every
+   peer and answers every Ping with one Pong. *)
+let raw_frame t ~src payload =
+  match Hashtbl.find_opt t.raw_sent src with
+  | Some { recent = p, frame; _ } when p == payload -> frame
+  | Some ({ older = p, frame; _ } as m) when p == payload ->
+      promote m;
+      frame
+  | Some _ | None ->
+      let frame = encode (Raw payload) in
+      remember t.raw_sent src (payload, frame);
+      frame
+
 let send_unreliable t ~src ~dst payload =
-  t.sub.Sub.send ~src ~dst (encode (Raw payload))
+  t.sub.Sub.send ~src ~dst (raw_frame t ~src payload)
 
 let reset_node t node =
   let sender_keys =

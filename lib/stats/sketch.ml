@@ -1,8 +1,9 @@
 (* Fixed-memory streaming aggregate: moments + a log-bucket quantile
    sketch + a deterministic-seed reservoir.
 
-   The bench path cannot afford [Summary.of_list]'s retained vector (a
-   10^6-session rung would hold one list cell per grant), so latency
+   The bench path cannot afford [Summary.of_list]'s retained vector (at
+   10^5 sessions, the largest measured rung, it would hold one list cell
+   per grant), so latency
    observations stream into this instead.  Memory is fixed at creation:
    one int array of [n_buckets] plus one float array of [reservoir]
    slots, independent of how many values are added.

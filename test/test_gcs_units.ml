@@ -669,6 +669,343 @@ let test_virtual_synchrony_regression () =
     [ 337; 954 ]
 
 (* ------------------------------------------------------------------ *)
+(* Heartbeat adverts: encoded once per change, identical ones skipped  *)
+
+module Network = Haf_net.Network
+module Sub = Haf_net.Substrate
+module Transport = Haf_net.Transport
+module Daemon = Haf_gcs.Daemon
+
+(* Unwraps transport frames with a private transport: the payload of a
+   raw (heartbeat) frame and its decoded message, [None] for reliable
+   traffic. *)
+let raw_msg_of () =
+  let receiver = ref (fun ~src:_ _ -> ()) and got = ref None in
+  let sub =
+    {
+      Sub.name = "unwrap";
+      engine = Engine.create ~seed:0 ();
+      send = (fun ?label:_ ~src:_ ~dst:_ _ -> ());
+      set_receiver = (fun _ h -> receiver := h);
+      add_node = (fun () -> 0);
+      node_count = (fun () -> 1);
+      counters = (fun _ -> Sub.fresh_counters ());
+      reset_counters = (fun () -> ());
+    }
+  in
+  let tr = Transport.create sub in
+  Transport.attach tr 0 ~on_raw:(fun ~src:_ payload -> got := Some payload) (fun ~src:_ _ -> ());
+  fun frame ->
+    got := None;
+    !receiver ~src:1 frame;
+    Option.map (fun payload -> (payload, Wire.decode payload)) !got
+
+type fabric = {
+  engine : Engine.t;
+  net : Network.t;
+  gcs : Gcs.t;
+  inject : dst:int -> src:int -> string -> unit;
+      (* Hand a datagram to a node's receiver at once, past the network. *)
+}
+
+(* [n] servers, all local, over the simulated network.  Every datagram
+   sent goes through [route ~src ~dst frame] first: [Some f] sends [f]
+   instead, [None] drops it.  [delivered ~dst ~src] runs after each
+   datagram a node has handled. *)
+let make_fabric ?(n = 3) ?(delivered = fun ~dst:_ ~src:_ -> ()) ~seed route =
+  let engine = Engine.create ~seed () in
+  let net = Network.create engine Network.default_config in
+  let base = Network.substrate net in
+  let receivers = Hashtbl.create 8 in
+  let sub =
+    {
+      base with
+      Sub.send =
+        (fun ?label ~src ~dst frame ->
+          match route ~src ~dst frame with
+          | Some f -> base.Sub.send ?label ~src ~dst f
+          | None -> ());
+      set_receiver =
+        (fun node h ->
+          Hashtbl.replace receivers node h;
+          base.Sub.set_receiver node (fun ~src frame ->
+              h ~src frame;
+              delivered ~dst:node ~src));
+    }
+  in
+  let servers = List.init n Fun.id in
+  let gcs = Gcs.create_on ~servers ~local:servers sub in
+  { engine; net; gcs; inject = (fun ~dst ~src frame -> (Hashtbl.find receivers dst) ~src frame) }
+
+let advertises_g = function
+  | Wire.Ping { adverts } | Wire.Pong { adverts } ->
+      List.exists (fun a -> String.equal a.Wire.adv_group "g") adverts
+  | _ -> false
+
+let is_ping = function Wire.Ping _ -> true | _ -> false
+
+(* The advert path before the per-change cache, kept as the oracle:
+   this daemon's (group, view id) list in descending group order, built
+   and encoded afresh for every datagram. *)
+let oracle_adverts d =
+  List.rev_map
+    (fun g ->
+      match Daemon.view_of d g with
+      | Some v -> { Wire.adv_group = g; adv_vid = v.View.id }
+      | None -> Alcotest.failf "%s listed but not joined" g)
+    (Daemon.groups d)
+
+(* Random partitions, heals, one crash, joins, leaves and corrupted view
+   ids (both shapes of [corrupt.view]: a member list without self, and
+   a bumped epoch on a singleton) over three groups.  Every Ping and Pong
+   a daemon sends must be exactly what the old per-datagram path would
+   have encoded at that instant. *)
+let prop_sent_adverts_current =
+  QCheck.Test.make ~name:"gcs: every Ping and Pong carries the sender's current adverts"
+    ~count:25
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let msg_of = raw_msg_of () in
+      let fabric = ref None and checked = ref 0 and stale = ref [] in
+      let route ~src ~dst:_ frame =
+        (match (!fabric, msg_of frame) with
+        | Some f, Some (payload, msg) -> (
+            let d = Gcs.daemon f.gcs src in
+            let expected = oracle_adverts d in
+            let oracle, adverts =
+              match msg with
+              | Wire.Ping { adverts } -> (Wire.Ping { adverts = expected }, adverts)
+              | Wire.Pong { adverts } -> (Wire.Pong { adverts = expected }, adverts)
+              | _ -> Alcotest.fail "non-heartbeat on the raw path"
+            in
+            incr checked;
+            if not (adverts = expected && String.equal payload (Wire.encode oracle)) then
+              stale := (src, Engine.now f.engine) :: !stale)
+        | _ -> ());
+        Some frame
+      in
+      let f = make_fabric ~n:4 ~seed:(seed + 1) route in
+      fabric := Some f;
+      let rng = Haf_sim.Rng.create (seed + 3) in
+      let groups = [ "a"; "b"; "c" ] in
+      let armed =
+        List.init 6 (fun _ -> (Haf_sim.Rng.int rng 4, 10 + Haf_sim.Rng.int rng 80))
+      in
+      Engine.set_corruptor f.engine
+        (Some
+           (fun ~site ~proc ~occ ->
+             String.equal site "corrupt.view" && List.mem (proc, occ) armed));
+      let crashed = ref None in
+      let alive p = !crashed <> Some p in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun g -> if Haf_sim.Rng.int rng 3 > 0 then Gcs.join f.gcs p g)
+            groups)
+        (Gcs.servers f.gcs);
+      for _ = 1 to 12 do
+        let at = 1. +. Haf_sim.Rng.float rng 8. in
+        let p = Haf_sim.Rng.int rng 4 in
+        let g = List.nth groups (Haf_sim.Rng.int rng 3) in
+        let action =
+          match Haf_sim.Rng.int rng 5 with
+          | 0 ->
+              let side = Haf_sim.Rng.sample rng 2 [ 0; 1; 2; 3 ] in
+              let other = List.filter (fun q -> not (List.mem q side)) [ 0; 1; 2; 3 ] in
+              fun () -> Network.partition f.net [ side; other ]
+          | 1 -> fun () -> Network.heal_links f.net
+          | 2 ->
+              fun () ->
+                if !crashed = None then begin
+                  crashed := Some p;
+                  Daemon.stop (Gcs.daemon f.gcs p);
+                  Network.crash f.net p;
+                  Transport.reset_node (Gcs.transport f.gcs) p
+                end
+          | 3 -> fun () -> if alive p then Gcs.join f.gcs p g
+          | _ -> fun () -> if alive p then Gcs.leave f.gcs p g
+        in
+        ignore (Engine.schedule_at f.engine ~time:at action)
+      done;
+      ignore (Engine.schedule_at f.engine ~time:9.5 (fun () -> Network.heal_links f.net));
+      Engine.run ~until:14. f.engine;
+      match !stale with
+      | [] -> !checked > 0
+      | (p, at) :: _ ->
+          QCheck.Test.fail_reportf "%d stale heartbeats, the last from %d at %.3f"
+            (List.length !stale) p at)
+
+(* (a) A Leave edits the leaver's advert index and [gs.left] from
+   outside the advert path.  A byte-identical copy of the leaver's
+   earlier advert, delivered right after the Leave, must re-admit it
+   exactly as a freshly decoded one would: 1 (not the coordinator, so
+   it has not proposed yet) counts 2 as a candidate again. *)
+let test_stale_advert_after_leave () =
+  let msg_of = raw_msg_of () in
+  let stale = ref None and armed = ref false and settled = ref None in
+  let fabric = ref None in
+  let route ~src ~dst frame =
+    (if src = 2 && dst = 1 && not !armed then
+       match msg_of frame with
+       | Some (_, msg) when is_ping msg && advertises_g msg -> stale := Some frame
+       | Some _ | None -> ());
+    Some frame
+  in
+  let delivered ~dst ~src =
+    match (!fabric, !stale) with
+    | Some f, Some frame when !armed && dst = 1 && src = 2 ->
+        if not (Gcs.membership_stable f.gcs 1 "g") then begin
+          (* 1 has just handled the Leave. *)
+          armed := false;
+          f.inject ~dst:1 ~src:2 frame;
+          settled := Some (Gcs.membership_stable f.gcs 1 "g")
+        end
+    | _ -> ()
+  in
+  let f = make_fabric ~seed:21 ~delivered route in
+  fabric := Some f;
+  List.iter (fun p -> Gcs.join f.gcs p "g") [ 0; 1; 2 ];
+  Engine.run ~until:3. f.engine;
+  check ints "merged" [ 0; 1; 2 ] (members_at f.gcs 1 "g");
+  check Alcotest.bool "a Ping of 2's advertising g was captured" true (!stale <> None);
+  armed := true;
+  Gcs.leave f.gcs 2 "g";
+  Engine.run ~until:3.05 f.engine;
+  (match !settled with
+  | Some settled ->
+      check Alcotest.bool "the stale copy re-admits the leaver at once" true settled
+  | None -> Alcotest.fail "the Leave never reached 1");
+  Engine.run ~until:6. f.engine;
+  List.iter
+    (fun p -> check ints (Printf.sprintf "%d ends without the leaver" p) [ 0; 1 ] (members_at f.gcs p "g"))
+    [ 0; 1 ]
+
+(* (b) 1's adverts reach 0 frozen: every Ping 1 sends 0 is replaced by
+   one captured Ping, byte for byte, and its Pongs to 0 are dropped.
+   While the two agree nothing happens.  Once 0's own view id changes —
+   by an install after 2 leaves, or by an audit reset and the merge that
+   follows — the unchanged advert must be noted as a mismatch again,
+   which makes 0 re-merge with 1 again and again; skipping it as
+   "already recorded" would leave 0 settled after one install. *)
+let frozen_advert_installs trigger =
+  let msg_of = raw_msg_of () in
+  let frozen = ref None and freeze = ref false in
+  let route ~src ~dst frame =
+    if src = 1 && dst = 0 then
+      match msg_of frame with
+      | Some (_, msg) when is_ping msg -> (
+          match !frozen with
+          | Some f -> Some f
+          | None ->
+              if !freeze then frozen := Some frame;
+              Some frame)
+      | Some _ -> if !frozen = None then Some frame else None
+      | None -> Some frame
+    else Some frame
+  in
+  let f = make_fabric ~seed:21 route in
+  let installs = ref 0 in
+  Gcs.set_app f.gcs 0
+    {
+      Daemon.on_view = (fun _ -> incr installs);
+      on_message = (fun ~group:_ ~sender:_ _ -> ());
+      on_p2p = (fun ~sender:_ _ -> ());
+    };
+  List.iter (fun p -> Gcs.join f.gcs p "g") [ 0; 1; 2 ];
+  Engine.run ~until:3. f.engine;
+  freeze := true;
+  Engine.run ~until:3.5 f.engine;
+  check Alcotest.bool "1's advert frozen" true (!frozen <> None);
+  check ints "merged" [ 0; 1; 2 ] (members_at f.gcs 0 "g");
+  installs := 0;
+  trigger f;
+  Engine.run ~until:3.8 f.engine;
+  check Alcotest.bool "trigger took effect" true (!installs + Gcs.total_resets f.gcs > 0);
+  Engine.run ~until:6. f.engine;
+  !installs
+
+let test_unchanged_advert_after_install_and_reset () =
+  let after_leave = frozen_advert_installs (fun f -> Gcs.leave f.gcs 2 "g") in
+  check Alcotest.bool
+    (Printf.sprintf "after an install: 0 re-merges (%d installs)" after_leave)
+    true (after_leave >= 3);
+  let after_reset =
+    frozen_advert_installs (fun f ->
+        let fired = ref false in
+        Engine.set_corruptor f.engine
+          (Some
+             (fun ~site ~proc ~occ:_ ->
+               let hit = String.equal site "corrupt.epoch" && proc = 0 && not !fired in
+               if hit then fired := true;
+               hit)))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "after a reset: 0 re-merges (%d installs)" after_reset)
+    true (after_reset >= 3)
+
+(* (c) The transport hands on a remembered payload only for a frame
+   byte-equal to a remembered one.  A frame of the same length with one
+   byte flipped is decoded afresh: inside the payload it yields the
+   flipped payload, in the header it is rejected and counted. *)
+let test_raw_frame_memo_needs_equal_bytes () =
+  let engine = Engine.create ~seed:5 () in
+  let net = Network.create engine Network.default_config in
+  List.iter (fun _ -> ignore (Network.add_node net)) [ 0; 1 ];
+  let base = Network.substrate net in
+  let frames = ref [] in
+  let sub =
+    {
+      base with
+      Sub.send =
+        (fun ?label ~src ~dst frame ->
+          frames := frame :: !frames;
+          base.Sub.send ?label ~src ~dst frame);
+    }
+  in
+  let tr = Transport.create sub in
+  let got = ref [] in
+  Transport.attach tr 1 ~on_raw:(fun ~src:_ p -> got := p :: !got) (fun ~src:_ _ -> ());
+  Transport.attach tr 0 (fun ~src:_ _ -> ());
+  let payload = "heartbeat-payload" in
+  Transport.send_unreliable tr ~src:0 ~dst:1 payload;
+  Transport.send_unreliable tr ~src:0 ~dst:1 payload;
+  Engine.run engine;
+  let frame =
+    match !frames with
+    | [ b; a ] ->
+        check Alcotest.bool "one payload is framed once" true (a == b);
+        a
+    | l -> Alcotest.failf "expected 2 frames, got %d" (List.length l)
+  in
+  check (Alcotest.list Alcotest.string) "both delivered" [ payload; payload ] !got;
+  let flip i =
+    let b = Bytes.of_string frame in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+    Bytes.to_string b
+  in
+  let at =
+    let n = String.length payload in
+    let rec find i =
+      if String.equal (String.sub frame i n) payload then i else find (i + 1)
+    in
+    find 0
+  in
+  got := [];
+  let rejected = Transport.rejected tr in
+  Network.send net ~src:0 ~dst:1 (flip at);
+  Engine.run engine;
+  check (Alcotest.list Alcotest.string) "a flipped payload byte is decoded afresh"
+    [ "Heartbeat-payload" ] !got;
+  Network.send net ~src:0 ~dst:1 (flip 0);
+  Engine.run engine;
+  check Alcotest.int "a flipped header byte is rejected" (rejected + 1) (Transport.rejected tr);
+  check Alcotest.int "and reaches no handler" 1 (List.length !got);
+  Network.send net ~src:0 ~dst:1 frame;
+  Engine.run engine;
+  check (Alcotest.list Alcotest.string) "the original still delivers"
+    [ payload; "Heartbeat-payload" ] !got
+
+(* ------------------------------------------------------------------ *)
 (* Unit-db self-checking: corruption detection and reconciliation      *)
 
 module Unit_db = Haf_core.Unit_db
@@ -971,9 +1308,19 @@ let suite =
           test_callback_joins_and_leaves_mid_sweep;
         Alcotest.test_case "virtual synchrony regression seeds" `Quick
           test_virtual_synchrony_regression;
+        Alcotest.test_case "stale advert after a leave re-admits the leaver" `Quick
+          test_stale_advert_after_leave;
+        Alcotest.test_case "unchanged advert after install and reset" `Quick
+          test_unchanged_advert_after_install_and_reset;
+        Alcotest.test_case "raw frame memo needs equal bytes" `Quick
+          test_raw_frame_memo_needs_equal_bytes;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_random_partition_schedule; prop_virtual_synchrony_direct ] );
+          [
+            prop_random_partition_schedule;
+            prop_virtual_synchrony_direct;
+            prop_sent_adverts_current;
+          ] );
     ( "gcs.batched_order",
       List.map QCheck_alcotest.to_alcotest
         [ prop_batched_order_equals_unbatched ] );
