@@ -119,7 +119,6 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable sl_applied : int list;  (* applied request seqs, newest first *)
       mutable sl_reqs : (int * S.request) list;  (* retained, newest first *)
       mutable sl_tick : Engine.timer option;
-      mutable sl_prop : Engine.timer option;
       mutable sl_ending : bool;
     }
 
@@ -186,8 +185,8 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable store_timers : Engine.timer list;
       mutable audit_timer : Engine.timer option;
       mutable prop_timer : Engine.timer option;
-          (* The server-level propagation timer (sharded mode);
-             per-session [sl_prop] timers are not created in that mode. *)
+          (* The one propagation timer: each period it ships every local
+             primary's snapshot, one frame per content unit. *)
       mutable svc_view : View.t option;
       mutable running : bool;
       trace_component : string;  (* "exchange.<proc>", built once *)
@@ -220,8 +219,8 @@ module Make (S : Service_intf.SERVICE) = struct
     (* Session-group membership                                        *)
 
     (* [Policy.session_shards] > 0 selects the scale design: shard
-       groups, one propagation frame per unit per period, incremental
-       placement.  Everything else is the paper's per-session design. *)
+       groups and incremental placement.  Everything else is the paper's
+       per-session design. *)
     let sharded t = t.policy.Policy.session_shards > 0
 
     (* Refcounted session-group membership.  A per-session group holds
@@ -249,11 +248,9 @@ module Make (S : Service_intf.SERVICE) = struct
     (* -------------------------------------------------------------- *)
     (* Session-local state                                             *)
 
-    let stop_timers sl =
+    let stop_tick sl =
       (match sl.sl_tick with Some tm -> Engine.cancel tm | None -> ());
-      (match sl.sl_prop with Some tm -> Engine.cancel tm | None -> ());
-      sl.sl_tick <- None;
-      sl.sl_prop <- None
+      sl.sl_tick <- None
 
     let reapply_requests sl ~above ctx =
       (* Rebase: replay retained client requests newer than [above] on a
@@ -286,7 +283,6 @@ module Make (S : Service_intf.SERVICE) = struct
         sl_applied = applied;
         sl_reqs = [];
         sl_tick = None;
-        sl_prop = None;
         sl_ending = false;
       }
 
@@ -359,13 +355,11 @@ module Make (S : Service_intf.SERVICE) = struct
 
     (* One propagation frame: the snapshots of [sls], local primaries of
        [unit_id] in session-id order, travel in a single [Propagate]
-       multicast to the content group.  The per-session timer passes one
-       session; the sharded-mode server timer passes every local primary
-       of the unit, amortizing framing from O(sessions) to O(units)
-       messages per period. *)
+       multicast to the content group — O(units) messages per server and
+       period, whatever the session count. *)
     let do_propagate t unit_id sls =
       if
-        t.running && sls <> []
+        t.running
         (* Risky-pattern choice point (paper §4): the explorer may crash
            the primary at the instant it would propagate session context. *)
         && not (Engine.choice t.engine ~site:"propagate" ~proc:t.proc)
@@ -374,7 +368,7 @@ module Make (S : Service_intf.SERVICE) = struct
           (Propagate
              { snaps = List.map (fun sl -> (sl.sl_session, snapshot_of t sl)) sls })
 
-    (* The sharded-mode server timer: one frame per content unit holding
+    (* The server's propagation tick: one frame per content unit holding
        every local primary's snapshot.  (Deliberately not [@hot]: this is
        the once-per-period sweep whose cost is already amortized; the
        per-snapshot receive path [apply_propagate] is the hot one.) *)
@@ -392,16 +386,10 @@ module Make (S : Service_intf.SERVICE) = struct
         (fun u sls -> do_propagate t u (List.rev sls))
         by_unit
 
-    let start_primary_timers t sl =
+    let start_tick t sl =
       if sl.sl_tick = None then
         sl.sl_tick <-
-          Some (Engine.every t.engine ~period:S.tick_period (fun () -> do_tick t sl));
-      if (not (sharded t)) && sl.sl_prop = None then
-        sl.sl_prop <-
-          Some
-            (Engine.every t.engine ~period:t.policy.Policy.propagation_period (fun () ->
-                 do_propagate t sl.sl_unit
-                   (if sl.sl_role = Some Primary then [ sl ] else [])))
+          Some (Engine.every t.engine ~period:S.tick_period (fun () -> do_tick t sl))
 
     (* Takeover position adjustment: the new primary only knows the
        position as of [sl_base_at].  Under [Resume] it simply continues
@@ -474,19 +462,36 @@ module Make (S : Service_intf.SERVICE) = struct
         if not had_live then acquire_group t sl.sl_session;
         emit t
           (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary });
-        start_primary_timers t sl
+        start_tick t sl
       end
+
+    (* Stepping down from primary.  When another server takes over
+       (load-balancing migration), hand it the exact context so the
+       client sees no duplicates or gaps — whether this server stays on
+       as a backup or leaves the session group. *)
+    let drop_primary t sl ~new_primary =
+      stop_tick sl;
+      emit t
+        (Events.Role_dropped { server = t.proc; session_id = sl.sl_session; role = Primary });
+      match new_primary with
+      | Some p when p <> t.proc ->
+          send_p2p t p
+            (Handoff
+               {
+                 session_id = sl.sl_session;
+                 ctx = sl.sl_ctx;
+                 req_seq = sl.sl_req_seq;
+                 applied = List.sort_uniq Int.compare sl.sl_applied;
+                 at = now t;
+               })
+      | Some _ | None -> ()
 
     let become_backup t (sess : S.context Unit_db.session) =
       let sl = local_of t sess in
       if sl.sl_role <> Some Backup then begin
         let had_role = sl.sl_role <> None in
         (match sl.sl_role with
-        | Some Primary ->
-            stop_timers sl;
-            emit t
-              (Events.Role_dropped
-                 { server = t.proc; session_id = sl.sl_session; role = Primary })
+        | Some Primary -> drop_primary t sl ~new_primary:sess.Unit_db.primary
         | Some Backup | None -> ());
         sl.sl_role <- Some Backup;
         if not had_role then acquire_group t sl.sl_session;
@@ -497,25 +502,7 @@ module Make (S : Service_intf.SERVICE) = struct
     let relinquish t sl ~new_primary =
       let held = sl.sl_role <> None in
       (match sl.sl_role with
-      | Some Primary ->
-          stop_timers sl;
-          emit t
-            (Events.Role_dropped
-               { server = t.proc; session_id = sl.sl_session; role = Primary });
-          (* Load-balancing migration: hand the exact context to the new
-             primary so the client sees no duplicates or gaps. *)
-          (match new_primary with
-          | Some p when p <> t.proc ->
-              send_p2p t p
-                (Handoff
-                   {
-                     session_id = sl.sl_session;
-                     ctx = sl.sl_ctx;
-                     req_seq = sl.sl_req_seq;
-                     applied = List.sort_uniq Int.compare sl.sl_applied;
-                     at = now t;
-                   })
-          | Some _ | None -> ())
+      | Some Primary -> drop_primary t sl ~new_primary
       | Some Backup ->
           emit t
             (Events.Role_dropped
@@ -1241,11 +1228,18 @@ module Make (S : Service_intf.SERVICE) = struct
         Some
           (Engine.every t.engine ~first:audit_period ~period:audit_period (fun () ->
                audit_tick t));
-      if sharded t then
-        t.prop_timer <-
-          Some
-            (Engine.every t.engine ~period:policy.Policy.propagation_period (fun () ->
-                 propagate_units t));
+      (* Each server's propagation tick runs at its own phase in
+         [0, period), taken from the daemon's already-drawn incarnation.
+         Were every server to tick on multiples of the period, a crash
+         injected at a round time would always land on a propagation;
+         a fresh draw from the engine would instead shift every random
+         stream split off after it. *)
+      let period = policy.Policy.propagation_period in
+      let phase =
+        period *. float_of_int (Daemon.incarnation (Gcs.daemon gcs proc) land 0xffff) /. 65536.
+      in
+      t.prop_timer <-
+        Some (Engine.every t.engine ~first:phase ~period (fun () -> propagate_units t));
       Gcs.join gcs proc Naming.service_group;
       List.iter (fun u -> Gcs.join gcs proc (Naming.content_group u)) units;
       t
@@ -1259,7 +1253,7 @@ module Make (S : Service_intf.SERVICE) = struct
       (match t.prop_timer with Some tm -> Engine.cancel tm | None -> ());
       t.prop_timer <- None;
       Det_tbl.iter_sorted ~compare:String.compare
-        (fun _ sl -> stop_timers sl)
+        (fun _ sl -> stop_tick sl)
         t.sessions
 
     let units t = Det_tbl.sorted_keys ~compare:String.compare t.units

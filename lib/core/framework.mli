@@ -35,12 +35,10 @@ module Make (S : Service_intf.SERVICE) : sig
     | Start_session of { session_id : string; unit_id : string; client : int }
         (** Client -> content group (totally ordered at every replica). *)
     | Propagate of { snaps : (string * S.context Unit_db.snapshot) list }
-        (** Primary -> content group, every propagation period: (session
-            id, snapshot) pairs in session-id order, applied in order.
-            With per-session groups each session's timer sends a
-            one-element frame; in the sharded mode
-            ({!Policy.t.session_shards} > 0) one frame per unit carries
-            every local primary's snapshot. *)
+        (** Server -> content group, every propagation period: one frame
+            per server and unit carries the (session id, snapshot) pair
+            of every local primary of the unit, in session-id order,
+            applied in order. *)
     | End_session of { session_id : string }
     | State_digest of {
         sender : int;

@@ -33,24 +33,22 @@ type t = {
   session_shards : int;
       (** The one scale setting.  0 (the default) is the paper's
           design: every session gets its own GCS group
-          ({!Naming.session_group}), each primary propagates each
-          session on its own timer, and every [Start_session] re-runs
+          ({!Naming.session_group}), and every [Start_session] re-runs
           the full deterministic selection.
 
           Positive [k] selects the scale design, which bounds
           per-session cost at 10{^5}+ concurrent sessions:
           - sessions map onto [k] fixed shard groups; requests fan out
             to the shard's members and non-involved servers drop them;
-          - each server runs one propagation timer and ships every local
-            primary's snapshot for a content unit in one frame per
-            period;
           - a fresh session is placed incrementally against a load
             table kept identical at every member; any view change falls
             back to the full selection.
 
-          The scale design is not the default because it moves the
-          paper-facing numbers (duplicates per takeover, steady-state
-          balance); ARCHITECTURE.md §11 records by how much. *)
+          Propagation does not depend on it: in both designs each server
+          ships every local primary's snapshot for a content unit in one
+          frame per period.  The scale design is not the default because
+          incremental placement moves the paper-facing steady-state
+          balance; ARCHITECTURE.md §11 records by how much. *)
 }
 
 val default : t

@@ -44,9 +44,9 @@ let grant_latencies tl =
 
 (* The sweep above keeps the paper's literal per-session design; this
    bench runs the scale mode ([Policy.session_shards] > 0: shard
-   groups, one propagation frame per unit, incremental placement) with
-   batched sequencing, and drives the population to the point where the
-   literal design stops being runnable.  Sequencer batching and
+   groups and incremental placement) with batched sequencing, and
+   drives the population to the point where the literal design stops
+   being runnable.  Sequencer batching and
    incremental placement's primary pick are property-tested against
    the default paths (test_gcs_units, test_core), and test_chaos runs
    the scale mode under faults; here the run stays fully monitored, so

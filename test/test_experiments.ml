@@ -146,8 +146,8 @@ let test_e9_runs () =
       check Alcotest.bool "has rows" true (String.length rendered > 200)
   | None -> Alcotest.fail "e9 missing"
 
-(* The scale mode ([session_shards] > 0: shard groups, one propagation
-   frame per unit, incremental placement) together with sequencer
+(* The scale mode ([session_shards] > 0: shard groups and incremental
+   placement) together with sequencer
    batching, plus a mid-run primary crash.  Of these, only sequencer
    batching is equivalence-tested in isolation (test_gcs_units);
    incremental placement's primary is checked against the full

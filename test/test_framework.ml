@@ -54,6 +54,50 @@ let count_gaps ids =
       let last = List.nth sorted (List.length sorted - 1) in
       last - first + 1 - List.length sorted
 
+(* [server]'s propagations of [sid] in the interval (from, until]. *)
+let propagations w sid ~server ~from ~until =
+  List.filter
+    (fun (at, e) ->
+      match e with
+      | Events.Propagated { server = s; session_id; _ } ->
+          session_id = sid && s = server && at > from && at <= until
+      | _ -> false)
+    (Events.events w.events)
+
+(* After [since], a primary that steps down propagates the session no
+   more until it is primary again.  Returns the number of step-downs, so
+   a caller can insist the check was not vacuous. *)
+let demoted_primaries_stay_silent w ~since =
+  let tl = Events.events w.events in
+  let demotions =
+    List.filter_map
+      (fun (at, e) ->
+        match e with
+        | Events.Role_dropped { server; session_id; role = Events.Primary } when at > since ->
+            Some (at, server, session_id)
+        | _ -> None)
+      tl
+  in
+  List.iter
+    (fun (at, server, sid) ->
+      let regained =
+        List.find_map
+          (fun (rt, e) ->
+            match e with
+            | Events.Role_assumed { server = s; session_id; role = Events.Primary }
+              when s = server && session_id = sid && rt > at ->
+                Some rt
+            | _ -> None)
+          tl
+      in
+      let until = Option.value regained ~default:infinity in
+      let after = propagations w sid ~server ~from:at ~until in
+      if after <> [] then
+        Alcotest.failf "server %d propagated %s %d times after stepping down" server sid
+          (List.length after))
+    demotions;
+  List.length demotions
+
 let primary_of w sid =
   List.find_map
     (fun (p, srv) ->
@@ -153,28 +197,55 @@ let test_failover_with_backup () =
   in
   check Alcotest.bool "stream continues" true (List.length after_crash > 10)
 
-let test_failover_without_backup_resume_duplicates () =
-  (* The [2] configuration: no backups, Resume policy.  After a crash the
-     new primary rebuilds from the last propagation, so the client sees
-     about (rate * time-since-propagation) duplicate frames and no gap. *)
+(* Run [f primary] [delay] seconds after [sid]'s first propagation at or
+   after [after]: the fault lands at a fixed offset from the propagation,
+   whatever phase the server's propagation timer runs at. *)
+let after_propagation w sid ~after ~delay f =
+  let armed = ref true in
+  Events.subscribe w.events (fun ~now ev ->
+      match ev with
+      | Events.Propagated { server; session_id; _ }
+        when !armed && session_id = sid && now >= after ->
+          armed := false;
+          ignore (Engine.schedule w.engine ~delay (fun () -> f server))
+      | _ -> ())
+
+let frames_per_second =
+  float_of_int Haf_services.Vod.frames_per_tick /. Haf_services.Vod.tick_period
+
+let resume_without_backup ~delay =
   let policy = { Policy.default with n_backups = 0; takeover = Policy.Resume } in
   let w = setup ~policy () in
   run w ~until:3.;
   let sid = FV.Client.start_session w.client ~unit_id:"movie:1" ~duration:30. ~request_interval:0. in
-  run w ~until:6.;
-  let p0 = Option.get (primary_of w sid) in
-  crash_server w p0;
+  after_propagation w sid ~after:6. ~delay:(delay policy) (crash_server w);
   run w ~until:15.;
-  let ids = received_ids w sid in
+  (policy, received_ids w sid)
+
+let test_failover_without_backup_resume_duplicates () =
+  (* The [2] configuration: no backups, Resume policy.  After a crash the
+     new primary rebuilds from the last propagation, so the client sees
+     about (rate * time-since-propagation) duplicate frames and no gap.
+     The crash comes half a period after the last propagation. *)
+  let policy, ids =
+    resume_without_backup ~delay:(fun p -> p.Policy.propagation_period /. 2.)
+  in
   check Alcotest.bool "stream continues" true (List.length ids > 100);
   check Alcotest.bool "duplicates appear (resume)" true (count_dups ids > 0);
   (* Bounded by what can be sent within one propagation period plus one
      takeover's worth of slack. *)
-  let per_second =
-    float_of_int Haf_services.Vod.frames_per_tick /. Haf_services.Vod.tick_period
-  in
-  let bound = int_of_float (per_second *. (policy.Policy.propagation_period +. 1.5)) in
+  let bound = int_of_float (frames_per_second *. (policy.Policy.propagation_period +. 1.5)) in
   check Alcotest.bool "duplicates bounded" true (count_dups ids <= bound);
+  check Alcotest.int "no lost frames under Resume" 0 (count_gaps ids)
+
+let test_failover_just_after_propagation () =
+  (* Crash right after a propagation has reached the other replicas
+     (well under one service tick later): the snapshot the successor
+     resumes from is at most one tick behind the client. *)
+  let _, ids = resume_without_backup ~delay:(fun _ -> 0.02) in
+  check Alcotest.bool "stream continues" true (List.length ids > 100);
+  check Alcotest.bool "at most one tick of duplicates" true
+    (count_dups ids <= Haf_services.Vod.frames_per_tick);
   check Alcotest.int "no lost frames under Resume" 0 (count_gaps ids)
 
 let test_failover_skip_ahead_gaps () =
@@ -310,6 +381,145 @@ let test_join_rebalances () =
         (count_dups (received_ids w sid)))
     sids
 
+let test_rebalance_demotion_hands_off () =
+  (* A rebalance that keeps the old primary on as a backup must still
+     hand the exact context to the new primary: with one backup per
+     session, server 0 serves four sessions alone until server 1 joins
+     half a period after a propagation; two sessions then move to server
+     1 while server 0 stays their backup.  Resuming from the propagated
+     snapshot would repeat half a period of frames; with the handoff the
+     client sees no duplicates or gaps. *)
+  let policy = { Policy.default with n_backups = 1; rebalance_on_join = true } in
+  let engine = Engine.create ~seed:31 () in
+  let gcs = Gcs.create ~num_servers:2 engine in
+  let events = Events.make_sink () in
+  let mk p = FV.Server.create gcs ~proc:p ~policy ~units:[ "movie:1" ] ~catalog:[ "movie:1" ] ~events in
+  let s0 = mk 0 in
+  let cproc = Gcs.add_client gcs in
+  let client = FV.Client.create gcs ~proc:cproc ~policy ~events in
+  let w = { engine; gcs; events; servers = [ (0, s0) ]; client } in
+  run w ~until:3.;
+  let sids =
+    List.init 4 (fun _ ->
+        FV.Client.start_session w.client ~unit_id:"movie:1" ~duration:60. ~request_interval:0.)
+  in
+  run w ~until:8.;
+  check Alcotest.bool "all on server 0" true
+    (List.for_all (fun sid -> primary_of w sid = Some 0) sids);
+  let s1 = ref None in
+  after_propagation w (List.hd sids) ~after:8.
+    ~delay:(policy.Policy.propagation_period /. 2.)
+    (fun _ -> s1 := Some (mk 1));
+  run w ~until:16.;
+  let w = { w with servers = (1, Option.get !s1) :: w.servers } in
+  let moved = List.filter (fun sid -> primary_of w sid = Some 1) sids in
+  check Alcotest.int "half the sessions moved to the new server" 2 (List.length moved);
+  List.iter
+    (fun sid ->
+      check Alcotest.bool
+        (Printf.sprintf "server 0 stays backup of %s" sid)
+        true
+        (List.assoc_opt sid (FV.Server.sessions_served s0) = Some Events.Backup))
+    moved;
+  check Alcotest.int "both moves demoted server 0" 2 (demoted_primaries_stay_silent w ~since:8.);
+  List.iter
+    (fun sid ->
+      let ids = received_ids w sid in
+      check Alcotest.int (Printf.sprintf "no duplicate frames for %s" sid) 0 (count_dups ids);
+      check Alcotest.int (Printf.sprintf "no gaps for %s" sid) 0 (count_gaps ids))
+    sids
+
+let test_one_frame_per_server_unit_period () =
+  (* Each server ships all its primaries of a content unit in one
+     [Propagate] frame per period, yet every session is still propagated
+     once per period.  Frames are counted where they are sent: every
+     frame passes the "propagate" crash choice point exactly once. *)
+  let units = [ "movie:1"; "movie:2" ] in
+  let policy = { Policy.default with n_backups = 1 } in
+  let period = policy.Policy.propagation_period in
+  let w = setup ~policy ~units () in
+  let frames = Hashtbl.create 4 in
+  Engine.set_chooser w.engine
+    (Some
+       (fun ~site ~proc ~occ:_ ->
+         if site = "propagate" then
+           Hashtbl.replace frames proc (1 + Option.value (Hashtbl.find_opt frames proc) ~default:0);
+         false));
+  run w ~until:3.;
+  (* Staggered starts: per-session timers would tick at distinct instants. *)
+  let sids =
+    List.concat_map
+      (fun i ->
+        run w ~until:(3. +. (0.07 *. float_of_int i));
+        List.map
+          (fun unit_id ->
+            (FV.Client.start_session w.client ~unit_id ~duration:60. ~request_interval:0., unit_id))
+          units)
+      (List.init 6 Fun.id)
+  in
+  run w ~until:6.;
+  let k = 8 in
+  let t0 = Engine.now w.engine in
+  let t1 = t0 +. (float_of_int k *. period) in
+  Hashtbl.reset frames;
+  run w ~until:t1;
+  let within lo hi n = n >= lo && n <= hi in
+  List.iter
+    (fun (p, srv) ->
+      let served = FV.Server.sessions_served srv in
+      let units_led =
+        List.filter
+          (fun u ->
+            List.exists
+              (fun (sid, u') -> u' = u && List.assoc_opt sid served = Some Events.Primary)
+              sids)
+          units
+      in
+      let n_units = List.length units_led in
+      check Alcotest.bool (Printf.sprintf "server %d leads sessions" p) true (n_units > 0);
+      let sent = Option.value (Hashtbl.find_opt frames p) ~default:0 in
+      if not (within (n_units * (k - 1)) (n_units * (k + 1)) sent) then
+        Alcotest.failf "server %d sent %d frames for %d units over %d periods" p sent n_units k)
+    w.servers;
+  List.iter
+    (fun (sid, _) ->
+      let p = Option.get (primary_of w sid) in
+      let n = List.length (propagations w sid ~server:p ~from:t0 ~until:t1) in
+      if not (within (k - 1) (k + 1) n) then
+        Alcotest.failf "%s propagated %d times over %d periods" sid n k)
+    sids;
+  (* Crash takeover: the successor propagates within one period. *)
+  let victim = Option.get (primary_of w (fst (List.hd sids))) in
+  crash_server w victim;
+  let t_crash = Engine.now w.engine in
+  run w ~until:(t_crash +. 6.);
+  let takeovers =
+    List.filter_map
+      (fun (at, e) ->
+        match e with
+        | Events.Takeover { server; session_id; kind = Events.Crash; _ } when at > t_crash ->
+            Some (at, server, session_id)
+        | _ -> None)
+      (Events.events w.events)
+  in
+  check Alcotest.bool "crash takeovers seen" true (takeovers <> []);
+  List.iter
+    (fun (at, server, sid) ->
+      if propagations w sid ~server ~from:at ~until:(at +. period) = [] then
+        Alcotest.failf "%s not propagated within a period of its takeover" sid)
+    takeovers;
+  (* The victim comes back as a fresh server and the rebalance demotes
+     primaries. *)
+  Gcs.restart w.gcs victim;
+  let fresh =
+    FV.Server.create w.gcs ~proc:victim ~policy ~units ~catalog:units ~events:w.events
+  in
+  let w = { w with servers = (victim, fresh) :: List.remove_assoc victim w.servers } in
+  let t_join = Engine.now w.engine in
+  run w ~until:(t_join +. 8.);
+  check Alcotest.bool "rebalance demoted some primary" true
+    (demoted_primaries_stay_silent w ~since:t_join > 0)
+
 let test_grant_retry_after_primary_crash () =
   let policy = { Policy.default with n_backups = 0; grant_timeout = 1. } in
   let w = setup ~policy () in
@@ -408,11 +618,17 @@ let suite =
         Alcotest.test_case "failover with backup" `Quick test_failover_with_backup;
         Alcotest.test_case "no-backup resume duplicates" `Quick
           test_failover_without_backup_resume_duplicates;
+        Alcotest.test_case "crash just after propagation" `Quick
+          test_failover_just_after_propagation;
         Alcotest.test_case "skip-ahead gaps" `Quick test_failover_skip_ahead_gaps;
         Alcotest.test_case "requests applied at backup" `Quick test_requests_applied_at_backup;
         Alcotest.test_case "lost update window" `Quick test_lost_update_window;
         Alcotest.test_case "grant retry after crash" `Quick test_grant_retry_after_primary_crash;
         Alcotest.test_case "fast restart single stream" `Quick test_fast_restart_single_stream;
         Alcotest.test_case "join rebalances" `Quick test_join_rebalances;
+        Alcotest.test_case "rebalance demotion hands off" `Quick
+          test_rebalance_demotion_hands_off;
+        Alcotest.test_case "one frame per server, unit and period" `Quick
+          test_one_frame_per_server_unit_period;
       ] );
   ]
