@@ -55,7 +55,7 @@ module Make (S : Service_intf.SERVICE) = struct
            emission is dominated by a stable-store sync (or the no-store
            arm), so a crash after the client hears Granted cannot forget
            the session. *)
-    | Response of { session_id : string; id : int; body : S.response }
+    | Responses of { items : (string * S.response) list }
     | Handoff of {
         session_id : string;
         ctx : S.context;
@@ -106,6 +106,8 @@ module Make (S : Service_intf.SERVICE) = struct
   (* ================================================================ *)
 
   module Server = struct
+    module String_map = Map.Make (String)
+
     type role = Events.role = Primary | Backup
 
     type slocal = {
@@ -118,7 +120,6 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable sl_req_seq : int;  (* highest applied request *)
       mutable sl_applied : int list;  (* applied request seqs, newest first *)
       mutable sl_reqs : (int * S.request) list;  (* retained, newest first *)
-      mutable sl_tick : Engine.timer option;
       mutable sl_ending : bool;
     }
 
@@ -176,17 +177,25 @@ module Make (S : Service_intf.SERVICE) = struct
       catalog : string list;
       units : (string, ustate) Hashtbl.t;
       sessions : (string, slocal) Hashtbl.t;
+      mutable primaries : slocal String_map.t;
+          (* The local primaries by session id, walked in that order by
+             the service and propagation ticks.  Only [become_primary]
+             adds and [drop_primary] removes. *)
+      outbox : (int, (string * S.response) list) Hashtbl.t;
+          (* Per client, the responses of the service tick in progress,
+             newest first; empty between ticks. *)
       group_refs : (string, int) Hashtbl.t;
           (* How many local sessions hold a role in each session group
              (always 0 or 1 for per-session groups).  The daemon joins a
              group on 0 -> 1 and leaves on 1 -> 0; only [sl_role]
              None<->Some edges move the count. *)
       store : Haf_store.Store.t option;
-      mutable store_timers : Engine.timer list;
-      mutable audit_timer : Engine.timer option;
-      mutable prop_timer : Engine.timer option;
-          (* The one propagation timer: each period it ships every local
-             primary's snapshot, one frame per content unit. *)
+      mutable timers : Engine.timer list;
+          (* Every periodic timer, which [stop] cancels: the store's sync
+             and snapshot, the audit, the service tick (each tick, one
+             frame per client holding all its sessions' responses) and
+             the propagation tick (each period, one frame per content
+             unit holding every local primary's snapshot). *)
       mutable svc_view : View.t option;
       mutable running : bool;
       trace_component : string;  (* "exchange.<proc>", built once *)
@@ -248,10 +257,6 @@ module Make (S : Service_intf.SERVICE) = struct
     (* -------------------------------------------------------------- *)
     (* Session-local state                                             *)
 
-    let stop_tick sl =
-      (match sl.sl_tick with Some tm -> Engine.cancel tm | None -> ());
-      sl.sl_tick <- None
-
     let reapply_requests sl ~above ctx =
       (* Rebase: replay retained client requests newer than [above] on a
          fresh context (propagated snapshot or handoff). *)
@@ -282,7 +287,6 @@ module Make (S : Service_intf.SERVICE) = struct
         sl_req_seq = req_seq;
         sl_applied = applied;
         sl_reqs = [];
-        sl_tick = None;
         sl_ending = false;
       }
 
@@ -298,60 +302,75 @@ module Make (S : Service_intf.SERVICE) = struct
     (* Primary duties                                                  *)
 
     (* Finer attribution inside the engine's [Internal] blob: the
-       per-session service tick is the highest-frequency timer in the
-       system (10^5 sessions x 5 ticks/sim-s at the bench's top rung),
-       so it gets its own inclusive profile slot. *)
+       service tick is the highest-frequency timer in the system (one
+       firing per server and tick period, each walking every local
+       primary), so it gets its own inclusive profile slot. *)
     let prof_tick = Haf_sim.Profile.slot "framework.tick"
 
-    let do_tick_body t sl =
-      if t.running && sl.sl_role = Some Primary then begin
-        let responses, ctx = S.tick sl.sl_ctx in
-        sl.sl_ctx <- ctx;
-        List.iter
-          (fun r ->
-            emit t
-              (Events.Response_sent
-                 {
-                   server = t.proc;
-                   session_id = sl.sl_session;
-                   id = S.response_id r;
-                   critical = S.response_critical r;
-                 });
-            send_p2p t sl.sl_client
-              (Response { session_id = sl.sl_session; id = S.response_id r; body = r }))
-          responses;
-        if S.session_finished ctx && not sl.sl_ending then begin
-          sl.sl_ending <- true;
-          multicast_content t sl.sl_unit (End_session { session_id = sl.sl_session })
-        end
-      end
-
-    let do_tick t sl =
-      if Haf_sim.Profile.hit prof_tick then begin
-        let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
-        do_tick_body t sl;
-        Haf_sim.Profile.leave prof_tick ~w0 ~c0
-      end
-      else do_tick_body t sl
-
-    let snapshot_of t sl =
-      let snap =
-        {
-          Unit_db.snap_ctx = sl.sl_ctx;
-          snap_req_seq = sl.sl_req_seq;
-          snap_applied = List.sort_uniq Int.compare sl.sl_applied;
-          snap_at = now t;
-        }
-      in
+    let response_sent t sl r =
       emit t
-        (Events.Propagated
+        (Events.Response_sent
            {
              server = t.proc;
              session_id = sl.sl_session;
-             req_seq = sl.sl_req_seq;
-             applied = List.sort Int.compare sl.sl_applied;
-           });
-      snap
+             id = S.response_id r;
+             critical = S.response_critical r;
+           })
+
+    (* One session's share of a service tick: its next responses join
+       its client's frame, and a finished session asks to be ended. *)
+    let tick_session t sl =
+      let responses, ctx = S.tick sl.sl_ctx in
+      sl.sl_ctx <- ctx;
+      if responses <> [] then begin
+        let items = Option.value (Hashtbl.find_opt t.outbox sl.sl_client) ~default:[] in
+        Hashtbl.replace t.outbox sl.sl_client
+          (List.fold_left
+             (fun items r ->
+               response_sent t sl r;
+               (sl.sl_session, r) :: items)
+             items responses)
+      end;
+      if S.session_finished ctx && not sl.sl_ending then begin
+        sl.sl_ending <- true;
+        multicast_content t sl.sl_unit (End_session { session_id = sl.sl_session })
+      end
+
+    (* The server's service tick: every local primary in session-id
+       order, then one [Responses] frame per client, clients ascending —
+       O(clients) frames per server and tick, whatever the session
+       count. *)
+    let service_tick_body t =
+      if t.running then begin
+        String_map.iter (fun _ sl -> tick_session t sl) t.primaries;
+        Det_tbl.iter_sorted ~compare:Int.compare
+          (fun client items -> send_p2p t client (Responses { items = List.rev items }))
+          t.outbox;
+        Hashtbl.clear t.outbox
+      end
+
+    let service_tick t =
+      if Haf_sim.Profile.hit prof_tick then begin
+        let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
+        service_tick_body t;
+        Haf_sim.Profile.leave prof_tick ~w0 ~c0
+      end
+      else service_tick_body t
+
+    (* [sl_applied] holds no duplicates ([on_request] checks, the
+       merges de-duplicate), so one sort serves the snapshot and the
+       event. *)
+    let snapshot_of t sl =
+      let applied = List.sort_uniq Int.compare sl.sl_applied in
+      emit t
+        (Events.Propagated
+           { server = t.proc; session_id = sl.sl_session; req_seq = sl.sl_req_seq; applied });
+      {
+        Unit_db.snap_ctx = sl.sl_ctx;
+        snap_req_seq = sl.sl_req_seq;
+        snap_applied = applied;
+        snap_at = now t;
+      }
 
     (* One propagation frame: the snapshots of [sls], local primaries of
        [unit_id] in session-id order, travel in a single [Propagate]
@@ -373,23 +392,17 @@ module Make (S : Service_intf.SERVICE) = struct
        the once-per-period sweep whose cost is already amortized; the
        per-snapshot receive path [apply_propagate] is the hot one.) *)
     let propagate_units t =
-      let by_unit = Hashtbl.create 4 in
-      Det_tbl.iter_sorted ~compare:String.compare
-        (fun _ sl ->
-          if sl.sl_role = Some Primary then
-            Hashtbl.replace by_unit sl.sl_unit
-              (sl :: Option.value (Hashtbl.find_opt by_unit sl.sl_unit) ~default:[]))
-        t.sessions;
-      (* [sls] was consed from a sorted sweep, so [List.rev] restores
-         session-id order — receivers apply deterministically. *)
-      Det_tbl.iter_sorted ~compare:String.compare
-        (fun u sls -> do_propagate t u (List.rev sls))
-        by_unit
-
-    let start_tick t sl =
-      if sl.sl_tick = None then
-        sl.sl_tick <-
-          Some (Engine.every t.engine ~period:S.tick_period (fun () -> do_tick t sl))
+      let by_unit =
+        String_map.fold
+          (fun _ sl by_unit ->
+            String_map.update sl.sl_unit
+              (fun sls -> Some (sl :: Option.value sls ~default:[]))
+              by_unit)
+          t.primaries String_map.empty
+      in
+      (* [sls] was consed in session-id order, so [List.rev] restores
+         it — receivers apply deterministically. *)
+      String_map.iter (fun u sls -> do_propagate t u (List.rev sls)) by_unit
 
     (* Takeover position adjustment: the new primary only knows the
        position as of [sl_base_at].  Under [Resume] it simply continues
@@ -412,22 +425,12 @@ module Make (S : Service_intf.SERVICE) = struct
           done;
           sl.sl_base_at <- now t;
           if t.policy.Policy.takeover = Policy.Hybrid then
-            List.iter
-              (fun r ->
-                if S.response_critical r then begin
-                  emit t
-                    (Events.Response_sent
-                       {
-                         server = t.proc;
-                         session_id = sl.sl_session;
-                         id = S.response_id r;
-                         critical = true;
-                       });
-                  send_p2p t sl.sl_client
-                    (Response
-                       { session_id = sl.sl_session; id = S.response_id r; body = r })
-                end)
-              (List.rev !skipped)
+            match List.filter S.response_critical (List.rev !skipped) with
+            | [] -> ()
+            | critical ->
+                List.iter (response_sent t sl) critical;
+                send_p2p t sl.sl_client
+                  (Responses { items = List.map (fun r -> (sl.sl_session, r)) critical })
 
     (* -------------------------------------------------------------- *)
     (* Role transitions                                                *)
@@ -459,10 +462,10 @@ module Make (S : Service_intf.SERVICE) = struct
                })
         end;
         sl.sl_role <- Some Primary;
+        t.primaries <- String_map.add sl.sl_session sl t.primaries;
         if not had_live then acquire_group t sl.sl_session;
         emit t
-          (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary });
-        start_tick t sl
+          (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary })
       end
 
     (* Stepping down from primary.  When another server takes over
@@ -470,7 +473,7 @@ module Make (S : Service_intf.SERVICE) = struct
        client sees no duplicates or gaps — whether this server stays on
        as a backup or leaves the session group. *)
     let drop_primary t sl ~new_primary =
-      stop_tick sl;
+      t.primaries <- String_map.remove sl.sl_session t.primaries;
       emit t
         (Events.Role_dropped { server = t.proc; session_id = sl.sl_session; role = Primary });
       match new_primary with
@@ -1061,7 +1064,7 @@ module Make (S : Service_intf.SERVICE) = struct
                 sl.sl_req_seq <- Int.max sl.sl_req_seq req_seq;
                 sl.sl_applied <- List.sort_uniq Int.compare (applied @ sl.sl_applied)
             | Some _ | None -> ())
-        | Unit_list _ | Granted _ | Response _ -> ()
+        | Unit_list _ | Granted _ | Responses _ -> ()
 
     (* -------------------------------------------------------------- *)
 
@@ -1124,7 +1127,7 @@ module Make (S : Service_intf.SERVICE) = struct
               Haf_store.Store.snapshot st blob (fun ~ok:_ -> ())
             end)
       in
-      t.store_timers <- [ sync_tm; snap_tm ]
+      t.timers <- sync_tm :: snap_tm :: t.timers
 
     let create ?store gcs ~proc ~policy ~units ~catalog ~events =
       (match Policy.validate policy with
@@ -1140,11 +1143,11 @@ module Make (S : Service_intf.SERVICE) = struct
           catalog;
           units = Hashtbl.create 4;
           sessions = Hashtbl.create 16;
+          primaries = String_map.empty;
+          outbox = Hashtbl.create 4;
           group_refs = Hashtbl.create 8;
           store;
-          store_timers = [];
-          audit_timer = None;
-          prop_timer = None;
+          timers = [];
           svc_view = None;
           running = true;
           trace_component = Printf.sprintf "exchange.%d" proc;
@@ -1224,37 +1227,32 @@ module Make (S : Service_intf.SERVICE) = struct
          The corruption point is consulted after the audit, in the same
          tick — so injected damage is always detected one period later. *)
       let audit_period = 2. *. (Gcs.config gcs).Haf_gcs.Config.heartbeat_interval in
-      t.audit_timer <-
-        Some
-          (Engine.every t.engine ~first:audit_period ~period:audit_period (fun () ->
-               audit_tick t));
-      (* Each server's propagation tick runs at its own phase in
-         [0, period), taken from the daemon's already-drawn incarnation.
-         Were every server to tick on multiples of the period, a crash
-         injected at a round time would always land on a propagation;
-         a fresh draw from the engine would instead shift every random
-         stream split off after it. *)
-      let period = policy.Policy.propagation_period in
-      let phase =
-        period *. float_of_int (Daemon.incarnation (Gcs.daemon gcs proc) land 0xffff) /. 65536.
+      let audit =
+        Engine.every t.engine ~first:audit_period ~period:audit_period (fun () -> audit_tick t)
       in
-      t.prop_timer <-
-        Some (Engine.every t.engine ~first:phase ~period (fun () -> propagate_units t));
+      (* Each server's service and propagation ticks run at its own
+         phase in [0, period), taken from the daemon's already-drawn
+         incarnation.  Were every server to tick on multiples of the
+         period, a crash injected at a round time would always land on a
+         tick; a fresh draw from the engine would instead shift every
+         random stream split off after it. *)
+      let every period f =
+        let phase =
+          period *. float_of_int (Daemon.incarnation (Gcs.daemon gcs proc) land 0xffff) /. 65536.
+        in
+        Engine.every t.engine ~first:phase ~period f
+      in
+      let service = every S.tick_period (fun () -> service_tick t) in
+      let propagation = every policy.Policy.propagation_period (fun () -> propagate_units t) in
+      t.timers <- audit :: service :: propagation :: t.timers;
       Gcs.join gcs proc Naming.service_group;
       List.iter (fun u -> Gcs.join gcs proc (Naming.content_group u)) units;
       t
 
     let stop t =
       t.running <- false;
-      List.iter Engine.cancel t.store_timers;
-      t.store_timers <- [];
-      (match t.audit_timer with Some tm -> Engine.cancel tm | None -> ());
-      t.audit_timer <- None;
-      (match t.prop_timer with Some tm -> Engine.cancel tm | None -> ());
-      t.prop_timer <- None;
-      Det_tbl.iter_sorted ~compare:String.compare
-        (fun _ sl -> stop_tick sl)
-        t.sessions
+      List.iter Engine.cancel t.timers;
+      t.timers <- []
 
     let units t = Det_tbl.sorted_keys ~compare:String.compare t.units
 
@@ -1356,22 +1354,26 @@ module Make (S : Service_intf.SERVICE) = struct
                   Events.emit t.events ~now:(Engine.now engine)
                     (Events.Session_granted { client = t.proc; session_id; primary })
               | Some _ | None -> ())
-          | Response { session_id; id; body } -> (
-              match Hashtbl.find_opt t.sessions session_id with
-              | Some cs when not cs.c_done ->
-                  if t.retain_responses then
-                    cs.c_received <- (id, Engine.now engine) :: cs.c_received;
-                  cs.c_last_response <- Engine.now engine;
-                  Events.emit t.events ~now:(Engine.now engine)
-                    (Events.Response_received
-                       {
-                         client = t.proc;
-                         session_id;
-                         id;
-                         critical = S.response_critical body;
-                         from_server = sender;
-                       })
-              | Some _ | None -> ())
+          | Responses { items } ->
+              List.iter
+                (fun (session_id, body) ->
+                  match Hashtbl.find_opt t.sessions session_id with
+                  | Some cs when not cs.c_done ->
+                      let id = S.response_id body in
+                      if t.retain_responses then
+                        cs.c_received <- (id, Engine.now engine) :: cs.c_received;
+                      cs.c_last_response <- Engine.now engine;
+                      Events.emit t.events ~now:(Engine.now engine)
+                        (Events.Response_received
+                           {
+                             client = t.proc;
+                             session_id;
+                             id;
+                             critical = S.response_critical body;
+                             from_server = sender;
+                           })
+                  | Some _ | None -> ())
+                items
           | Handoff _ -> ()
       in
       Gcs.set_app gcs proc

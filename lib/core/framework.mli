@@ -63,7 +63,11 @@ module Make (S : Service_intf.SERVICE) : sig
   type p2p_msg =
     | Unit_list of string list
     | Granted of { session_id : string; unit_id : string; primary : int }
-    | Response of { session_id : string; id : int; body : S.response }
+    | Responses of { items : (string * S.response) list }
+        (** Server -> client, once per service tick: the responses of
+            every session this server is primary of for the client, in
+            session-id order.  A Hybrid takeover re-sends the critical
+            responses of its uncertainty window in one such frame. *)
     | Handoff of {
         session_id : string;
         ctx : S.context;

@@ -33,9 +33,10 @@ module type SERVICE = sig
   val tick : context -> response list * context
   (** Produce the next batch of responses (possibly none) and advance the
       context's response-progress component.  The primary calls this once
-      per {!tick_period}; the framework also replays it to fast-forward
-      or re-deliver after a migration, depending on the takeover
-      policy. *)
+      per {!tick_period}, in its server's one service tick, which sends
+      each client the batches of all its sessions in one frame; the
+      framework also replays it to fast-forward or re-deliver after a
+      migration, depending on the takeover policy. *)
 
   val tick_period : float
   (** Seconds between response batches (e.g. frame period). *)

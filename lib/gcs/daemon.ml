@@ -348,7 +348,7 @@ let flush_batch t gs =
     | Stable | Proposing _ | Flushed _ -> ()
 
 (* Attribution slots for the two per-server periodic sweeps — together
-   with the per-session service tick these make up nearly all of the
+   with the framework's service tick these make up nearly all of the
    engine's [Internal] firings at bench scale. *)
 let prof_batch = Haf_sim.Profile.slot "gcs.batch"
 

@@ -64,6 +64,15 @@ let propagations w sid ~server ~from ~until =
       | _ -> false)
     (Events.events w.events)
 
+let crash_takeovers w ~since =
+  List.filter_map
+    (fun (at, e) ->
+      match e with
+      | Events.Takeover { server; session_id; kind = Events.Crash; _ } when at > since ->
+          Some (at, server, session_id)
+      | _ -> None)
+    (Events.events w.events)
+
 (* After [since], a primary that steps down propagates the session no
    more until it is primary again.  Returns the number of step-downs, so
    a caller can insist the check was not vacuous. *)
@@ -493,15 +502,7 @@ let test_one_frame_per_server_unit_period () =
   crash_server w victim;
   let t_crash = Engine.now w.engine in
   run w ~until:(t_crash +. 6.);
-  let takeovers =
-    List.filter_map
-      (fun (at, e) ->
-        match e with
-        | Events.Takeover { server; session_id; kind = Events.Crash; _ } when at > t_crash ->
-            Some (at, server, session_id)
-        | _ -> None)
-      (Events.events w.events)
-  in
+  let takeovers = crash_takeovers w ~since:t_crash in
   check Alcotest.bool "crash takeovers seen" true (takeovers <> []);
   List.iter
     (fun (at, server, sid) ->
@@ -519,6 +520,202 @@ let test_one_frame_per_server_unit_period () =
   run w ~until:(t_join +. 8.);
   check Alcotest.bool "rebalance demoted some primary" true
     (demoted_primaries_stay_silent w ~since:t_join > 0)
+
+(* A bare client process that records every [Responses] frame it
+   receives as (arrival time, sender, items), newest first.  It starts
+   sessions by sending [Start_session] itself and never retries. *)
+type recorder = {
+  rproc : int;
+  frames : (float * int * (string * Haf_services.Vod.response) list) list ref;
+}
+
+let recorder w =
+  let rproc = Gcs.add_client w.gcs in
+  let frames = ref [] in
+  Gcs.set_app w.gcs rproc
+    {
+      Haf_gcs.Daemon.no_callbacks with
+      on_p2p =
+        (fun ~sender payload ->
+          match FV.decode_p2p payload with
+          | FV.Responses { items } -> frames := (Engine.now w.engine, sender, items) :: !frames
+          | FV.Unit_list _ | FV.Granted _ | FV.Handoff _ -> ());
+    };
+  { rproc; frames }
+
+let start_recorded w r session_id =
+  Gcs.open_send w.gcs r.rproc
+    (Haf_core.Naming.content_group "movie:1")
+    (FV.encode_group (FV.Start_session { session_id; unit_id = "movie:1"; client = r.rproc }))
+
+(* [r]'s frames in (from, until], oldest first. *)
+let frames_between r ~from ~until =
+  List.rev (List.filter (fun (at, _, _) -> at > from && at <= until) !(r.frames))
+
+let response_id (Haf_services.Vod.Frame { index; _ }) = index
+
+(* [server]'s Response_sent events for [sid] in (from, until]: (time, id,
+   critical). *)
+let responses_sent w sid ~server ~from ~until =
+  List.filter_map
+    (fun (at, e) ->
+      match e with
+      | Events.Response_sent { server = s; session_id; id; critical }
+        when s = server && session_id = sid && at > from && at <= until ->
+          Some (at, id, critical)
+      | _ -> None)
+    (Events.events w.events)
+
+let tick_period = Haf_services.Vod.tick_period
+
+let test_one_responses_frame_per_server_client_tick () =
+  (* Each server sends each client one [Responses] frame per service
+     tick, holding every session it is primary of for that client in
+     session-id order, yet every session still gets one tick's responses
+     per tick.  Frames are counted where the clients decode them. *)
+  let w = setup () in
+  let clients = [ recorder w; recorder w ] in
+  run w ~until:3.;
+  (* Staggered starts: per-session timers would tick at distinct instants. *)
+  let sids =
+    List.concat
+      (List.mapi
+         (fun j r ->
+           List.init 6 (fun i ->
+               run w ~until:(3. +. (0.07 *. float_of_int ((6 * j) + i)));
+               let sid = Printf.sprintf "r%d-%d" r.rproc i in
+               start_recorded w r sid;
+               (sid, r)))
+         clients)
+  in
+  run w ~until:6.;
+  let k = 8 in
+  let t0 = Engine.now w.engine in
+  let t1 = t0 +. (float_of_int k *. tick_period) in
+  run w ~until:t1;
+  let within lo hi n = n >= lo && n <= hi in
+  List.iter
+    (fun (server, _) ->
+      List.iter
+        (fun r ->
+          let led =
+            List.filter (fun (sid, r') -> r' == r && primary_of w sid = Some server) sids
+          in
+          (* Per-session frames would number [led] per tick: make the pair
+             carry several sessions so the count tells the designs apart. *)
+          if List.length led < 2 then
+            Alcotest.failf "server %d leads %d sessions of client %d" server (List.length led) r.rproc;
+          let frames =
+            List.filter (fun (_, s, _) -> s = server) (frames_between r ~from:t0 ~until:t1)
+          in
+          if not (within (k - 1) (k + 1) (List.length frames)) then
+            Alcotest.failf "server %d sent client %d %d frames over %d ticks" server r.rproc
+              (List.length frames) k;
+          List.iter
+            (fun (_, _, items) ->
+              let order = List.map fst items in
+              if order <> List.stable_sort String.compare order then
+                Alcotest.fail "frame items out of session-id order")
+            frames)
+        clients)
+    w.servers;
+  let per_tick = Haf_services.Vod.frames_per_tick in
+  List.iter
+    (fun (sid, r) ->
+      let n =
+        List.fold_left
+          (fun n (_, _, items) -> n + List.length (List.filter (fun (s, _) -> s = sid) items))
+          0 (frames_between r ~from:t0 ~until:t1)
+      in
+      if not (within ((k - 1) * per_tick) ((k + 1) * per_tick) n) then
+        Alcotest.failf "%s got %d responses over %d ticks" sid n k)
+    sids
+
+let test_first_response_within_a_tick_of_takeover () =
+  (* A successor serves a taken-over session at its own next service
+     tick, not a full tick after the takeover: the first response leaves
+     within one tick and reaches the client one link latency later. *)
+  let w = setup ~policy:{ Policy.default with n_backups = 1 } () in
+  run w ~until:3.;
+  let sids =
+    List.init 6 (fun i ->
+        run w ~until:(3. +. (0.07 *. float_of_int i));
+        FV.Client.start_session w.client ~unit_id:"movie:1" ~duration:60. ~request_interval:0.)
+  in
+  run w ~until:6.;
+  let victim = Option.get (primary_of w (List.hd sids)) in
+  crash_server w victim;
+  let t_crash = Engine.now w.engine in
+  run w ~until:(t_crash +. 4.);
+  let takeovers = crash_takeovers w ~since:t_crash in
+  check Alcotest.bool "several crash takeovers" true (List.length takeovers >= 2);
+  let max_latency = 0.001 in
+  List.iter
+    (fun (at, server, sid) ->
+      let sent =
+        match responses_sent w sid ~server ~from:(at -. 1e-9) ~until:(at +. 1.) with
+        | (s, _, _) :: _ -> s
+        | [] -> Alcotest.failf "%s: no response from %d after its takeover" sid server
+      in
+      if sent -. at >= tick_period -. 1e-6 then
+        Alcotest.failf "%s: first response %.4f s after the takeover" sid (sent -. at);
+      let arrived =
+        List.find_map
+          (fun (r, e) ->
+            match e with
+            | Events.Response_received { session_id; from_server; _ }
+              when session_id = sid && from_server = server && r >= sent ->
+                Some r
+            | _ -> None)
+          (Events.events w.events)
+      in
+      match arrived with
+      | Some r when r -. at <= tick_period +. max_latency -> ()
+      | Some r -> Alcotest.failf "%s: first response arrived %.4f s after the takeover" sid (r -. at)
+      | None -> Alcotest.failf "%s: no response reached the client" sid)
+    takeovers
+
+let test_hybrid_resend_one_frame () =
+  (* Under Hybrid, a successor without live context fast-forwards
+     through the uncertainty window and re-sends only its critical
+     responses (the I-frames), all in one [Responses] frame. *)
+  let policy =
+    { Policy.default with n_backups = 0; takeover = Policy.Hybrid; propagation_period = 2. }
+  in
+  let w = setup ~policy () in
+  let r = recorder w in
+  run w ~until:3.;
+  let sid = "r-hybrid" in
+  start_recorded w r sid;
+  after_propagation w sid ~after:6. ~delay:1.5 (crash_server w);
+  run w ~until:12.;
+  let at, server =
+    match List.filter (fun (_, _, s) -> s = sid) (crash_takeovers w ~since:6.) with
+    | (at, server, _) :: _ -> (at, server)
+    | [] -> Alcotest.fail "no crash takeover"
+  in
+  (* The successor held no role before, so what it sent by the takeover
+     instant is the re-send. *)
+  let resent = responses_sent w sid ~server ~from:0. ~until:at in
+  check Alcotest.bool "several responses re-sent" true (List.length resent >= 2);
+  check Alcotest.bool "only critical responses re-sent" true
+    (List.for_all (fun (_, _, critical) -> critical) resent);
+  let ids = List.map (fun (_, id, _) -> id) resent in
+  let from_successor =
+    List.filter (fun (_, s, _) -> s = server) (frames_between r ~from:at ~until:infinity)
+  in
+  (match from_successor with
+  | (_, _, items) :: _ ->
+      check (Alcotest.list Alcotest.int) "re-sent in one frame" ids
+        (List.map (fun (_, resp) -> response_id resp) items)
+  | [] -> Alcotest.fail "no frame from the successor");
+  (* P/B frames of the window stay dropped. *)
+  let last = List.fold_left Int.max 0 ids in
+  List.iter
+    (fun (_, id, critical) ->
+      if id <= last && not critical then
+        Alcotest.failf "successor sent P/B frame %d of the uncertainty window" id)
+    (responses_sent w sid ~server ~from:0. ~until:infinity)
 
 let test_grant_retry_after_primary_crash () =
   let policy = { Policy.default with n_backups = 0; grant_timeout = 1. } in
@@ -630,5 +827,10 @@ let suite =
           test_rebalance_demotion_hands_off;
         Alcotest.test_case "one frame per server, unit and period" `Quick
           test_one_frame_per_server_unit_period;
+        Alcotest.test_case "one Responses frame per server, client and tick" `Quick
+          test_one_responses_frame_per_server_client_tick;
+        Alcotest.test_case "first response within one tick of takeover" `Quick
+          test_first_response_within_a_tick_of_takeover;
+        Alcotest.test_case "hybrid re-send in one frame" `Quick test_hybrid_resend_one_frame;
       ] );
   ]
