@@ -82,15 +82,9 @@ let bench_marshal =
              {
                group = "session:c004-0";
                vid = { Haf_gcs.View.Id.epoch = 12; coord = 3 };
-               entries =
-                 [
-                   ( 42,
-                     {
-                       uid = { origin = 1; incarnation = 77; serial = 1042 };
-                       orig = 1;
-                       payload;
-                     } );
-                 ];
+               seq = 42;
+               entry =
+                 { uid = { origin = 1; incarnation = 77; serial = 1042 }; orig = 1; payload };
              }
          in
          ignore (Haf_gcs.Wire.decode (Haf_gcs.Wire.encode msg))))

@@ -75,8 +75,8 @@ let engine_bench =
   let doc =
     "Run the one-process engine scale bench (E12 machinery) up to $(docv) \
      concurrent sessions instead of the listed experiments: the scale mode \
-     (session shards) with sequencer batching, a ramp to the target population, a mid-run primary crash, the \
-     invariant monitor watching throughout.  Runs a smaller warm-up rung \
+     (session shards), a ramp to the target population, a mid-run primary \
+     crash, the invariant monitor watching throughout.  Runs a smaller warm-up rung \
      first, and exits nonzero on any monitor violation — the CI \
      engine-bench-smoke gate."
   in

@@ -841,7 +841,7 @@ module Make (S : Service_intf.SERVICE) = struct
             | Some sl -> relinquish t sl ~new_primary:None
             | None -> ())
         (Unit_db.sessions us.u_db);
-      reassign t us ~rebalance:t.policy.Policy.rebalance_on_join;
+      reassign t us ~rebalance:true;
       (* Replay messages that arrived during the exchange, in their
          totally ordered delivery order. *)
       List.iter
@@ -1295,7 +1295,6 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable c_end_timer : Engine.timer option;
       mutable c_watchdog : Engine.timer option;
       mutable c_last_response : float;
-      mutable c_reestablishes : int;
       mutable c_done : bool;
     }
 
@@ -1403,13 +1402,14 @@ module Make (S : Service_intf.SERVICE) = struct
           (encode_group (Request { session_id = cs.c_session; seq; body }))
       end
 
+    let cancel_timers cs =
+      List.iter (Option.iter Engine.cancel)
+        [ cs.c_req_timer; cs.c_grant_timer; cs.c_end_timer; cs.c_watchdog ]
+
     let finish_session t cs =
       if not cs.c_done then begin
         cs.c_done <- true;
-        (match cs.c_req_timer with Some tm -> Engine.cancel tm | None -> ());
-        (match cs.c_grant_timer with Some tm -> Engine.cancel tm | None -> ());
-        (match cs.c_end_timer with Some tm -> Engine.cancel tm | None -> ());
-        (match cs.c_watchdog with Some tm -> Engine.cancel tm | None -> ());
+        cancel_timers cs;
         Gcs.open_send t.gcs t.proc
           (Naming.content_group cs.c_unit)
           (encode_group (End_session { session_id = cs.c_session }))
@@ -1432,7 +1432,6 @@ module Make (S : Service_intf.SERVICE) = struct
           c_end_timer = None;
           c_watchdog = None;
           c_last_response = now t;
-          c_reestablishes = 0;
           c_done = false;
         }
       in
@@ -1465,7 +1464,6 @@ module Make (S : Service_intf.SERVICE) = struct
                  && now t -. cs.c_last_response
                     > 3. *. t.policy.Policy.grant_timeout
                then begin
-                 cs.c_reestablishes <- cs.c_reestablishes + 1;
                  cs.c_last_response <- now t;
                  ask ()
                end));
@@ -1491,13 +1489,7 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let stop t =
       t.running <- false;
-      Det_tbl.iter_sorted ~compare:String.compare
-        (fun _ cs ->
-          (match cs.c_req_timer with Some tm -> Engine.cancel tm | None -> ());
-          (match cs.c_grant_timer with Some tm -> Engine.cancel tm | None -> ());
-          (match cs.c_end_timer with Some tm -> Engine.cancel tm | None -> ());
-          (match cs.c_watchdog with Some tm -> Engine.cancel tm | None -> ()))
-        t.sessions
+      Det_tbl.iter_sorted ~compare:String.compare (fun _ cs -> cancel_timers cs) t.sessions
 
     let received t session_id =
       match Hashtbl.find_opt t.sessions session_id with

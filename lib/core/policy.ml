@@ -4,7 +4,6 @@ type t = {
   n_backups : int;
   propagation_period : float;
   takeover : takeover;
-  rebalance_on_join : bool;
   grant_timeout : float;
   session_shards : int;
 }
@@ -14,7 +13,6 @@ let default =
     n_backups = 1;
     propagation_period = 0.5;
     takeover = Resume;
-    rebalance_on_join = true;
     grant_timeout = 2.0;
     session_shards = 0;
   }
@@ -34,6 +32,6 @@ let takeover_to_string = function
   | Hybrid -> "hybrid"
 
 let pp ppf t =
-  Format.fprintf ppf "backups=%d prop=%gs takeover=%s rebalance=%b" t.n_backups
-    t.propagation_period (takeover_to_string t.takeover) t.rebalance_on_join;
+  Format.fprintf ppf "backups=%d prop=%gs takeover=%s" t.n_backups t.propagation_period
+    (takeover_to_string t.takeover);
   if t.session_shards > 0 then Format.fprintf ppf " shards=%d" t.session_shards

@@ -24,9 +24,6 @@ type t = {
       (** Seconds between the primary's context propagations to the
           content group ([2] used 0.5 s). *)
   takeover : takeover;
-  rebalance_on_join : bool;
-      (** Move sessions off overloaded servers when servers join
-          ("the servers evenly re-distribute the clients among them"). *)
   grant_timeout : float;
       (** Client-side: re-send the start-session request if no grant
           arrived within this long. *)
@@ -52,8 +49,7 @@ type t = {
 }
 
 val default : t
-(** 1 backup, 0.5 s propagation, [Resume] takeover, rebalancing on,
-    [session_shards = 0]. *)
+(** 1 backup, 0.5 s propagation, [Resume] takeover, [session_shards = 0]. *)
 
 val vod_paper : t
 (** The configuration of the VoD service of [2]: no backups, 0.5 s

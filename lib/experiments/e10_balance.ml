@@ -65,7 +65,6 @@ let run ~quick =
       request_interval = 3.;
       session_duration = duration +. 30.;
       duration;
-      policy = { Policy.default with n_backups = 1; rebalance_on_join = true };
     }
   in
   let tl, _ =

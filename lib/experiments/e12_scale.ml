@@ -44,13 +44,12 @@ let grant_latencies tl =
 
 (* The sweep above keeps the paper's literal per-session design; this
    bench runs the scale mode ([Policy.session_shards] > 0: shard
-   groups and incremental placement) with batched sequencing, and
-   drives the population to the point where the literal design stops
-   being runnable.  Sequencer batching and
-   incremental placement's primary pick are property-tested against
-   the default paths (test_gcs_units, test_core), and test_chaos runs
-   the scale mode under faults; here the run stays fully monitored, so
-   "10^5 sessions, 0 violations" is an observed claim.
+   groups and incremental placement) and drives the population to the
+   point where the literal design stops being runnable.  Incremental
+   placement's primary pick is property-tested against the full
+   selection (test_core), and test_chaos runs the scale mode under
+   faults; here the run stays fully monitored, so "10^5 sessions, 0
+   violations" is an observed claim.
 
    The synthetic service streams an item every 0.2 s — at 10^5 sessions
    that is 5x10^5 responses per simulated second of pure service
@@ -125,15 +124,7 @@ let bench_scenario ~sessions =
     monitor_interval = 2.5;
     retain_events = false;
     retain_responses = false;  (* flat client memory: counts, not lists *)
-    policy =
-      {
-        Policy.default with
-        n_backups = 1;
-        session_shards = 64;
-        propagation_period = 5.;
-        rebalance_on_join = false;
-      };
-    gcs_config = { Haf_gcs.Config.default with Haf_gcs.Config.seq_batch_window = 0.05 };
+    policy = { Policy.default with session_shards = 64; propagation_period = 5. };
   }
 
 (* Streaming probe: the sink retains nothing at this scale, so every
@@ -374,8 +365,8 @@ let run_bench ~clock ~ladder () =
   let table =
     Table.create
       ~title:
-        "E12 bench: engine scale (sharded groups, batched sequencing + \
-         propagation, incremental placement)"
+        "E12 bench: engine scale (sharded groups, batched propagation, \
+         incremental placement)"
       ~columns:
         [
           ("sessions", Table.Right);

@@ -12,9 +12,9 @@ val run : quick:bool -> Haf_stats.Table.t list
 
     One-process benchmark behind [haf_experiments --engine-bench] and
     the bench harness: every hot-path knob on (sharded session groups,
-    batched sequencing and propagation, incremental placement, the timer
-    wheel), a ramp to each target population, a mid-run primary crash,
-    and the invariant monitor watching throughout. *)
+    batched propagation, incremental placement, the timer wheel), a
+    ramp to each target population, a mid-run primary crash, and the
+    invariant monitor watching throughout. *)
 
 val bench :
   clock:(unit -> float) ->

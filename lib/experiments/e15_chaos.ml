@@ -104,7 +104,7 @@ let sweep_table ~quick =
    any delay spike longer than [suspect_timeout] forges a failure.
    (Config.validate still holds — the config is legal, just unwise.) *)
 let hair_trigger_gcs =
-  { Config.default with heartbeat_interval = 0.05; suspect_timeout = 0.12; flush_timeout = 0.3 }
+  { Config.heartbeat_interval = 0.05; suspect_timeout = 0.12; flush_timeout = 0.3 }
 
 let misconfig_scenario ~seed =
   {

@@ -2,7 +2,6 @@ type t = {
   heartbeat_interval : float;
   suspect_timeout : float;
   flush_timeout : float;
-  seq_batch_window : float;
 }
 
 let default =
@@ -10,7 +9,6 @@ let default =
     heartbeat_interval = 0.1;
     suspect_timeout = 0.35;
     flush_timeout = 0.6;
-    seq_batch_window = 0.;
   }
 
 let validate t =
@@ -18,9 +16,8 @@ let validate t =
   else if t.suspect_timeout < 2. *. t.heartbeat_interval then
     Error "suspect_timeout must be at least two heartbeat intervals"
   else if t.flush_timeout <= 0. then Error "flush_timeout must be positive"
-  else if t.seq_batch_window < 0. then Error "seq_batch_window must be non-negative"
   else Ok t
 
 let pp ppf t =
-  Format.fprintf ppf "hb=%gs suspect=%gs flush=%gs batch=%gs"
-    t.heartbeat_interval t.suspect_timeout t.flush_timeout t.seq_batch_window
+  Format.fprintf ppf "hb=%gs suspect=%gs flush=%gs" t.heartbeat_interval
+    t.suspect_timeout t.flush_timeout

@@ -11,14 +11,6 @@ type t = {
       (** How long a coordinator waits for flush replies before
           re-proposing without the laggards, and how long a flushed member
           waits for an install before giving up on the proposer. *)
-  seq_batch_window : float;
-      (** When positive, the sequencer buffers submissions and flushes
-          them every [seq_batch_window] seconds: one [Wire.Data]
-          frame per member carries the whole batch, with consecutive
-          sequence numbers in submission order — so the total delivery
-          order is {e identical} to the unbatched one (qcheck-pinned),
-          only the framing amortizes.  [0.] (the default) sequences
-          each submission at once, in a one-entry frame. *)
 }
 
 val default : t

@@ -51,11 +51,6 @@ type gstate = {
          resubmitted after view changes — otherwise a request forwarded
          to a crashed, not-yet-suspected sequencer would vanish. *)
   mutable pending_open : Wire.entry list;  (* open sends held during flush *)
-  mutable seq_batch : Wire.entry list;
-      (* Newest first: submissions buffered at the sequencer between
-         batch flushes (Config.seq_batch_window > 0).  Dropped, not
-         sequenced, if a view change intervenes — the originators'
-         [outstanding]/[relayed] resubmission recovers every entry. *)
   mutable left : proc list;
 }
 
@@ -117,7 +112,7 @@ type t = {
   contacts : proc list;
   incarnation : int;
   mutable next_serial : int;
-  mutable timers : Engine.timer list;
+  mutable hb_timer : Engine.timer option;
   mutable view_changes : int;
   mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
       (* Observer for audit failures (the framework emits events from
@@ -180,7 +175,7 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     contacts = List.filter (fun p -> p <> me) contacts;
     incarnation;
     next_serial = 0;
-    timers = [];
+    hb_timer = None;
     view_changes = 0;
     audit_hook = None;
     resets = 0;
@@ -305,65 +300,20 @@ let deliver_contiguous t gs =
 (* ------------------------------------------------------------------ *)
 (* Sequencing (this daemon is the coordinator of the current view)     *)
 
-(* Assign the next slot to an unseen entry: the one place sequence
-   numbers are minted, so batched and unbatched submissions produce the
-   same total order for the same submission order. *)
-let assign_seq t gs (entry : Wire.entry) =
-  if Hashtbl.mem gs.seen_uids entry.uid then None
-  else begin
+(* Give an unseen entry the next slot, log it, ship it to every member
+   in one [Data] frame and deliver what became contiguous.  Only called
+   while [Stable] with this daemon as coordinator: the one place
+   sequence numbers are minted. *)
+let sequence t gs (entry : Wire.entry) =
+  if not (Hashtbl.mem gs.seen_uids entry.uid) then begin
     let seq = gs.next_seq in
     gs.next_seq <- seq + 1;
     Hashtbl.replace gs.log seq entry;
     note_logged t gs entry;
-    Some (seq, entry)
+    send_others t gs.view.View.members
+      (Wire.Data { group = gs.group; vid = gs.view.View.id; seq; entry });
+    deliver_contiguous t gs
   end
-
-(* Number the submissions consecutively and ship them to every member
-   in one [Data] frame.  Only called while [Stable] with this daemon as
-   coordinator. *)
-let sequence_entries t gs pending =
-  match List.filter_map (fun e -> assign_seq t gs e) pending with
-  | [] -> ()
-  | entries ->
-      send_others t gs.view.View.members
-        (Wire.Data { group = gs.group; vid = gs.view.View.id; entries });
-      deliver_contiguous t gs
-
-let sequence t gs (entry : Wire.entry) =
-  if t.config.Config.seq_batch_window > 0. then
-    (* Buffered; the batch timer flushes in submission order, so the
-       total order is the one immediate sequencing would have produced. *)
-    gs.seq_batch <- entry :: gs.seq_batch
-  else sequence_entries t gs [ entry ]
-
-(* One batch flush.  Anything buffered across a view change or a
-   coordinator handoff is dropped here — never sequenced — and comes
-   back through the install path's resubmission. *)
-let flush_batch t gs =
-  let pending = List.rev gs.seq_batch in
-  gs.seq_batch <- [];
-  if pending <> [] then
-    match gs.mstate with
-    | Stable when View.coordinator gs.view = t.me -> sequence_entries t gs pending
-    | Stable | Proposing _ | Flushed _ -> ()
-
-(* Attribution slots for the two per-server periodic sweeps — together
-   with the framework's service tick these make up nearly all of the
-   engine's [Internal] firings at bench scale. *)
-let prof_batch = Haf_sim.Profile.slot "gcs.batch"
-
-let prof_heartbeat = Haf_sim.Profile.slot "gcs.heartbeat"
-
-let batch_tick_body t =
-  if t.is_alive then List.iter (fun (_, gs) -> flush_batch t gs) (sorted_gstates t)
-
-let batch_tick t =
-  if Haf_sim.Profile.hit prof_batch then begin
-    let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
-    batch_tick_body t;
-    Haf_sim.Profile.leave prof_batch ~w0 ~c0
-  end
-  else batch_tick_body t
 
 let submit t gs (entry : Wire.entry) =
   match gs.mstate with
@@ -627,7 +577,6 @@ let reset_group t gs =
   gs.next_seq <- 1;
   gs.mstate <- Stable;
   gs.max_epoch <- Int.max 0 gs.max_epoch;
-  gs.seq_batch <- [];
   gs.left <- [];
   Hashtbl.remove t.vid_mismatch gs.group;
   t.view_changes <- t.view_changes + 1;
@@ -688,6 +637,11 @@ let corruption_tick t =
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeats                                                          *)
+
+(* Attribution slot for the per-server heartbeat sweep — together with
+   the framework's service tick it makes up nearly all of the engine's
+   [Internal] firings at bench scale. *)
+let prof_heartbeat = Haf_sim.Profile.slot "gcs.heartbeat"
 
 let prof_adverts = Haf_sim.Profile.slot "gcs.adverts"
 
@@ -872,7 +826,7 @@ let handle_install t ~group ~epoch ~view_id ~members ~sync =
           apply_install t gs ~epoch ~view_id ~members ~sync
       | Flushed _ | Stable | Proposing _ -> ())
 
-let handle_data t ~group ~vid ~entries =
+let handle_data t ~group ~vid ~seq ~entry =
   match Hashtbl.find_opt t.gstates group with
   | None -> ()
   | Some gs ->
@@ -881,11 +835,8 @@ let handle_data t ~group ~vid ~entries =
          resets the group on failure, after which [vid] no longer
          matches and the data is ignored like any other stale frame. *)
       if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
-        List.iter
-          (fun (seq, entry) ->
-            if not (Hashtbl.mem gs.log seq) then Hashtbl.replace gs.log seq entry;
-            note_logged t gs entry)
-          entries;
+        if not (Hashtbl.mem gs.log seq) then Hashtbl.replace gs.log seq entry;
+        note_logged t gs entry;
         match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
       end
 
@@ -962,7 +913,7 @@ let on_reliable t ~src payload =
     | Some (Wire.Nack { group; epoch_hint }) -> handle_nack t ~group ~epoch_hint
     | Some (Wire.Install { group; epoch; view_id; members; sync }) ->
         handle_install t ~group ~epoch ~view_id ~members ~sync
-    | Some (Wire.Data { group; vid; entries }) -> handle_data t ~group ~vid ~entries
+    | Some (Wire.Data { group; vid; seq; entry }) -> handle_data t ~group ~vid ~seq ~entry
     | Some (Wire.Data_req { group; entry }) -> handle_data_req t ~group ~entry
     | Some (Wire.Open_send { group; entry; ttl }) ->
         handle_open_send t ~group ~entry ~ttl
@@ -1037,21 +988,13 @@ let start t =
     (fun ~src payload -> on_reliable t ~src payload);
   List.iter (fun c -> monitor_peer t c) t.contacts;
   let first = Haf_sim.Rng.float t.rng t.hb_interval in
-  let timer = Engine.every t.engine ~first ~period:t.hb_interval (fun () -> heartbeat_tick t) in
-  t.timers <- timer :: t.timers;
-  (* One batch timer per daemon, not per group: at session-shard scale a
-     daemon coordinates many groups, and per-group timers would put the
-     engine right back in the per-session hot loop batching removes. *)
-  let w = t.config.Config.seq_batch_window in
-  if w > 0. then begin
-    let bt = Engine.every t.engine ~first:w ~period:w (fun () -> batch_tick t) in
-    t.timers <- bt :: t.timers
-  end
+  t.hb_timer <-
+    Some (Engine.every t.engine ~first ~period:t.hb_interval (fun () -> heartbeat_tick t))
 
 let stop t =
   t.is_alive <- false;
-  List.iter Engine.cancel t.timers;
-  t.timers <- []
+  Option.iter Engine.cancel t.hb_timer;
+  t.hb_timer <- None
 
 let join t group =
   if not (Hashtbl.mem t.gstates group) then begin
@@ -1069,7 +1012,6 @@ let join t group =
         outstanding = [];
         relayed = Hashtbl.create 16;
         pending_open = [];
-        seq_batch = [];
         left = [];
       }
     in

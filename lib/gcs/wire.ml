@@ -35,9 +35,8 @@ type msg =
       sync : (View.Id.t * (int * entry) list) list;
     }
   | Data_req of { group : string; entry : entry }
-  | Data of { group : string; vid : View.Id.t; entries : (int * entry) list }
-      (* One sequencer slot: consecutively numbered (seq, entry) pairs,
-         a single pair unless the sequencer batches. *)
+  | Data of { group : string; vid : View.Id.t; seq : int; entry : entry }
+      (* One sequencer slot. *)
   | Open_send of { group : string; entry : entry; ttl : int }
   | Leave of { group : string; who : proc }
   | P2p of { payload : string }
@@ -105,10 +104,9 @@ let validate = function
       check
         (String.length group > 0 && valid_entry entry)
         "malformed data_req"
-  | Data { group; vid; entries } ->
+  | Data { group; vid; seq; entry } ->
       check
-        (String.length group > 0 && valid_vid vid && entries <> []
-       && valid_log entries)
+        (String.length group > 0 && valid_vid vid && seq >= 1 && valid_entry entry)
         "malformed data"
   | Open_send { group; entry; ttl } ->
       check
@@ -126,8 +124,7 @@ let pp ppf = function
   | Nack { group; epoch_hint } -> Format.fprintf ppf "nack(%s,e%d)" group epoch_hint
   | Install { group; epoch; _ } -> Format.fprintf ppf "install(%s,e%d)" group epoch
   | Data_req { group; _ } -> Format.fprintf ppf "data_req(%s)" group
-  | Data { group; entries; _ } ->
-      Format.fprintf ppf "data(%s,%d)" group (List.length entries)
+  | Data { group; seq; _ } -> Format.fprintf ppf "data(%s,%d)" group seq
   | Open_send { group; _ } -> Format.fprintf ppf "open_send(%s)" group
   | Leave { group; who } -> Format.fprintf ppf "leave(%s,%d)" group who
   | P2p _ -> Format.pp_print_string ppf "p2p"

@@ -49,10 +49,8 @@ type msg =
               surviving members' logs, the heart of virtual synchrony. *)
     }
   | Data_req of { group : string; entry : entry }
-  | Data of { group : string; vid : View.Id.t; entries : (int * entry) list }
-      (** One sequencer slot: non-empty, consecutively numbered
-          [(seq, entry)] pairs.  A single pair, sent at once, unless
-          {!Config.t.seq_batch_window} makes the sequencer batch. *)
+  | Data of { group : string; vid : View.Id.t; seq : int; entry : entry }
+      (** One sequencer slot, sent as soon as the entry is sequenced. *)
   | Open_send of { group : string; entry : entry; ttl : int }
   | Leave of { group : string; who : proc }
   | P2p of { payload : string }

@@ -268,12 +268,7 @@ let test_chaos_scale_mode () =
    ends they share one clique component — the monitor must flag it. *)
 let test_monitor_catches_dual_primary () =
   let hair_trigger =
-    {
-      Config.default with
-      heartbeat_interval = 0.05;
-      suspect_timeout = 0.12;
-      flush_timeout = 0.3;
-    }
+    { Config.heartbeat_interval = 0.05; suspect_timeout = 0.12; flush_timeout = 0.3 }
   in
   let sc =
     {

@@ -147,21 +147,16 @@ let test_e9_runs () =
   | None -> Alcotest.fail "e9 missing"
 
 (* The scale mode ([session_shards] > 0: shard groups and incremental
-   placement) together with sequencer
-   batching, plus a mid-run primary crash.  Of these, only sequencer
-   batching is equivalence-tested in isolation (test_gcs_units);
-   incremental placement's primary is checked against the full
-   selection (test_core), and the scale mode runs under a chaos
-   schedule (test_chaos).  This is the combined end-to-end check that
-   the monitored protocol still grants, streams, and takes over cleanly
-   with everything switched on. *)
+   placement) plus a mid-run primary crash.  Incremental placement's
+   primary is checked against the full selection (test_core), and the
+   scale mode runs under a chaos schedule (test_chaos).  This is the
+   end-to-end check that the monitored protocol still grants, streams,
+   and takes over cleanly in the scale mode. *)
 let test_fast_path_knobs_combined () =
   let sc =
     {
       (small_scenario ~seed:11 ()) with
-      Scenario.policy =
-{ Haf_core.Policy.default with session_shards = 4 };
-      gcs_config = { Haf_gcs.Config.default with seq_batch_window = 0.05 };
+      Scenario.policy = { Haf_core.Policy.default with session_shards = 4 };
     }
   in
   let tl, w =

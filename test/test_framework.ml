@@ -347,7 +347,7 @@ let test_session_end_cleans_up () =
 let test_join_rebalances () =
   (* Start with one server carrying several sessions, then bring up a
      second server replicating the same unit: sessions must spread. *)
-  let policy = { Policy.default with n_backups = 0; rebalance_on_join = true } in
+  let policy = { Policy.default with n_backups = 0 } in
   let w = setup ~n:2 ~policy () in
   (* Only server 0 serves the unit initially. *)
   let w =
@@ -398,7 +398,7 @@ let test_rebalance_demotion_hands_off () =
      1 while server 0 stays their backup.  Resuming from the propagated
      snapshot would repeat half a period of frames; with the handoff the
      client sees no duplicates or gaps. *)
-  let policy = { Policy.default with n_backups = 1; rebalance_on_join = true } in
+  let policy = Policy.default in
   let engine = Engine.create ~seed:31 () in
   let gcs = Gcs.create ~num_servers:2 engine in
   let events = Events.make_sink () in

@@ -279,7 +279,7 @@ let test_add_server_mid_run () =
   (* A brand-new server process (fresh GCS node, fresh framework server)
      joins a running deployment: it must merge into the content group,
      receive the database by state exchange, and absorb load. *)
-  let policy = { Policy.default with n_backups = 0; rebalance_on_join = true } in
+  let policy = { Policy.default with n_backups = 0 } in
   let w = vod_setup ~n:2 ~policy ~seed:409 () in
   Engine.run ~until:3. w.engine;
   (* Six sessions on two servers (3+3); with a third server the even

@@ -6,7 +6,6 @@ module Network = Haf_net.Network
 module Gcs = Haf_gcs.Gcs
 module View = Haf_gcs.View
 module Config = Haf_gcs.Config
-module Causal = Haf_gcs.Causal
 
 let check = Alcotest.check
 
@@ -480,86 +479,6 @@ let prop_total_order_random_crashes =
       && List.for_all (fun s -> s = List.hd seqs) seqs)
 
 (* ------------------------------------------------------------------ *)
-(* Causal layer *)
-
-let test_causal_in_order () =
-  let a = Causal.create ~n:3 ~me:0 in
-  let b = Causal.create ~n:3 ~me:1 in
-  let m1 = Causal.stamp a "x" in
-  let m2 = Causal.stamp a "y" in
-  let d1 = Causal.receive b m1 in
-  let d2 = Causal.receive b m2 in
-  check (Alcotest.list Alcotest.string) "first" [ "x" ] (List.map (fun m -> m.Causal.body) d1);
-  check (Alcotest.list Alcotest.string) "second" [ "y" ] (List.map (fun m -> m.Causal.body) d2)
-
-let test_causal_reorders () =
-  let a = Causal.create ~n:3 ~me:0 in
-  let b = Causal.create ~n:3 ~me:1 in
-  let m1 = Causal.stamp a "x" in
-  let m2 = Causal.stamp a "y" in
-  (* Deliver out of order: y buffered until x arrives. *)
-  check Alcotest.int "y buffered" 0 (List.length (Causal.receive b m2));
-  check Alcotest.int "buffer size" 1 (Causal.pending b);
-  let d = Causal.receive b m1 in
-  check (Alcotest.list Alcotest.string) "x then y" [ "x"; "y" ]
-    (List.map (fun m -> m.Causal.body) d)
-
-let test_causal_transitive () =
-  (* a -> b -> c: c must not deliver b's message before a's. *)
-  let a = Causal.create ~n:3 ~me:0 in
-  let b = Causal.create ~n:3 ~me:1 in
-  let c = Causal.create ~n:3 ~me:2 in
-  let ma = Causal.stamp a "from-a" in
-  ignore (Causal.receive b ma);
-  let mb = Causal.stamp b "from-b" in
-  check Alcotest.int "b's msg buffered at c" 0 (List.length (Causal.receive c mb));
-  let d = Causal.receive c ma in
-  check (Alcotest.list Alcotest.string) "causal order at c" [ "from-a"; "from-b" ]
-    (List.map (fun m -> m.Causal.body) d)
-
-let test_causal_duplicates_ignored () =
-  let a = Causal.create ~n:2 ~me:0 in
-  let b = Causal.create ~n:2 ~me:1 in
-  let m = Causal.stamp a "x" in
-  check Alcotest.int "first" 1 (List.length (Causal.receive b m));
-  check Alcotest.int "dup dropped" 0 (List.length (Causal.receive b m))
-
-let prop_causal_random_order =
-  QCheck.Test.make ~name:"causal: any arrival order delivers causally" ~count:100
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let rng = Haf_sim.Rng.create seed in
-      let senders_n = 3 in
-      let n = senders_n + 1 in
-      (* Process [senders_n] is a silent receiver. *)
-      let senders = Array.init senders_n (fun i -> Causal.create ~n ~me:i) in
-      (* Build causal chains: each sender reads everything so far before
-         stamping its own message. *)
-      let msgs = ref [] in
-      for round = 1 to 6 do
-        let s = Haf_sim.Rng.int rng senders_n in
-        List.iter (fun m -> ignore (Causal.receive senders.(s) m)) (List.rev !msgs);
-        let m = Causal.stamp senders.(s) (Printf.sprintf "r%d-s%d" round s) in
-        msgs := m :: !msgs
-      done;
-      let receiver = Causal.create ~n ~me:senders_n in
-      let shuffled = Haf_sim.Rng.shuffle rng (List.rev !msgs) in
-      let delivered = List.concat_map (Causal.receive receiver) shuffled in
-      let happened_before a b =
-        a != b
-        && Array.for_all2 (fun x y -> x <= y) a.Causal.vc b.Causal.vc
-      in
-      let rec order_ok = function
-        | [] -> true
-        | x :: rest ->
-            (* Nothing delivered later may causally precede [x]. *)
-            List.for_all (fun y -> not (happened_before y x)) rest && order_ok rest
-      in
-      List.length delivered = List.length !msgs
-      && Causal.pending receiver = 0
-      && order_ok delivered)
-
-(* ------------------------------------------------------------------ *)
 (* View-ordering under exploration: across every explored delivery
    schedule of a three-daemon merge (bounded to 8 branch points), no
    member may ever install views out of its local order.  This drives
@@ -649,12 +568,4 @@ let suite =
           test_open_send_survives_member_crash;
         Alcotest.test_case "p2p" `Quick test_p2p;
       ] );
-    ( "gcs.causal",
-      [
-        Alcotest.test_case "in order" `Quick test_causal_in_order;
-        Alcotest.test_case "reorders" `Quick test_causal_reorders;
-        Alcotest.test_case "transitive" `Quick test_causal_transitive;
-        Alcotest.test_case "duplicates ignored" `Quick test_causal_duplicates_ignored;
-      ]
-      @ qsuite [ prop_causal_random_order ] );
   ]

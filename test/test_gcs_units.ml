@@ -57,24 +57,18 @@ let test_config_validate () =
 (* ------------------------------------------------------------------ *)
 (* Wire: the sequencer's Data frame *)
 
-let data entries =
-  Wire.Data { group = "g"; vid = { View.Id.epoch = 2; coord = 0 }; entries }
+let data seq entry =
+  Wire.Data { group = "g"; vid = { View.Id.epoch = 2; coord = 0 }; seq; entry }
 
 let entry serial =
   { Wire.uid = { origin = 1; incarnation = 0; serial }; orig = 1; payload = "p" }
 
 let test_wire_data_frame () =
   let ok m = Result.is_ok (Wire.validate m) in
-  check Alcotest.bool "one-entry frame accepted" true (ok (data [ (1, entry 0) ]));
-  check Alcotest.bool "consecutive batch accepted" true
-    (ok (data [ (4, entry 0); (5, entry 1) ]));
-  check Alcotest.bool "empty entries rejected" false (ok (data []));
-  check Alcotest.bool "seq 0 rejected" false (ok (data [ (0, entry 0) ]));
-  check Alcotest.bool "negative seq in a batch rejected" false
-    (ok (data [ (3, entry 0); (-1, entry 1) ]));
-  let one = data [ (1, entry 0) ] in
-  check Alcotest.bool "one-entry frame round-trips" true
-    (Wire.decode (Wire.encode one) = one)
+  check Alcotest.bool "frame accepted" true (ok (data 1 (entry 0)));
+  check Alcotest.bool "seq 0 rejected" false (ok (data 0 (entry 0)));
+  let one = data 1 (entry 0) in
+  check Alcotest.bool "frame round-trips" true (Wire.decode (Wire.encode one) = one)
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
@@ -1134,24 +1128,16 @@ let prop_tombstone_survives_flag_corruption =
       | None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Batched sequencing: total order identical to the unbatched path     *)
+(* Sequencing bursts: one agreed total order                           *)
 
 (* One run: 3 servers join a group, then bursts of multicasts — each
    burst from a single sender, bursts spaced far enough apart that the
    per-sender FIFO transport makes the sequencer's arrival order (and so
-   the total order) independent of latency jitter.  With a positive
-   batch window an entire burst rides one sequencer flush; the delivery
-   order per member must still be exactly the unbatched one. *)
-let deliveries_with ~window seed =
+   the total order) independent of latency jitter.  Returns the number
+   of messages sent and each member's delivery order. *)
+let burst_deliveries seed =
   let engine = Engine.create ~seed:(seed + 77) () in
-  let cfg =
-    {
-      Config.heartbeat_interval = 0.05;
-      suspect_timeout = 0.12;
-      flush_timeout = 0.3;
-      seq_batch_window = window;
-    }
-  in
+  let cfg = { Config.heartbeat_interval = 0.05; suspect_timeout = 0.12; flush_timeout = 0.3 } in
   let gcs = Gcs.create ~gcs_config:cfg ~num_servers:3 engine in
   let delivered = Hashtbl.create 8 in
   List.iter
@@ -1190,20 +1176,15 @@ let deliveries_with ~window seed =
       (fun p -> List.rev (Option.value (Hashtbl.find_opt delivered p) ~default:[]))
       (Gcs.servers gcs) )
 
-let prop_batched_order_equals_unbatched =
-  QCheck.Test.make
-    ~name:"gcs: batched sequencing delivers the unbatched total order"
-    ~count:500
+let prop_bursts_in_one_order =
+  QCheck.Test.make ~name:"gcs: every member delivers every burst in one order" ~count:500
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let n_plain, plain = deliveries_with ~window:0. seed in
-      let n_batched, batched = deliveries_with ~window:0.11 seed in
-      (* every member delivered everything, in one agreed order, and the
-         batched order is the unbatched one *)
-      n_plain = n_batched
-      && List.for_all (fun d -> List.length d = n_plain) plain
-      && List.for_all (fun d -> d = List.nth plain 0) plain
-      && batched = plain)
+      let sent, delivered = burst_deliveries seed in
+      let first = List.hd delivered in
+      List.length first = sent
+      && List.sort_uniq String.compare first = List.sort String.compare first
+      && List.for_all (fun d -> d = first) delivered)
 
 (* ------------------------------------------------------------------ *)
 (* Unit-db reconciliation: order-independent merge fixed point         *)
@@ -1321,9 +1302,7 @@ let suite =
             prop_virtual_synchrony_direct;
             prop_sent_adverts_current;
           ] );
-    ( "gcs.batched_order",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_batched_order_equals_unbatched ] );
+    ("gcs.burst_order", List.map QCheck_alcotest.to_alcotest [ prop_bursts_in_one_order ]);
     ( "gcs.unit_db.self_check",
       List.map QCheck_alcotest.to_alcotest
         [
