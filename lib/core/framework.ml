@@ -162,10 +162,10 @@ module Make (S : Service_intf.SERVICE) = struct
              completes (or a grace period proves us alone), else a
              restarted node would duel the live primary. *)
       mutable u_loads : Selection.loads option;
-          (* Member load table for incremental placement (sharded mode):
-             valid only between full selections — any path that runs
-             {!reassign} or replaces the database drops it, and the next
-             incremental start rebuilds it from the live sessions. *)
+          (* Member load table for placing new sessions: valid only
+             between full selections — any path that runs {!reassign}
+             or replaces the database drops it, and the next start
+             rebuilds it from the live sessions. *)
     }
 
     type t = {
@@ -226,11 +226,6 @@ module Make (S : Service_intf.SERVICE) = struct
 
     (* -------------------------------------------------------------- *)
     (* Session-group membership                                        *)
-
-    (* [Policy.session_shards] > 0 selects the scale design: shard
-       groups and incremental placement.  Everything else is the paper's
-       per-session design. *)
-    let sharded t = t.policy.Policy.session_shards > 0
 
     (* Refcounted session-group membership.  A per-session group holds
        one session, so its count is 0 or 1; a shard group carries a
@@ -566,8 +561,8 @@ module Make (S : Service_intf.SERVICE) = struct
       | _ when us.u_recovering -> ()
       | None -> ()
       | Some view ->
-          (* Full selection supersedes any incremental load table; the
-             next incremental start rebuilds it from the result. *)
+          (* Full selection supersedes the load table; the next start
+             rebuilds it from the result. *)
           us.u_loads <- None;
           let assignments =
             Selection.assign ~n_backups:t.policy.Policy.n_backups
@@ -576,14 +571,15 @@ module Make (S : Service_intf.SERVICE) = struct
           in
           List.iter (apply_assignment t us) assignments
 
-    (* Incremental placement (sharded mode): a brand-new session is
-       placed against a {!Selection.loads} table kept across starts
-       instead of re-running the full selection — the same primary
+    (* Every [Start_session] places its brand-new session here, against
+       a {!Selection.loads} table kept across starts instead of
+       re-running the full selection — the same primary and backups
        {!Selection.assign} would pick, in O(members) instead of
-       O(sessions).  The table, the tie-break and the view are identical
-       at every member, so the paper's no-extra-round agreement is
-       preserved; any view change falls back to the full selection,
-       which drops the table, and the next start rebuilds it. *)
+       O(sessions), and no settled session's roles move.  The table, the
+       tie-break and the view are identical at every member, so the
+       paper's no-extra-round agreement is preserved; any view change
+       falls back to the full selection, which drops the table, and the
+       next start rebuilds it. *)
     let[@hot] assign_new_session t us session_id =
       match us.u_view with
       | _ when us.u_recovering -> ()
@@ -762,8 +758,7 @@ module Make (S : Service_intf.SERVICE) = struct
           refresh_checksum us;
           if not existed then begin
             store_log t (P_session { unit_id = us.u_id; session_id; client; started_at });
-            if sharded t then assign_new_session t us session_id
-            else reassign t us ~rebalance:false
+            assign_new_session t us session_id
           end;
           grant_if_primary t us session_id
       | Propagate { snaps } ->

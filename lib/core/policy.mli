@@ -28,24 +28,19 @@ type t = {
       (** Client-side: re-send the start-session request if no grant
           arrived within this long. *)
   session_shards : int;
-      (** The one scale setting.  0 (the default) is the paper's
-          design: every session gets its own GCS group
-          ({!Naming.session_group}), and every [Start_session] re-runs
-          the full deterministic selection.
+      (** The one scale setting; it selects only how sessions are named
+          as GCS groups ({!Naming.session_group}).  0 (the default) is
+          the paper's design: every session gets its own group.
+          Positive [k] maps sessions onto [k] fixed shard groups, which
+          bounds group count at 10{^5}+ concurrent sessions; requests
+          fan out to the shard's members and non-involved servers drop
+          them.
 
-          Positive [k] selects the scale design, which bounds
-          per-session cost at 10{^5}+ concurrent sessions:
-          - sessions map onto [k] fixed shard groups; requests fan out
-            to the shard's members and non-involved servers drop them;
-          - a fresh session is placed incrementally against a load
-            table kept identical at every member; any view change falls
-            back to the full selection.
-
-          Propagation does not depend on it: in both designs each server
-          ships every local primary's snapshot for a content unit in one
-          frame per period.  The scale design is not the default because
-          incremental placement moves the paper-facing steady-state
-          balance; ARCHITECTURE.md §11 records by how much. *)
+          Nothing else depends on it.  In both designs a fresh session
+          is placed incrementally against a load table kept identical
+          at every member ({!Selection.place}), and each server ships
+          every local primary's snapshot for a content unit in one
+          frame per period. *)
 }
 
 val default : t

@@ -33,7 +33,11 @@ val assign :
     even share [ceil(sessions/members)] loses the stickiness preference
     (used after servers join); without it, former primaries always keep
     their sessions ("immediately reach a consistent decision ... without
-    exchanging additional information").
+    exchanging additional information").  Each session keeps its
+    surviving backups, in order, up to [n_backups]; the missing slots go
+    to the least loaded members by weighted load.  So without
+    [rebalance], a session placed by an earlier call over the same
+    members keeps all its roles.
 
     @raise Invalid_argument if [members] is empty. *)
 
@@ -56,21 +60,15 @@ val loads_of : members:int list -> prev list -> loads
 val place : loads -> n_backups:int -> string -> assignment option
 (** [place loads ~n_backups session_id] places a fresh session and
     counts its roles in [loads].  The primary is the member with the
-    fewest primaries, lowest id on ties: exactly the primary
-    [assign ~rebalance:false] gives a session with no history when every
-    live session's primary is a member.  Backups are the least loaded
-    members by weighted load.  They can differ from {!assign}'s, whose
-    phase 3 counts only the backups of sessions earlier in id order.
-    [None] only if the table has no members. *)
+    fewest primaries, lowest id on ties; the backups are the least
+    loaded members by weighted load.  {!assign} makes both picks with
+    the same code, so when every live session's roles are on members
+    and no live session has an open backup slot, [place] returns
+    exactly the entry [assign ~rebalance:false] gives the fresh
+    session.  [None] only if the table has no members. *)
 
 val unload : loads -> prev -> unit
 (** Stop counting an ended session's roles. *)
 
 val load_table : loads -> (int * float * float) list
 (** (member, primary count, weighted load), by member: for tests. *)
-
-val load_of : assignment list -> int -> float
-(** [load_of assignments server]: primaries count 1, backups 1/2. *)
-
-val imbalance : assignment list -> members:int list -> float
-(** Max load minus min load across members — 0 is perfectly even. *)

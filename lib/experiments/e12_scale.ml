@@ -42,14 +42,14 @@ let grant_latencies tl =
 (* Engine scale bench: 10^4..10^5+ concurrent sessions in ONE process  *)
 (* ------------------------------------------------------------------ *)
 
-(* The sweep above keeps the paper's literal per-session design; this
+(* The sweep above keeps the paper's literal per-session groups; this
    bench runs the scale mode ([Policy.session_shards] > 0: shard
-   groups and incremental placement) and drives the population to the
-   point where the literal design stops being runnable.  Incremental
-   placement's primary pick is property-tested against the full
-   selection (test_core), and test_chaos runs the scale mode under
-   faults; here the run stays fully monitored, so "10^5 sessions, 0
-   violations" is an observed claim.
+   groups) and drives the population to the point where one group per
+   session stops being runnable.  Incremental placement's whole
+   assignment is property-tested against the full selection
+   (test_core), and test_chaos runs the scale mode under faults; here
+   the run stays fully monitored, so "10^5 sessions, 0 violations" is
+   an observed claim.
 
    The synthetic service streams an item every 0.2 s — at 10^5 sessions
    that is 5x10^5 responses per simulated second of pure service

@@ -190,10 +190,11 @@ let prop_selection_balanced =
       List.for_all (fun m -> float_of_int (count m) <= ceil share) members)
 
 (* Incremental placement against the full selection.  For a stable
-   view, live sessions whose primaries are members, and a fresh session,
-   the incremental primary is exactly the one [assign ~rebalance:false]
-   gives it.  Random starts and ends on the cached table must then
-   leave it equal to a rebuild from the surviving sessions. *)
+   view, live sessions whose roles are on members and whose backup lists
+   are full, and a fresh session, the incremental assignment — primary
+   and backups — is exactly the one [assign ~rebalance:false] gives it.
+   Random starts and ends on the cached table must then leave it equal
+   to a rebuild from the surviving sessions. *)
 let prop_incremental_matches_assign =
   QCheck.Test.make ~name:"incremental placement matches full selection" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -216,13 +217,13 @@ let prop_incremental_matches_assign =
       let expected =
         List.find (fun a -> a.Selection.a_session_id = fresh) full
       in
-      let primary_matches =
+      let placed_matches =
         match Selection.place loads ~n_backups fresh with
         | Some a ->
             live :=
               prev ~primary:(Some a.Selection.a_primary) ~backups:a.Selection.a_backups fresh
               :: !live;
-            a.Selection.a_primary = expected.Selection.a_primary
+            a = expected
         | None -> false
       in
       for i = 1 to Rng.int rng 40 do
@@ -240,8 +241,33 @@ let prop_incremental_matches_assign =
                   :: !live
             | None -> ())
       done;
-      primary_matches
+      placed_matches
       && Selection.load_table loads = Selection.load_table (Selection.loads_of ~members !live))
+
+(* A fresh session moves no settled role.  Settle random sessions one
+   start at a time, as the framework does, then start one more: every
+   earlier session must keep its primary and its whole backup list, so
+   a start logs no assignment record for any other session. *)
+let prop_fresh_session_moves_nothing =
+  QCheck.Test.make ~name:"fresh session moves no settled role" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module Rng = Haf_sim.Rng in
+      let rng = Rng.create seed in
+      let members = Rng.sample rng (Rng.int_in rng 1 5) [ 0; 1; 2; 3; 4; 5; 6 ] in
+      let n_backups = Rng.int rng 3 in
+      let start settled sid =
+        List.map
+          (fun a ->
+            prev ~primary:(Some a.Selection.a_primary) ~backups:a.Selection.a_backups
+              a.Selection.a_session_id)
+          (Selection.assign ~n_backups ~members ~rebalance:false (prev sid :: settled))
+      in
+      let sid suffix = Printf.sprintf "s%06d%s" (Rng.int rng 1_000_000) suffix in
+      let ids = List.sort_uniq String.compare (List.init (Rng.int rng 30) (fun _ -> sid "")) in
+      let settled = List.fold_left start [] ids in
+      let fresh = sid "+" in
+      List.filter (fun p -> p.Selection.p_session_id <> fresh) (start settled fresh) = settled)
 
 (* ------------------------------------------------------------------ *)
 (* Unit_db *)
@@ -637,6 +663,7 @@ let suite =
             prop_selection_idempotent;
             prop_selection_balanced;
             prop_incremental_matches_assign;
+            prop_fresh_session_moves_nothing;
           ]
     );
     ( "core.unit_db",

@@ -146,12 +146,12 @@ let test_e9_runs () =
       check Alcotest.bool "has rows" true (String.length rendered > 200)
   | None -> Alcotest.fail "e9 missing"
 
-(* The scale mode ([session_shards] > 0: shard groups and incremental
-   placement) plus a mid-run primary crash.  Incremental placement's
-   primary is checked against the full selection (test_core), and the
-   scale mode runs under a chaos schedule (test_chaos).  This is the
-   end-to-end check that the monitored protocol still grants, streams,
-   and takes over cleanly in the scale mode. *)
+(* The scale mode ([session_shards] > 0: shard groups) plus a mid-run
+   primary crash.  Incremental placement's whole assignment is checked
+   against the full selection (test_core), and the scale mode runs
+   under a chaos schedule (test_chaos).  This is the end-to-end check
+   that the monitored protocol still grants, streams, and takes over
+   cleanly in the scale mode. *)
 let test_fast_path_knobs_combined () =
   let sc =
     {
