@@ -188,8 +188,8 @@ let run ids full list_flag csv_dir snapshot_period disk_faults chaos_seed
     | Some path ->
         let oc = open_out path in
         output_string oc
-          (Haf_experiments.E18_stabilize.json_of_stats ~mode:"custom"
-             ~intensity:chaos_intensity stats);
+          (Haf_experiments.E18_stabilize.json_of_stats ~intensity:chaos_intensity
+             stats);
         close_out oc;
         Printf.printf "wrote %s\n" path
     | None -> ());

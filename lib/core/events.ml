@@ -29,7 +29,7 @@ type t =
       server : int;
       session_id : string;
       req_seq : int;
-      applied : int list;  (* exact request seqs incorporated in the snapshot *)
+      applied : int list;  (* ascending, duplicate-free *)
     }
   | View_noted of { server : int; group : string; members : int list }
   | Server_crashed of { server : int }

@@ -40,7 +40,9 @@ type t =
       server : int;
       session_id : string;
       req_seq : int;
-      applied : int list;  (* exact request seqs incorporated in the snapshot *)
+      applied : int list;
+          (** The exact request seqs incorporated in the snapshot,
+              ascending and duplicate-free. *)
     }
   | View_noted of { server : int; group : string; members : int list }
   | Server_crashed of { server : int }

@@ -727,10 +727,13 @@ module Make (S : Service_intf.SERVICE) = struct
           | None -> grant ())
       | Some _ | None -> ()
 
-    (* One propagated snapshot landing in the unit database — applied
-       for each element of a [Propagate] frame. *)
+    (* The union of two applied-seq lists, ascending and duplicate-free:
+       how a backup folds a propagation and a primary folds a
+       [Handoff]. *)
     let merge_applied xs ys = List.sort_uniq Int.compare (List.rev_append xs ys)
 
+    (* One propagated snapshot landing in the unit database — applied
+       for each element of a [Propagate] frame. *)
     let[@hot] apply_propagate t us ~sender session_id snap =
       Unit_db.set_propagated us.u_db session_id snap;
       if Unit_db.live us.u_db session_id then
@@ -1057,7 +1060,7 @@ module Make (S : Service_intf.SERVICE) = struct
                 sl.sl_ctx <- reapply_requests sl ~above:req_seq ctx;
                 sl.sl_base_at <- at;
                 sl.sl_req_seq <- Int.max sl.sl_req_seq req_seq;
-                sl.sl_applied <- List.sort_uniq Int.compare (applied @ sl.sl_applied)
+                sl.sl_applied <- merge_applied applied sl.sl_applied
             | Some _ | None -> ())
         | Unit_list _ | Granted _ | Responses _ -> ()
 

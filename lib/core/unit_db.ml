@@ -303,11 +303,6 @@ let merge_records t records =
             s.ended <- r.r_ended))
     records
 
-let replace_with_merge t snapshots =
-  Hashtbl.reset t.tbl;
-  t.cache <- 0;
-  List.iter (merge_records t) snapshots
-
 (* Full recompute, order-independent (XOR combine over the per-session
    digests — equal databases hash equal regardless of iteration order).
    [cached_checksum] maintains the same value incrementally through

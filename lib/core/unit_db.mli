@@ -155,10 +155,6 @@ val merge_records : 'ctx t -> 'ctx record list -> unit
     assignment — a deterministic, order-independent rule, so replicas
     merging the same snapshots in any order converge. *)
 
-val replace_with_merge : 'ctx t -> 'ctx record list list -> unit
-(** Rebuild the database as the merge of several exported snapshots (the
-    post-view-change state exchange). *)
-
 (** {2 Self-checking} *)
 
 val checksum : 'ctx t -> int

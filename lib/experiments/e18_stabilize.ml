@@ -276,8 +276,8 @@ let unhardened_table ~quick:_ =
 
 let run ~quick = [ sweep_table ~quick; unhardened_table ~quick ]
 
-(* Everything BENCH_stabilize.json needs, from one hardened quick sweep
-   (bench) or a single custom run (the CI smoke job). *)
+(* Everything BENCH_stabilize.json needs, from one custom run (the CI
+   smoke job). *)
 type stats = {
   st_runs : int;
   st_corruptions : int;
@@ -288,35 +288,7 @@ type stats = {
   st_reconv_p95 : float option;
 }
 
-let bench_stats ?(intensity = 1.0) ~quick () =
-  let acc =
-    {
-      runs = 0;
-      ops = 0;
-      corruptions = 0;
-      audits = 0;
-      resets = 0;
-      conv_violations = 0;
-      times = [];
-    }
-  in
-  List.iter
-    (fun seed -> sweep_one acc ~seed ~intensity)
-    (seeds ~quick ~base:1800);
-  let pct p =
-    match acc.times with [] -> None | ts -> Some (Summary.percentile ts p)
-  in
-  {
-    st_runs = acc.runs;
-    st_corruptions = acc.corruptions;
-    st_audits = acc.audits;
-    st_resets = acc.resets;
-    st_conv_violations = acc.conv_violations;
-    st_reconv_p50 = pct 50.;
-    st_reconv_p95 = pct 95.;
-  }
-
-let json_of_stats ~mode ~intensity st =
+let json_of_stats ~intensity st =
   let fopt = function
     | Some t -> Printf.sprintf "%.3f" t
     | None -> "null"
@@ -325,7 +297,7 @@ let json_of_stats ~mode ~intensity st =
   Buffer.add_string b "{\n";
   Buffer.add_string b
     "  \"benchmark\": \"self-stabilization (E18 corruption sweep, hardened)\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
+  Buffer.add_string b "  \"mode\": \"custom\",\n";
   Buffer.add_string b (Printf.sprintf "  \"intensity\": %.2f,\n" intensity);
   Buffer.add_string b (Printf.sprintf "  \"runs\": %d,\n" st.st_runs);
   Buffer.add_string b

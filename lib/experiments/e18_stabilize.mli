@@ -32,13 +32,9 @@ type stats = {
   st_reconv_p95 : float option;
 }
 
-val bench_stats : ?intensity:float -> quick:bool -> unit -> stats
-(** One hardened sweep at a single intensity (default 1.0) over the
-    standard seed set: the numbers behind BENCH_stabilize.json. *)
-
-val json_of_stats : mode:string -> intensity:float -> stats -> string
-(** Render [stats] as the BENCH_stabilize.json document ([mode] tags
-    the producer: "quick", "full", or the smoke job's "custom"). *)
+val json_of_stats : intensity:float -> stats -> string
+(** Render [stats] as the BENCH_stabilize.json document.  Its [mode]
+    field is always ["custom"]: the one producer is [run_custom]. *)
 
 val run_custom :
   chaos_seed:int ->

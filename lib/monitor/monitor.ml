@@ -186,6 +186,20 @@ let promote_candidates t ss ~now =
   | [] -> ());
   ss.ss_candidates <- pending
 
+(* The seqs of [prev] absent from [applied], in one merge pass: both
+   lists are ascending and duplicate-free (the [Propagated] contract). *)
+let missing_seqs prev applied =
+  let rec go acc prev applied =
+    match (prev, applied) with
+    | [], _ -> List.rev acc
+    | _, [] -> List.rev_append acc prev
+    | p :: ps, a :: rest ->
+        if p < a then go (p :: acc) ps applied
+        else if p = a then go acc ps rest
+        else go acc prev rest
+  in
+  go [] prev applied
+
 (* Invariant (b): a sole primary's propagation must never lose request
    seqs that an earlier propagation already incorporated — unless every
    member that held the earlier state has crashed since (then the loss
@@ -195,7 +209,7 @@ let check_acked_loss t ss ~now ~emitter ~applied =
   promote_candidates t ss ~now;
   (match (live_primaries t ss, ss.ss_acked) with
   | [ (sole, _) ], Some (t0, prev) when sole = emitter ->
-      let missing = List.filter (fun seq -> not (List.mem seq applied)) prev in
+      let missing = missing_seqs prev applied in
       if missing <> [] then begin
         let witnesses =
           List.filter

@@ -176,8 +176,7 @@ let reset_counters t =
 
 let substrate t =
   {
-    Substrate.name = "sim";
-    engine = t.engine;
+    Substrate.engine = t.engine;
     send = (fun ?label ~src ~dst payload -> send t ?label ~src ~dst payload);
     set_receiver = (fun id f -> set_receiver t id f);
     add_node = (fun () -> add_node t);

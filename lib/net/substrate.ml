@@ -25,7 +25,6 @@ let zero_counters c =
   c.bytes_received <- 0
 
 type t = {
-  name : string;
   engine : Haf_sim.Engine.t;
   send :
     ?label:Haf_sim.Engine.label -> src:node_id -> dst:node_id -> string -> unit;
@@ -35,19 +34,3 @@ type t = {
   counters : node_id -> counters;
   reset_counters : unit -> unit;
 }
-
-let counter_rows t =
-  let n = t.node_count () in
-  List.init n (fun i ->
-      let c = t.counters i in
-      ( i,
-        [
-          string_of_int c.datagrams_sent;
-          string_of_int c.datagrams_received;
-          string_of_int c.datagrams_dropped;
-          string_of_int c.bytes_sent;
-          string_of_int c.bytes_received;
-        ] ))
-
-let counter_columns =
-  [ "sent"; "received"; "dropped"; "bytes out"; "bytes in" ]

@@ -38,7 +38,6 @@ val fresh_counters : unit -> counters
 val zero_counters : counters -> unit
 
 type t = {
-  name : string;  (** ["sim"] or ["udp"] — for tables and traces. *)
   engine : Haf_sim.Engine.t;
       (** Clock and timers.  Virtual for the sim, external-monotonic for
           the UDP backend; protocol code cannot tell the difference. *)
@@ -58,9 +57,3 @@ type t = {
   counters : node_id -> counters;
   reset_counters : unit -> unit;
 }
-
-val counter_rows : t -> (node_id * string list) list
-(** Per-node counter cells in {!counter_columns} order — the
-    backend-neutral feed for [Haf_stats.Netstats]. *)
-
-val counter_columns : string list

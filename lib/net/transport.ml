@@ -92,12 +92,12 @@ let rto = 0.05
 
 let max_backoff = 2.0
 
-let create ?give_up_after ?(trace = Trace.disabled) sub =
+let create ?(trace = Trace.disabled) sub =
   {
     sub;
     engine = sub.Sub.engine;
     trace;
-    give_up_after;
+    give_up_after = None;
     give_ups = 0;
     payloads_sent = 0;
     payloads_delivered = 0;

@@ -26,7 +26,7 @@ type stats = {
       (** Received data frames discarded as already-delivered or
           stale-incarnation. *)
   acks_sent : int;
-  give_ups : int;  (** Channels declared dead (see [give_up_after]). *)
+  give_ups : int;  (** Channels declared dead (see {!set_give_up_after}). *)
   rejected : int;
       (** Inbound datagrams dropped as invalid: undecodable frames, plus
           wire-validation failures counted by receivers via
@@ -34,23 +34,18 @@ type stats = {
   unacked : int;  (** Currently outstanding payloads, as {!unacked}. *)
 }
 
-val create :
-  ?give_up_after:float ->
-  ?trace:Haf_sim.Trace.t ->
-  Substrate.t ->
-  t
+val create : ?trace:Haf_sim.Trace.t -> Substrate.t -> t
 (** The initial retransmission timeout is 50 ms; it doubles per silent
-    round up to 2 s.  [give_up_after] is the optional give-up
-    threshold: once a channel has had payloads outstanding for that many
-    seconds with no ack at all, the channel is declared dead — its timer
-    is cancelled, its queue dropped, and {!set_on_channel_dead} is
-    notified — instead of backing off forever.  Default: never give up
-    (the GCS transport assumption: reliable delivery once eventually
-    reconnected). *)
+    round up to 2 s. *)
 
 val set_give_up_after : t -> float option -> unit
-(** Adjust the give-up threshold at runtime ([None] disables).  Applies
-    to the next retransmission round of every channel. *)
+(** Set the give-up threshold ([None] disables): once a channel has had
+    payloads outstanding for that many seconds with no ack at all, the
+    channel is declared dead — its timer is cancelled, its queue
+    dropped, and {!set_on_channel_dead} is notified — instead of backing
+    off forever.  Applies to the next retransmission round of every
+    channel.  Default: never give up (the GCS transport assumption:
+    reliable delivery once eventually reconnected). *)
 
 val give_ups : t -> int
 (** Channels declared dead so far. *)
@@ -108,5 +103,5 @@ val unacked : t -> int
 
 val stats : t -> stats
 (** Snapshot of the transport-level counters, identical in meaning on
-    every substrate — the sim/UDP comparison surface for
-    [Haf_stats.Netstats] and the cluster harness. *)
+    every substrate — the sim/UDP comparison surface for the cluster
+    harness. *)

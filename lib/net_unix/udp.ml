@@ -129,8 +129,7 @@ let reset_counters t = Array.iter Sub.zero_counters t.counters
 
 let substrate t =
   {
-    Sub.name = "udp";
-    engine = t.engine;
+    Sub.engine = t.engine;
     send = (fun ?label ~src ~dst payload -> send t ?label ~src ~dst payload);
     set_receiver = (fun id f -> set_receiver t id f);
     add_node = (fun () -> add_node t);

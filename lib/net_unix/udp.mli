@@ -7,7 +7,7 @@
 
     - {e single process} ({!create_local}): every node of the group is
       hosted here, each bound to its own loopback port.  Used by the
-      backend-conformance tests and the loopback microbenchmark.
+      backend-conformance tests and [haf_bench]'s [udp-*] workloads.
     - {e one process per server} ({!create} with a partial [local]
       list): this OS process binds sockets only for its own node ids;
       the rest of the address table points at ports served by sibling

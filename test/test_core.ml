@@ -319,7 +319,7 @@ let test_db_merge_union () =
   ignore (Unit_db.add_session a ~session_id:"s1" ~client:1 ~started_at:0.);
   ignore (Unit_db.add_session b ~session_id:"s2" ~client:2 ~started_at:0.);
   let merged = mkdb () in
-  Unit_db.replace_with_merge merged [ Unit_db.export a; Unit_db.export b ];
+  List.iter (Unit_db.merge_records merged) [ Unit_db.export a; Unit_db.export b ];
   check (Alcotest.list Alcotest.string) "union" [ "s1"; "s2" ]
     (List.map (fun s -> s.Unit_db.session_id) (Unit_db.sessions merged))
 
@@ -332,7 +332,7 @@ let test_db_merge_freshest_assignment_wins () =
   Unit_db.set_propagated b "s" (snap "fresh" 9 6.);
   Unit_db.set_assignment b "s" ~primary:4 ~backups:[ 5 ];
   let merged = mkdb () in
-  Unit_db.replace_with_merge merged [ Unit_db.export a; Unit_db.export b ];
+  List.iter (Unit_db.merge_records merged) [ Unit_db.export a; Unit_db.export b ];
   match Unit_db.find merged "s" with
   | Some s ->
       check (Alcotest.option Alcotest.int) "fresh side's primary" (Some 4)
@@ -425,8 +425,8 @@ let prop_db_merge_order_independent =
           specs
       in
       let m1 = mkdb () and m2 = mkdb () in
-      Unit_db.replace_with_merge m1 exports;
-      Unit_db.replace_with_merge m2 (List.rev exports);
+      List.iter (Unit_db.merge_records m1) exports;
+      List.iter (Unit_db.merge_records m2) (List.rev exports);
       Unit_db.equal_shape m1 m2)
 
 (* Random operation histories for the digest/delta reconciliation

@@ -135,7 +135,7 @@ let test_registry_complete () =
   check Alcotest.bool "find rejects unknown" true (Reg.find "e99" = None)
 
 (* Run the cheapest analytical experiment end to end as a smoke test;
-   the simulation-heavy ones are exercised by `dune exec bench/main.exe`. *)
+   the simulation-heavy ones run through `bin/haf_experiments.exe all`. *)
 let test_e9_runs () =
   let module Reg = Haf_experiments.Registry in
   match Reg.find "e9" with

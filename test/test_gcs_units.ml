@@ -677,8 +677,7 @@ let raw_msg_of () =
   let receiver = ref (fun ~src:_ _ -> ()) and got = ref None in
   let sub =
     {
-      Sub.name = "unwrap";
-      engine = Engine.create ~seed:0 ();
+      Sub.engine = Engine.create ~seed:0 ();
       send = (fun ?label:_ ~src:_ ~dst:_ _ -> ());
       set_receiver = (fun _ h -> receiver := h);
       add_node = (fun () -> 0);

@@ -339,6 +339,48 @@ let test_directed_partitioned_duals_not_flagged () =
       check Alcotest.bool "flag postdates the heal" true (v.Metrics.v_time > 2.2))
     dual
 
+let test_directed_long_acked_loss () =
+  (* A long session: the sole primary's acked history holds 5,000 seqs,
+     and its next propagation lacks only seq 2,500.  The acked-loss
+     check is one merge pass over the two ascending lists, and the
+     ledger names exactly the missing seq. *)
+  let engine = Engine.create ~seed:1 () in
+  let net = Network.create engine Network.default_config in
+  let servers = List.init n_servers (fun _ -> Network.add_node net) in
+  let sink = Events.make_sink ~retain:false () in
+  let m =
+    Monitor.create ~config:test_config ~network:net ~servers
+      ~policy:Haf_core.Policy.default ~gcs:Haf_gcs.Config.default ~events:sink
+      ()
+  in
+  let emit now ev = Events.emit sink ~now ev in
+  emit 0.1
+    (Events.Session_granted { client = 0; session_id = "sa"; primary = 0 });
+  emit 0.1
+    (Events.Role_assumed { server = 0; session_id = "sa"; role = Events.Primary });
+  let n = 5_000 and lost = 2_500 in
+  let all = List.init n (fun j -> j + 1) in
+  emit 0.2
+    (Events.Propagated { server = 0; session_id = "sa"; req_seq = n; applied = all });
+  emit 1.0
+    (Events.Propagated
+       {
+         server = 0;
+         session_id = "sa";
+         req_seq = n;
+         applied = List.filter (fun seq -> seq <> lost) all;
+       });
+  Monitor.pump m ~now:1.0;
+  match Monitor.violations m with
+  | [ v ] ->
+      check Alcotest.string "acked-loss flagged" "no-acked-loss"
+        (Metrics.invariant_to_string v.Metrics.v_invariant);
+      check Alcotest.string "names exactly the missing seq"
+        "propagation by s0 dropped acked seqs [2500] although [s0] survived \
+         since 0.200"
+        v.Metrics.v_detail
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 (* ------------------------------------------------------------------ *)
 (* The claims index the runner's legality probe reads                  *)
 
@@ -506,6 +548,8 @@ let suite =
             test_directed_crash_suspends_staleness;
           test_case "directed: partitioned duals exempt until heal" `Quick
             test_directed_partitioned_duals_not_flagged;
+          test_case "directed: long-session acked loss names the seq" `Quick
+            test_directed_long_acked_loss;
           test_case "directed: multi-primary sessions follow claims" `Quick
             test_multi_primary_sessions;
           test_case "scenario: corruption run matches the reference scans"
