@@ -28,8 +28,7 @@ type t =
   | Propagated of {
       server : int;
       session_id : string;
-      req_seq : int;
-      applied : int list;  (* ascending, duplicate-free *)
+      applied : Seqset.t;
     }
   | View_noted of { server : int; group : string; members : int list }
   | Server_crashed of { server : int }
@@ -113,8 +112,9 @@ let pp ppf = function
         (kind_to_string kind)
         (match from_primary with Some p -> string_of_int p | None -> "-")
         had_live_context
-  | Propagated { server; session_id; req_seq; applied = _ } ->
-      Format.fprintf ppf "propagated s%d %s up-to-req %d" server session_id req_seq
+  | Propagated { server; session_id; applied } ->
+      Format.fprintf ppf "propagated s%d %s up-to-req %d" server session_id
+        (Seqset.max applied)
   | View_noted { server; group; members } ->
       Format.fprintf ppf "view s%d %s [%s]" server group
         (String.concat "," (List.map string_of_int members))

@@ -39,10 +39,9 @@ type t =
   | Propagated of {
       server : int;
       session_id : string;
-      req_seq : int;
-      applied : int list;
-          (** The exact request seqs incorporated in the snapshot,
-              ascending and duplicate-free. *)
+      applied : Seqset.t;
+          (** Exactly the request seqs the propagated snapshot
+              incorporates; {!Seqset.max} is its high-water mark. *)
     }
   | View_noted of { server : int; group : string; members : int list }
   | Server_crashed of { server : int }

@@ -59,8 +59,7 @@ module Make (S : Service_intf.SERVICE) = struct
     | Handoff of {
         session_id : string;
         ctx : S.context;
-        req_seq : int;
-        applied : int list;
+        applied : Seqset.t;
         at : float;
       }
   [@@haf.protocol]
@@ -117,9 +116,11 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable sl_role : role option;
       mutable sl_ctx : S.context;
       mutable sl_base_at : float;  (* when sl_ctx's progress was last authoritative *)
-      mutable sl_req_seq : int;  (* highest applied request *)
-      mutable sl_applied : int list;  (* applied request seqs, newest first *)
-      mutable sl_reqs : (int * S.request) list;  (* retained, newest first *)
+      mutable sl_applied : Seqset.t;  (* request seqs [sl_ctx] incorporates *)
+      mutable sl_reqs : (int * S.request) list;
+          (* Retained for replay, newest first: only seqs above the
+             newest snapshot or handoff this server has folded
+             ([prune_reqs]). *)
       mutable sl_ending : bool;
     }
 
@@ -261,16 +262,21 @@ module Make (S : Service_intf.SERVICE) = struct
       in
       List.fold_left (fun ctx (_, body) -> S.apply_request ctx body) ctx newer
 
+    (* Once a snapshot up to [upto] is folded in, no later rebase replays
+       a seq at or below it: the primary propagates only context it has
+       already delivered, so every later snapshot or handoff reaches at
+       least as high. *)
+    let prune_reqs sl ~upto =
+      sl.sl_reqs <- List.filter (fun (seq, _) -> seq > upto) sl.sl_reqs
+
     let fresh_local (sess : S.context Unit_db.session) =
-      let ctx, base_at, req_seq, applied =
+      let ctx, base_at, applied =
         match sess.Unit_db.propagated with
-        | Some snap ->
-            ( snap.Unit_db.snap_ctx,
-              snap.Unit_db.snap_at,
-              snap.Unit_db.snap_req_seq,
-              snap.Unit_db.snap_applied )
+        | Some snap -> (snap.Unit_db.snap_ctx, snap.Unit_db.snap_at, snap.Unit_db.snap_applied)
         | None ->
-            (S.initial_context ~unit_id:sess.Unit_db.unit_id, sess.Unit_db.started_at, 0, [])
+            ( S.initial_context ~unit_id:sess.Unit_db.unit_id,
+              sess.Unit_db.started_at,
+              Seqset.empty )
       in
       {
         sl_session = sess.Unit_db.session_id;
@@ -279,7 +285,6 @@ module Make (S : Service_intf.SERVICE) = struct
         sl_role = None;
         sl_ctx = ctx;
         sl_base_at = base_at;
-        sl_req_seq = req_seq;
         sl_applied = applied;
         sl_reqs = [];
         sl_ending = false;
@@ -352,20 +357,11 @@ module Make (S : Service_intf.SERVICE) = struct
       end
       else service_tick_body t
 
-    (* [sl_applied] holds no duplicates ([on_request] checks, the
-       merges de-duplicate), so one sort serves the snapshot and the
-       event. *)
     let snapshot_of t sl =
-      let applied = List.sort_uniq Int.compare sl.sl_applied in
       emit t
         (Events.Propagated
-           { server = t.proc; session_id = sl.sl_session; req_seq = sl.sl_req_seq; applied });
-      {
-        Unit_db.snap_ctx = sl.sl_ctx;
-        snap_req_seq = sl.sl_req_seq;
-        snap_applied = applied;
-        snap_at = now t;
-      }
+           { server = t.proc; session_id = sl.sl_session; applied = sl.sl_applied });
+      { Unit_db.snap_ctx = sl.sl_ctx; snap_applied = sl.sl_applied; snap_at = now t }
 
     (* One propagation frame: the snapshots of [sls], local primaries of
        [unit_id] in session-id order, travel in a single [Propagate]
@@ -478,8 +474,7 @@ module Make (S : Service_intf.SERVICE) = struct
                {
                  session_id = sl.sl_session;
                  ctx = sl.sl_ctx;
-                 req_seq = sl.sl_req_seq;
-                 applied = List.sort_uniq Int.compare sl.sl_applied;
+                 applied = sl.sl_applied;
                  at = now t;
                })
       | Some _ | None -> ()
@@ -727,11 +722,6 @@ module Make (S : Service_intf.SERVICE) = struct
           | None -> grant ())
       | Some _ | None -> ()
 
-    (* The union of two applied-seq lists, ascending and duplicate-free:
-       how a backup folds a propagation and a primary folds a
-       [Handoff]. *)
-    let merge_applied xs ys = List.sort_uniq Int.compare (List.rev_append xs ys)
-
     (* One propagated snapshot landing in the unit database — applied
        for each element of a [Propagate] frame. *)
     let[@hot] apply_propagate t us ~sender session_id snap =
@@ -744,12 +734,11 @@ module Make (S : Service_intf.SERVICE) = struct
       match Hashtbl.find_opt t.sessions session_id with
       | Some { sl_role = Some Backup; _ } when sender = t.proc -> ()
       | Some ({ sl_role = Some Backup; _ } as sl) ->
-          sl.sl_ctx <-
-            reapply_requests sl ~above:snap.Unit_db.snap_req_seq
-              snap.Unit_db.snap_ctx;
+          let upto = Seqset.max snap.Unit_db.snap_applied in
+          sl.sl_ctx <- reapply_requests sl ~above:upto snap.Unit_db.snap_ctx;
           sl.sl_base_at <- snap.Unit_db.snap_at;
-          sl.sl_req_seq <- Int.max sl.sl_req_seq snap.Unit_db.snap_req_seq;
-          sl.sl_applied <- merge_applied snap.Unit_db.snap_applied sl.sl_applied
+          sl.sl_applied <- Seqset.union snap.Unit_db.snap_applied sl.sl_applied;
+          prune_reqs sl ~upto
       | Some _ | None -> ()
 
     let process_content_msg t us ~sender msg =
@@ -992,11 +981,10 @@ module Make (S : Service_intf.SERVICE) = struct
     let on_request t ~session_id ~seq ~body =
       match Hashtbl.find_opt t.sessions session_id with
       | Some sl when sl.sl_role <> None ->
-          if not (List.mem seq sl.sl_applied) then begin
-            sl.sl_applied <- seq :: sl.sl_applied;
+          if not (Seqset.mem seq sl.sl_applied) then begin
+            sl.sl_applied <- Seqset.add seq sl.sl_applied;
             sl.sl_reqs <- (seq, body) :: sl.sl_reqs;
             sl.sl_ctx <- S.apply_request sl.sl_ctx body;
-            sl.sl_req_seq <- Int.max sl.sl_req_seq seq;
             let role = match sl.sl_role with Some r -> r | None -> assert false in
             emit t (Events.Request_applied { server = t.proc; session_id; seq; role })
           end
@@ -1054,13 +1042,14 @@ module Make (S : Service_intf.SERVICE) = struct
     let on_p2p t ~sender:_ payload =
       if t.running then
         match decode_p2p payload with
-        | Handoff { session_id; ctx; req_seq; applied; at } -> (
+        | Handoff { session_id; ctx; applied; at } -> (
             match Hashtbl.find_opt t.sessions session_id with
             | Some sl when sl.sl_role = Some Primary ->
-                sl.sl_ctx <- reapply_requests sl ~above:req_seq ctx;
+                let upto = Seqset.max applied in
+                sl.sl_ctx <- reapply_requests sl ~above:upto ctx;
                 sl.sl_base_at <- at;
-                sl.sl_req_seq <- Int.max sl.sl_req_seq req_seq;
-                sl.sl_applied <- merge_applied applied sl.sl_applied
+                sl.sl_applied <- Seqset.union applied sl.sl_applied;
+                prune_reqs sl ~upto
             | Some _ | None -> ())
         | Unit_list _ | Granted _ | Responses _ -> ()
 
@@ -1288,10 +1277,9 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable c_granted : bool;
       mutable c_next_seq : int;
       mutable c_received : (int * float) list;  (* response id, time; newest first *)
-      mutable c_grant_timer : Engine.timer option;
+      mutable c_ask_timer : Engine.timer option;
       mutable c_req_timer : Engine.timer option;
       mutable c_end_timer : Engine.timer option;
-      mutable c_watchdog : Engine.timer option;
       mutable c_last_response : float;
       mutable c_done : bool;
     }
@@ -1344,10 +1332,6 @@ module Make (S : Service_intf.SERVICE) = struct
               match Hashtbl.find_opt t.sessions session_id with
               | Some cs when not cs.c_granted ->
                   cs.c_granted <- true;
-                  (match cs.c_grant_timer with
-                  | Some tm -> Engine.cancel tm
-                  | None -> ());
-                  cs.c_grant_timer <- None;
                   Events.emit t.events ~now:(Engine.now engine)
                     (Events.Session_granted { client = t.proc; session_id; primary })
               | Some _ | None -> ())
@@ -1402,7 +1386,7 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let cancel_timers cs =
       List.iter (Option.iter Engine.cancel)
-        [ cs.c_req_timer; cs.c_grant_timer; cs.c_end_timer; cs.c_watchdog ]
+        [ cs.c_req_timer; cs.c_ask_timer; cs.c_end_timer ]
 
     let finish_session t cs =
       if not cs.c_done then begin
@@ -1425,10 +1409,9 @@ module Make (S : Service_intf.SERVICE) = struct
           c_granted = false;
           c_next_seq = 1;
           c_received = [];
-          c_grant_timer = None;
+          c_ask_timer = None;
           c_req_timer = None;
           c_end_timer = None;
-          c_watchdog = None;
           c_last_response = now t;
           c_done = false;
         }
@@ -1443,25 +1426,18 @@ module Make (S : Service_intf.SERVICE) = struct
             (encode_group (Start_session { session_id; unit_id; client = t.proc }))
       in
       ask ();
-      (* Re-ask until granted: covers the primary crashing before the
-         grant reaches us. *)
-      cs.c_grant_timer <-
+      (* Re-ask every grant timeout until granted: covers the primary
+         crashing before the grant reaches us.  Once granted, re-ask
+         only after the stream has been silent for three timeouts.  The
+         re-ask is idempotent while the session exists in the unit
+         database (the primary simply re-grants); after a total
+         content-group loss it re-creates the session, which is the
+         only client-side recovery the framework needs. *)
+      cs.c_ask_timer <-
         Some
-          (Engine.every t.engine ~period:t.policy.Policy.grant_timeout (fun () ->
-               if not cs.c_granted then ask ()));
-      (* Watchdog: if the stream goes silent for several grant timeouts,
-         re-issue the start-session request.  Idempotent while the session
-         exists in the unit database (the primary simply re-grants); after
-         a total content-group loss it re-creates the session, which is
-         the only client-side recovery the framework needs. *)
-      cs.c_watchdog <-
-        Some
-          (Engine.every t.engine ~period:t.policy.Policy.grant_timeout (fun () ->
-               if
-                 cs.c_granted
-                 && now t -. cs.c_last_response
-                    > 3. *. t.policy.Policy.grant_timeout
-               then begin
+          (Engine.every t.engine ~period:Policy.grant_timeout (fun () ->
+               if not cs.c_granted then ask ()
+               else if now t -. cs.c_last_response > 3. *. Policy.grant_timeout then begin
                  cs.c_last_response <- now t;
                  ask ()
                end));

@@ -71,8 +71,7 @@ module Make (S : Service_intf.SERVICE) : sig
     | Handoff of {
         session_id : string;
         ctx : S.context;
-        req_seq : int;
-        applied : int list;
+        applied : Seqset.t;  (** Exactly the request seqs [ctx] incorporates. *)
         at : float;
       }
         (** Old primary -> new primary on a load-balancing migration:
@@ -203,11 +202,13 @@ module Make (S : Service_intf.SERVICE) : sig
       events:Events.sink ->
       t
     (** A client process (created on a {!Haf_gcs.Gcs.add_client}
-        process).  [policy] supplies the grant timeout used for retries
-        and the silence watchdog.  [retain_responses] (default [true]):
-        keep the per-session (id, time) response list {!received}
-        serves; [false] keeps client memory flat at bench scale — the
-        stream still drives the watchdog, but {!received} answers []. *)
+        process).  [policy] supplies the session-group naming
+        ({!Policy.session_shards}); retries and the silence watchdog
+        run every {!Policy.grant_timeout}.  [retain_responses] (default
+        [true]): keep the per-session (id, time) response list
+        {!received} serves; [false] keeps client memory flat at bench
+        scale — the stream still drives the watchdog, but {!received}
+        answers []. *)
 
     val proc : t -> int
 
@@ -222,7 +223,7 @@ module Make (S : Service_intf.SERVICE) : sig
         The client re-sends the start request until granted, emits a
         request drawn from [S.gen_request] every [request_interval]
         seconds (0 = never), re-establishes the session if the response
-        stream stays silent for several grant timeouts, and ends the
+        stream stays silent for three grant timeouts, and ends the
         session after [duration] seconds.  All delivery anomalies are
         recorded in the event sink for offline analysis. *)
 

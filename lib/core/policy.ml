@@ -4,7 +4,6 @@ type t = {
   n_backups : int;
   propagation_period : float;
   takeover : takeover;
-  grant_timeout : float;
   session_shards : int;
 }
 
@@ -13,16 +12,16 @@ let default =
     n_backups = 1;
     propagation_period = 0.5;
     takeover = Resume;
-    grant_timeout = 2.0;
     session_shards = 0;
   }
+
+let grant_timeout = 2.0
 
 let vod_paper = { default with n_backups = 0; propagation_period = 0.5 }
 
 let validate t =
   if t.n_backups < 0 then Error "n_backups must be non-negative"
   else if t.propagation_period <= 0. then Error "propagation_period must be positive"
-  else if t.grant_timeout <= 0. then Error "grant_timeout must be positive"
   else if t.session_shards < 0 then Error "session_shards must be non-negative"
   else Ok t
 

@@ -24,9 +24,6 @@ type t = {
       (** Seconds between the primary's context propagations to the
           content group ([2] used 0.5 s). *)
   takeover : takeover;
-  grant_timeout : float;
-      (** Client-side: re-send the start-session request if no grant
-          arrived within this long. *)
   session_shards : int;
       (** The one scale setting; it selects only how sessions are named
           as GCS groups ({!Naming.session_group}).  0 (the default) is
@@ -45,6 +42,11 @@ type t = {
 
 val default : t
 (** 1 backup, 0.5 s propagation, [Resume] takeover, [session_shards = 0]. *)
+
+val grant_timeout : float
+(** 2 s.  Client-side: re-send the start-session request every this
+    long until granted, and once granted after three of them with no
+    response. *)
 
 val vod_paper : t
 (** The configuration of the VoD service of [2]: no backups, 0.5 s

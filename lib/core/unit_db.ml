@@ -1,7 +1,6 @@
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
-  snap_req_seq : int;
-  snap_applied : int list;
+  snap_applied : Seqset.t;
   snap_at : float;
 }
 
@@ -79,7 +78,7 @@ type digest = {
 let digest_of_record r =
   let d_req_seq, d_at =
     match r.r_propagated with
-    | Some s -> (s.snap_req_seq, s.snap_at)
+    | Some s -> (Seqset.max s.snap_applied, s.snap_at)
     | None -> (-1, 0.)
   in
   {
@@ -160,8 +159,8 @@ let size t = Hashtbl.length t.tbl
 
 let fresher a b =
   (* Newest request first, then wall-clock as a tiebreak. *)
-  if a.snap_req_seq <> b.snap_req_seq then a.snap_req_seq > b.snap_req_seq
-  else a.snap_at > b.snap_at
+  let ma = Seqset.max a.snap_applied and mb = Seqset.max b.snap_applied in
+  if ma <> mb then ma > mb else a.snap_at > b.snap_at
 
 let set_propagated t sid snap =
   match find t sid with
@@ -333,8 +332,10 @@ let sound t =
         else if List.exists (fun b -> b < 0) s.backups then
           bad "session %s: negative backup id" s.session_id
         else if
-          match s.propagated with Some sn -> sn.snap_req_seq < 0 | None -> false
-        then bad "session %s: negative propagated req_seq" s.session_id
+          match s.propagated with
+          | Some sn -> Seqset.max sn.snap_applied < 0
+          | None -> false
+        then bad "session %s: negative propagated seq" s.session_id
         else check rest
   in
   check (sessions t)
@@ -355,6 +356,6 @@ let equal_shape a b =
              s.primary,
              s.backups,
              s.ended,
-             Option.map (fun p -> (p.snap_req_seq, p.snap_at)) s.propagated ))
+             Option.map (fun p -> (Seqset.max p.snap_applied, p.snap_at)) s.propagated ))
   in
   summary a = summary b

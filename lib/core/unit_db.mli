@@ -13,8 +13,10 @@
 
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
-  snap_req_seq : int;  (** Highest incorporated request seq. *)
-  snap_applied : int list;  (** Exact incorporated request seqs. *)
+  snap_applied : Seqset.t;
+      (** Exactly the request seqs [snap_ctx] incorporates.  Its
+          {!Seqset.max} is the snapshot's request high-water mark, which
+          freshness, digests and {!equal_shape} compare. *)
   snap_at : float;
 }
 
@@ -71,8 +73,8 @@ val live_sessions : 'ctx t -> 'ctx session list
 val size : _ t -> int
 
 val set_propagated : 'ctx t -> string -> 'ctx snapshot -> unit
-(** Keeps the freshest snapshot: older [snap_req_seq]/[snap_at] pairs
-    never overwrite newer ones (relevant when merging partitions). *)
+(** Keeps the freshest snapshot: older (highest applied seq, [snap_at])
+    pairs never overwrite newer ones (relevant when merging partitions). *)
 
 val set_assignment : 'ctx t -> string -> primary:int -> backups:int list -> unit
 
@@ -95,7 +97,9 @@ type digest = {
   d_session_id : string;
   d_client : int;
   d_started_at : float;
-  d_req_seq : int;  (** -1 when no snapshot has been propagated. *)
+  d_req_seq : int;
+      (** The snapshot's highest applied seq; -1 when no snapshot has
+          been propagated. *)
   d_at : float;
   d_primary : int;  (** -1 when unassigned. *)
   d_backups : int list;
@@ -179,7 +183,7 @@ val sound : 'ctx t -> (unit, string) result
 val equal_shape : 'ctx t -> 'ctx t -> bool
 (** Same sessions with the same assignments and snapshot metadata
     (contexts compared structurally is up to the service; we compare
-    req_seq/at).  Exact equality holds at every message-delivery point;
+    each snapshot's highest applied seq and [snap_at]).  Exact equality holds at every message-delivery point;
     sampled between deliveries, a propagation can be in flight — use
     {!equal_assignments} for probes at arbitrary instants. *)
 

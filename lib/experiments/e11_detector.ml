@@ -86,8 +86,7 @@ let run ~quick =
     (let lan = { Haf_net.Network.default_config with drop_probability = 0.05 } in
      let wan =
        {
-         Haf_net.Network.default_config with
-         latency = Haf_net.Latency.wan;
+         Haf_net.Network.latency = Haf_net.Latency.wan;
          drop_probability = 0.05;
        }
      in

@@ -76,8 +76,7 @@ let scenario cfg =
     request_interval = 0.6;
     net_config =
       {
-        Network.default_config with
-        latency = Latency.Constant 0.003;
+        Network.latency = Latency.Constant 0.003;
         drop_probability = 0.;
       };
     store = (if cfg.store then Some explore_store else None);

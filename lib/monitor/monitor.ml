@@ -1,4 +1,5 @@
 module Events = Haf_core.Events
+module Seqset = Haf_core.Seqset
 module Metrics = Haf_stats.Metrics
 module Det_tbl = Haf_sim.Det_tbl
 module Heap = Haf_sim.Heap
@@ -36,7 +37,7 @@ type session_state = {
   ss_primaries : (int, float) Hashtbl.t;  (* server -> believed-since *)
   mutable ss_dual_since : float option;
   mutable ss_dual_flagged : bool;
-  mutable ss_acked : (float * int list) option;
+  mutable ss_acked : (float * Seqset.t) option;
       (* Baseline propagation for the acked-loss check: (time, exact
          applied seqs).  [None] while the baseline is invalid — before
          the first propagation, or across a dual-primary episode whose
@@ -44,7 +45,7 @@ type session_state = {
   mutable ss_holders : int list;
       (* Content-group members at baseline time: the candidate
          witnesses of the acked state. *)
-  mutable ss_candidates : (float * int list * int list) list;
+  mutable ss_candidates : (float * Seqset.t * int list) list;
       (* Unconfirmed baselines, newest first: (time, applied seqs,
          holders).  [Propagated] fires at multicast send time, so a
          content-group view change within [ack_confirm_delay] may have
@@ -186,20 +187,6 @@ let promote_candidates t ss ~now =
   | [] -> ());
   ss.ss_candidates <- pending
 
-(* The seqs of [prev] absent from [applied], in one merge pass: both
-   lists are ascending and duplicate-free (the [Propagated] contract). *)
-let missing_seqs prev applied =
-  let rec go acc prev applied =
-    match (prev, applied) with
-    | [], _ -> List.rev acc
-    | _, [] -> List.rev_append acc prev
-    | p :: ps, a :: rest ->
-        if p < a then go (p :: acc) ps applied
-        else if p = a then go acc ps rest
-        else go acc prev rest
-  in
-  go [] prev applied
-
 (* Invariant (b): a sole primary's propagation must never lose request
    seqs that an earlier propagation already incorporated — unless every
    member that held the earlier state has crashed since (then the loss
@@ -208,27 +195,27 @@ let missing_seqs prev applied =
 let check_acked_loss t ss ~now ~emitter ~applied =
   promote_candidates t ss ~now;
   (match (live_primaries t ss, ss.ss_acked) with
-  | [ (sole, _) ], Some (t0, prev) when sole = emitter ->
-      let missing = missing_seqs prev applied in
-      if missing <> [] then begin
-        let witnesses =
-          List.filter
-            (fun h -> not (crashed_within t h ~since:t0 ~until:now))
-            ss.ss_holders
-        in
-        if witnesses <> [] then
-          record t ~now ~invariant:Metrics.No_acked_loss ~session:ss.ss_id
-            ~detail:
-              (Printf.sprintf
-                 "propagation by s%d dropped acked seqs [%s] although [%s] survived \
-                  since %.3f"
-                 emitter
-                 (String.concat "," (List.map string_of_int missing))
-                 (String.concat ","
-                    (List.map (fun s -> "s" ^ string_of_int s) witnesses))
-                 t0)
-            ()
-      end
+  | [ (sole, _) ], Some (t0, prev) when sole = emitter -> (
+      match Seqset.to_list (Seqset.diff prev applied) with
+      | [] -> ()
+      | missing ->
+          let witnesses =
+            List.filter
+              (fun h -> not (crashed_within t h ~since:t0 ~until:now))
+              ss.ss_holders
+          in
+          if witnesses <> [] then
+            record t ~now ~invariant:Metrics.No_acked_loss ~session:ss.ss_id
+              ~detail:
+                (Printf.sprintf
+                   "propagation by s%d dropped acked seqs [%s] although [%s] survived \
+                    since %.3f"
+                   emitter
+                   (String.concat "," (List.map string_of_int missing))
+                   (String.concat ","
+                      (List.map (fun s -> "s" ^ string_of_int s) witnesses))
+                   t0)
+              ())
   | _ -> ());
   match live_primaries t ss with
   | [ (sole, _) ] when sole = emitter ->

@@ -4,11 +4,9 @@ module Trace = Haf_sim.Trace
 
 type node_id = int
 
-type config = { latency : Latency.t; drop_probability : float; bandwidth : float option }
+type config = { latency : Latency.t; drop_probability : float }
 
-let default_config = { latency = Latency.lan; drop_probability = 0.; bandwidth = None }
-
-let lossy_lan p = { default_config with drop_probability = p }
+let default_config = { latency = Latency.lan; drop_probability = 0. }
 
 type counters = Substrate.counters = {
   mutable datagrams_sent : int;
@@ -143,15 +141,10 @@ let send t ?(label = Engine.Internal) ~src ~dst payload =
     if not deliverable then
       source.stats.datagrams_dropped <- source.stats.datagrams_dropped + 1
     else begin
-      let transmission =
-        match t.config.bandwidth with
-        | Some bw when bw > 0. -> float_of_int (String.length payload) /. bw
-        | Some _ | None -> 0.
-      in
       let override =
         Option.value (Hashtbl.find_opt t.delay_overrides (src, dst)) ~default:0.
       in
-      let delay = transmission +. Latency.sample t.config.latency t.rng +. override in
+      let delay = Latency.sample t.config.latency t.rng +. override in
       ignore
         (Engine.schedule t.engine ~label ~delay (fun () ->
              let sink = node t dst in

@@ -18,17 +18,10 @@ type t
 type config = {
   latency : Latency.t;  (** Applied to every link. *)
   drop_probability : float;  (** Independent per-datagram loss. *)
-  bandwidth : float option;
-      (** Link bandwidth in bytes/second: adds a size-proportional
-          transmission delay on top of the propagation latency.  [None]
-          (the default) models links that are never the bottleneck. *)
 }
 
 val default_config : config
-(** LAN latency, no loss, unbounded bandwidth. *)
-
-val lossy_lan : float -> config
-(** LAN latency with the given drop probability. *)
+(** LAN latency, no loss. *)
 
 val create : ?trace:Haf_sim.Trace.t -> Haf_sim.Engine.t -> config -> t
 
@@ -74,11 +67,10 @@ val cut_oneway : t -> src:node_id -> dst:node_id -> unit
 
 val set_link_delay : t -> node_id -> node_id -> float option -> unit
 (** Per-directed-link extra propagation delay, added on top of the
-    configured latency model and any bandwidth term.  [Some extra]
-    installs an override of [extra] seconds ([extra <= 0.] clears it);
-    [None] clears it.  Models congestion or routing spikes on one link
-    without touching the rest of the fabric; cleared by {!heal_links}
-    and {!partition}. *)
+    configured latency model.  [Some extra] installs an override of
+    [extra] seconds ([extra <= 0.] clears it); [None] clears it.  Models
+    congestion or routing spikes on one link without touching the rest
+    of the fabric; cleared by {!heal_links} and {!partition}. *)
 
 val link_delay : t -> node_id -> node_id -> float option
 (** The currently installed override for the directed link, if any. *)

@@ -74,7 +74,6 @@ type t = {
   mutable duplicates : int;
   mutable acks_sent : int;
   mutable rejected : int;
-  mutable on_channel_dead : (src:int -> dst:int -> unit) option;
   mutable next_conn : int;
   senders : (int * int, sender_channel) Hashtbl.t;  (* (src, dst) *)
   receivers : (int * int, receiver_channel) Hashtbl.t;  (* (dst, src) *)
@@ -105,7 +104,6 @@ let create ?(trace = Trace.disabled) sub =
     duplicates = 0;
     acks_sent = 0;
     rejected = 0;
-    on_channel_dead = None;
     (* Base connection ids on the clock: on the sim substrate time is 0
        at creation so ids start at 1 exactly as before, while on the
        real substrate CLOCK_MONOTONIC is system-wide — a restarted OS
@@ -124,8 +122,6 @@ let create ?(trace = Trace.disabled) sub =
 let set_give_up_after t v = t.give_up_after <- v
 
 let give_ups t = t.give_ups
-
-let set_on_channel_dead t f = t.on_channel_dead <- f
 
 let fresh_conn t =
   let c = t.next_conn in
@@ -182,8 +178,7 @@ let give_up t ~src ~dst ch =
   t.give_ups <- t.give_ups + 1;
   Trace.emitf t.trace ~time:(Engine.now t.engine) ~component:"transport"
     "channel %d->%d dead: gave up after %gs of silence" src dst
-    (Option.value t.give_up_after ~default:0.);
-  match t.on_channel_dead with Some f -> f ~src ~dst | None -> ()
+    (Option.value t.give_up_after ~default:0.)
 
 let rec arm_timer t ~src ~dst ch =
   ch.timer <-

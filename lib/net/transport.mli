@@ -42,19 +42,16 @@ val set_give_up_after : t -> float option -> unit
 (** Set the give-up threshold ([None] disables): once a channel has had
     payloads outstanding for that many seconds with no ack at all, the
     channel is declared dead — its timer is cancelled, its queue
-    dropped, and {!set_on_channel_dead} is notified — instead of backing
-    off forever.  Applies to the next retransmission round of every
-    channel.  Default: never give up (the GCS transport assumption:
-    reliable delivery once eventually reconnected). *)
+    dropped and {!give_ups} incremented — instead of backing off
+    forever.  A later {!send} to the same destination transparently
+    opens a fresh connection incarnation.  Applies to the next
+    retransmission round of every channel.  Default: never give up (the
+    GCS transport assumption: reliable delivery once eventually
+    reconnected). *)
 
 val give_ups : t -> int
 (** Channels declared dead so far. *)
 
-val set_on_channel_dead : t -> (src:Substrate.node_id -> dst:Substrate.node_id -> unit) option -> unit
-(** Install the dead-channel notification.  Fires once per given-up
-    channel, after its queue has been dropped; a later {!send} to the
-    same destination transparently opens a fresh connection
-    incarnation. *)
 
 val attach :
   t ->

@@ -1,4 +1,5 @@
 module Events = Haf_core.Events
+module Seqset = Haf_core.Seqset
 
 type timeline = (float * Events.t) list
 
@@ -94,39 +95,33 @@ let requests_lost tl ~sid =
      final primary's knowledge — i.e. its effect never survived into the
      context actually serving the client (the paper's notion of a lost
      context update). *)
-  let sent = ref [] in
-  let knowledge : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let know server =
-    match Hashtbl.find_opt knowledge server with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.create 32 in
-        Hashtbl.replace knowledge server k;
-        k
-  in
-  let snapshot = ref [] in
+  let sent = ref Seqset.empty and n_sent = ref 0 in
+  let knowledge : (int, Seqset.t) Hashtbl.t = Hashtbl.create 8 in
+  let know server = Option.value (Hashtbl.find_opt knowledge server) ~default:Seqset.empty in
+  let learn server seqs = Hashtbl.replace knowledge server (Seqset.union seqs (know server)) in
+  let snapshot = ref Seqset.empty in
   let current_primary = ref None in
   List.iter
     (fun (_, e) ->
       match e with
       | Events.Request_sent { session_id; seq; _ } when session_id = sid ->
-          sent := seq :: !sent
+          sent := Seqset.add seq !sent;
+          incr n_sent
       | Events.Request_applied { session_id; seq; server; _ } when session_id = sid ->
-          Hashtbl.replace (know server) seq ()
+          Hashtbl.replace knowledge server (Seqset.add seq (know server))
       | Events.Propagated { session_id; applied; _ } when session_id = sid ->
           snapshot := applied
       | Events.Takeover { session_id; server; from_primary; kind; _ }
         when session_id = sid ->
-          let k = know server in
           (match (kind, from_primary) with
           | Events.Rebalance, Some p ->
               (* Exact handoff from a live predecessor. *)
-              Hashtbl.iter (fun seq () -> Hashtbl.replace k seq ()) (know p)
+              learn server (know p)
           | (Events.Crash | Events.Initial | Events.Rebalance), _ ->
               (* Resume from the unit database: the latest propagated
                  snapshot, merged with whatever this server saw itself
                  (as a backup it applied every request it received). *)
-              List.iter (fun seq -> Hashtbl.replace k seq ()) !snapshot);
+              learn server !snapshot);
           current_primary := Some server
       | Events.Role_assumed { session_id; server; role = Events.Primary }
         when session_id = sid ->
@@ -134,12 +129,9 @@ let requests_lost tl ~sid =
       | _ -> ())
     tl;
   let final_knowledge =
-    match !current_primary with
-    | Some p -> Hashtbl.fold (fun seq () acc -> seq :: acc) (know p) []
-    | None -> !snapshot
+    match !current_primary with Some p -> know p | None -> !snapshot
   in
-  let lost = List.filter (fun seq -> not (List.mem seq final_knowledge)) !sent in
-  (List.length lost, List.length !sent)
+  (List.length (Seqset.to_list (Seqset.diff !sent final_knowledge)), !n_sent)
 
 let crash_times tl =
   List.filter_map

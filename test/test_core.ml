@@ -297,7 +297,11 @@ let test_db_sessions_sorted () =
     (List.map (fun s -> s.Unit_db.session_id) (Unit_db.sessions db))
 
 let snap ctx req_seq at =
-  { Unit_db.snap_ctx = ctx; snap_req_seq = req_seq; snap_applied = []; snap_at = at }
+  {
+    Unit_db.snap_ctx = ctx;
+    snap_applied = Haf_core.Seqset.(add req_seq empty);
+    snap_at = at;
+  }
 
 let test_db_propagate_freshness () =
   let db = mkdb () in
@@ -634,6 +638,99 @@ let test_events_sink () =
   Events.clear sink;
   check Alcotest.int "cleared" 0 (List.length (Events.events sink))
 
+(* ------------------------------------------------------------------ *)
+(* Seqset against a reference: a sorted, duplicate-free int list       *)
+
+module Seqset = Haf_core.Seqset
+
+module Seqref = struct
+  let norm l = List.sort_uniq Int.compare l
+  let add x l = norm (x :: l)
+  let union a b = norm (a @ b)
+  let diff a b = List.filter (fun x -> not (List.mem x b)) a
+  let max l = List.fold_left Int.max 0 l
+end
+
+type seq_op = Add of int | Union of int list | Diff of int list
+
+(* Seqs drawn from a narrow range, so adds land next to, inside and
+   between existing intervals and unions/diffs split and bridge gaps. *)
+let gen_seq_op =
+  QCheck.Gen.(
+    let seq = int_range 0 40 in
+    frequency
+      [
+        (6, map (fun x -> Add x) seq);
+        (2, map (fun l -> Union l) (list_size (int_bound 12) seq));
+        (2, map (fun l -> Diff l) (list_size (int_bound 12) seq));
+      ])
+
+let print_seq_op = function
+  | Add x -> Printf.sprintf "add %d" x
+  | Union l -> "union " ^ QCheck.Print.(list int) l
+  | Diff l -> "diff " ^ QCheck.Print.(list int) l
+
+let prop_seqset_matches_reference =
+  QCheck.Test.make ~name:"seqset agrees with the sorted-list reference" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list print_seq_op)
+       QCheck.Gen.(list_size (int_range 1 40) gen_seq_op))
+    (fun ops ->
+      let agree s l =
+        Seqset.to_list s = l
+        && Seqset.max s = Seqref.max l
+        && List.for_all (fun x -> Seqset.mem x s = List.mem x l) (List.init 44 (fun x -> x - 1))
+        (* canonical: the same seqs always have the same representation *)
+        && Seqset.of_list (List.rev l) = s
+      in
+      let _, _, ok =
+        List.fold_left
+          (fun (s, l, ok) op ->
+            let s, l =
+              match op with
+              | Add x -> (Seqset.add x s, Seqref.add x l)
+              | Union xs -> (Seqset.union s (Seqset.of_list xs), Seqref.union l (Seqref.norm xs))
+              | Diff xs -> (Seqset.diff s (Seqset.of_list xs), Seqref.diff l (Seqref.norm xs))
+            in
+            (s, l, ok && agree s l))
+          (Seqset.empty, [], true) ops
+      in
+      ok)
+
+let prop_seqset_binary_ops =
+  let arb = QCheck.(pair (small_list (int_range 0 40)) (small_list (int_range 0 40))) in
+  QCheck.Test.make ~name:"seqset union/diff of arbitrary sets" ~count:500 arb (fun (a, b) ->
+      let sa = Seqset.of_list a and sb = Seqset.of_list b in
+      let ra = Seqref.norm a and rb = Seqref.norm b in
+      Seqset.to_list (Seqset.union sa sb) = Seqref.union ra rb
+      && Seqset.to_list (Seqset.union sb sa) = Seqref.union ra rb
+      && Seqset.to_list (Seqset.diff sa sb) = Seqref.diff ra rb
+      && Seqset.to_list (Seqset.diff sb sa) = Seqref.diff rb ra)
+
+let test_seqset_coalesces () =
+  let ints = Alcotest.(list int) in
+  check Alcotest.int "empty max" 0 (Seqset.max Seqset.empty);
+  (* filling the one gap between two intervals leaves a single interval *)
+  let gap = Seqset.of_list [ 1; 2; 4; 5 ] in
+  check ints "gap kept" [ 1; 2; 4; 5 ] (Seqset.to_list gap);
+  check Alcotest.bool "gap is not a member" false (Seqset.mem 3 gap);
+  check Alcotest.bool "filled gap coalesces" true
+    (Seqset.add 3 gap = Seqset.of_list [ 1; 2; 3; 4; 5 ]);
+  check Alcotest.bool "adjacent union coalesces" true
+    (Seqset.union (Seqset.of_list [ 1; 2 ]) (Seqset.of_list [ 3; 4 ])
+    = Seqset.of_list [ 4; 3; 2; 1 ]);
+  check ints "diff splits an interval" [ 1; 2; 4; 5 ]
+    (Seqset.to_list (Seqset.diff (Seqset.of_list [ 1; 2; 3; 4; 5 ]) (Seqset.of_list [ 3 ])));
+  check ints "diff names the one missing seq" [ 2500 ]
+    (Seqset.to_list
+       (Seqset.diff
+          (Seqset.of_list (List.init 5000 succ))
+          (Seqset.of_list (List.filter (fun x -> x <> 2500) (List.init 5000 succ)))));
+  (* The encoded size follows the gap count, not the seq count (300 and
+     3000 share Marshal's 16-bit int encoding). *)
+  let bytes n = String.length (Marshal.to_string (Seqset.of_list (List.init n succ)) []) in
+  check Alcotest.int "size flat in seq count" (bytes 300) (bytes 3000)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -688,4 +785,7 @@ let suite =
             prop_exchange_plan_matches_reference;
           ] );
     ("core.events", [ Alcotest.test_case "sink" `Quick test_events_sink ]);
+    ( "core.seqset",
+      Alcotest.test_case "coalescing and gaps" `Quick test_seqset_coalesces
+      :: qsuite [ prop_seqset_matches_reference; prop_seqset_binary_ops ] );
   ]

@@ -186,6 +186,106 @@ let test_fast_path_knobs_combined () =
   check Alcotest.bool "crash triggered at least one takeover" true
     (List.length takeovers >= 1)
 
+(* Per-session context must not grow with session age.  The deployment
+   [Runner.setup] builds for [Scenario.default], under Vod with 4
+   clients x 4 concurrent sessions, one update per 0.1 s, stable storage
+   on and no fault, composed here over a substrate whose [send] records
+   the largest datagram of the current window.  The largest datagram of
+   the 10 s ending at 60 s of session age must equal that of the 10 s
+   ending at 180 s, and so must the largest [P_ctx] record in the
+   durable WAL at those two ages.  While every applied seq travelled as
+   its own list cell, the 60 s / 180 s figures were 6,818 / 21,218 B per
+   datagram and 2,256 / 7,056 B per record; with interval sets they are
+   311 B and 61 B at both ages. *)
+module RV = Haf_experiments.Runner.Make (Haf_services.Vod)
+
+let test_context_flat_in_session_age () =
+  let sc =
+    {
+      Scenario.default with
+      n_clients = 4;
+      request_interval = 0.1;
+      store = Some Haf_store.Store.default_config;
+    }
+  in
+  let engine = Haf_sim.Engine.create ~seed:sc.Scenario.seed () in
+  let net = Haf_net.Network.create engine sc.Scenario.net_config in
+  let base = Haf_net.Network.substrate net in
+  let window_max = ref 0 in
+  let sub =
+    {
+      base with
+      Haf_net.Substrate.send =
+        (fun ?label ~src ~dst payload ->
+          window_max := Int.max !window_max (String.length payload);
+          base.Haf_net.Substrate.send ?label ~src ~dst payload);
+    }
+  in
+  let servers = List.init sc.Scenario.n_servers Fun.id in
+  let gcs =
+    Haf_gcs.Gcs.create_on ~gcs_config:sc.Scenario.gcs_config ~servers ~local:servers sub
+  in
+  let events = Events.make_sink ~retain:false () in
+  let catalog = List.init sc.Scenario.n_units Scenario.unit_name in
+  let stores =
+    List.map
+      (fun p ->
+        let st =
+          Haf_store.Store.create ~name:(Printf.sprintf "disk.s%d" p)
+            Haf_store.Store.default_config engine
+        in
+        let units =
+          List.filter
+            (fun u -> List.mem p (Scenario.servers_for_unit sc u))
+            (List.init sc.Scenario.n_units Fun.id)
+          |> List.map Scenario.unit_name
+        in
+        ignore
+          (RV.Fw.Server.create ~store:st gcs ~proc:p ~policy:sc.Scenario.policy ~units
+             ~catalog ~events);
+        st)
+      servers
+  in
+  let clients =
+    List.init sc.Scenario.n_clients (fun _ ->
+        RV.Fw.Client.create gcs ~proc:(Haf_gcs.Gcs.add_client gcs)
+          ~policy:sc.Scenario.policy ~events)
+  in
+  let start = sc.Scenario.warmup in
+  Haf_sim.Engine.run ~until:start engine;
+  List.iteri
+    (fun ci client ->
+      for si = 0 to 3 do
+        ignore
+          (RV.Fw.Client.start_session client
+             ~unit_id:(Scenario.unit_name ((ci + si) mod sc.Scenario.n_units))
+             ~duration:1000. ~request_interval:sc.Scenario.request_interval)
+      done)
+    clients;
+  let largest_ctx_record () =
+    List.fold_left
+      (fun acc st ->
+        let wal = Haf_store.Wal.replay (Haf_store.Disk.durable (Haf_store.Store.wal_disk st)) in
+        List.fold_left
+          (fun acc r ->
+            match RV.Fw.decode_persisted r with
+            | RV.Fw.P_ctx _ -> Int.max acc (String.length r)
+            | RV.Fw.P_session _ | RV.Fw.P_end _ | RV.Fw.P_assign _ | RV.Fw.P_merge _ -> acc)
+          acc wal.Haf_store.Wal.records)
+      0 stores
+  in
+  let at_age age =
+    Haf_sim.Engine.run ~until:(start +. age -. 10.) engine;
+    window_max := 0;
+    Haf_sim.Engine.run ~until:(start +. age) engine;
+    (!window_max, largest_ctx_record ())
+  in
+  let dgram_60, ctx_60 = at_age 60. in
+  let dgram_180, ctx_180 = at_age 180. in
+  check Alcotest.bool "updates flowed" true (ctx_60 > 0);
+  check Alcotest.int "largest datagram: 180 s as at 60 s" dgram_60 dgram_180;
+  check Alcotest.int "largest P_ctx record: 180 s as at 60 s" ctx_60 ctx_180
+
 let suite =
   [
     ( "experiments.runner",
@@ -199,6 +299,8 @@ let suite =
         Alcotest.test_case "group wipes scoped" `Quick test_group_wipes_scoped;
         Alcotest.test_case "fast-path knobs combined" `Quick
           test_fast_path_knobs_combined;
+        Alcotest.test_case "context flat in session age" `Quick
+          test_context_flat_in_session_age;
       ] );
     ( "experiments.registry",
       [

@@ -293,7 +293,7 @@ let test_lost_update_window () =
      request, before the next propagation: the request must be lost —
      the exact fault pattern of the paper's risk analysis. *)
   let policy =
-    { Policy.default with n_backups = 1; propagation_period = 5.; grant_timeout = 1. }
+    { Policy.default with n_backups = 1; propagation_period = 5. }
   in
   let w = setup ~n:4 ~policy () in
   run w ~until:3.;
@@ -718,7 +718,7 @@ let test_hybrid_resend_one_frame () =
     (responses_sent w sid ~server ~from:0. ~until:infinity)
 
 let test_grant_retry_after_primary_crash () =
-  let policy = { Policy.default with n_backups = 0; grant_timeout = 1. } in
+  let policy = { Policy.default with n_backups = 0 } in
   let w = setup ~policy () in
   run w ~until:3.;
   (* Crash the would-be primary the instant the session is requested, so

@@ -70,7 +70,7 @@ let test_watchdog_recovers_total_outage () =
   (* Kill every replica: the unit database is gone (the paper's
      "availability is impossible" pattern).  Once servers restart, the
      client's silence watchdog re-establishes the session. *)
-  let policy = { Policy.default with n_backups = 1; grant_timeout = 1. } in
+  let policy = { Policy.default with n_backups = 1 } in
   let w = vod_setup ~n:2 ~policy ~seed:403 () in
   Engine.run ~until:3. w.engine;
   let sid = FV.Client.start_session w.client ~unit_id:"m" ~duration:60. ~request_interval:0. in
@@ -108,8 +108,8 @@ let test_propagation_cadence () =
 
 let test_backup_context_staleness_bounded () =
   (* The unit database's snapshot must never lag the primary by more
-     than one propagation period (plus delivery): check the recorded
-     req_seq of propagations tracks the requests. *)
+     than one propagation period (plus delivery): check the applied
+     set of propagations tracks the requests. *)
   let policy = { Policy.default with n_backups = 1; propagation_period = 0.5 } in
   let w = vod_setup ~policy ~seed:405 () in
   Engine.run ~until:3. w.engine;
@@ -136,8 +136,9 @@ let test_backup_context_staleness_bounded () =
           List.exists
             (fun (pt, e) ->
               match e with
-              | Events.Propagated { session_id; req_seq; _ } ->
-                  session_id = sid && pt >= at && pt <= at +. 0.8 && req_seq >= seq
+              | Events.Propagated { session_id; applied; _ } ->
+                  session_id = sid && pt >= at && pt <= at +. 0.8
+                  && Haf_core.Seqset.mem seq applied
               | _ -> false)
             tl
         in
@@ -371,7 +372,7 @@ let prop_consistency_under_chaos =
          lands (bounded staleness). *)
       let snap_req db sid =
         match Unit_db.find db sid with
-        | Some { Unit_db.propagated = Some sn; _ } -> sn.Unit_db.snap_req_seq
+        | Some { Unit_db.propagated = Some sn; _ } -> Haf_core.Seqset.max sn.Unit_db.snap_applied
         | Some { Unit_db.propagated = None; _ } | None -> -1
       in
       let dbs_equal =

@@ -1025,8 +1025,7 @@ let build_db rng =
       Unit_db.set_propagated db sid
         {
           Unit_db.snap_ctx = i;
-          snap_req_seq = Haf_sim.Rng.int rng 20;
-          snap_applied = [];
+          snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 20) empty);
           snap_at = Haf_sim.Rng.float rng 50.;
         };
     if Haf_sim.Rng.int rng 4 = 0 then Unit_db.end_session db sid
@@ -1109,8 +1108,7 @@ let prop_tombstone_survives_flag_corruption =
             Some
               {
                 Unit_db.snap_ctx = 99;
-                snap_req_seq = Haf_sim.Rng.int rng 1000;
-                snap_applied = [];
+                snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 1000) empty);
                 snap_at = Haf_sim.Rng.float rng 100.;
               };
           r_primary = Some (Haf_sim.Rng.int rng 4);
@@ -1213,8 +1211,7 @@ let apply_sanctioned seed db =
         Unit_db.set_propagated db sid
           {
             Unit_db.snap_ctx = Haf_sim.Rng.int rng 1000;
-            snap_req_seq = Haf_sim.Rng.int rng 50;
-            snap_applied = [];
+            snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 50) empty);
             snap_at = Haf_sim.Rng.float rng 100.;
           }
     | 7 -> Unit_db.end_session db sid

@@ -169,7 +169,11 @@ let replay steps =
           let applied = if drop then [ k ] else List.init k (fun j -> j + 1) in
           emit
             (Events.Propagated
-               { server = srv; session_id = sids.(i); req_seq = k; applied })
+               {
+                 server = srv;
+                 session_id = sids.(i);
+                 applied = Haf_core.Seqset.of_list applied;
+               })
       | View_note (srv, i) ->
           let members =
             List.filter (fun s -> Network.alive net s) servers
@@ -361,14 +365,14 @@ let test_directed_long_acked_loss () =
   let n = 5_000 and lost = 2_500 in
   let all = List.init n (fun j -> j + 1) in
   emit 0.2
-    (Events.Propagated { server = 0; session_id = "sa"; req_seq = n; applied = all });
+    (Events.Propagated
+       { server = 0; session_id = "sa"; applied = Haf_core.Seqset.of_list all });
   emit 1.0
     (Events.Propagated
        {
          server = 0;
          session_id = "sa";
-         req_seq = n;
-         applied = List.filter (fun seq -> seq <> lost) all;
+         applied = Haf_core.Seqset.of_list (List.filter (fun seq -> seq <> lost) all);
        });
   Monitor.pump m ~now:1.0;
   match Monitor.violations m with

@@ -110,8 +110,7 @@ let prop at server applied_seqs =
        {
          server;
          session_id = "s";
-         req_seq = List.fold_left Int.max 0 applied_seqs;
-         applied = applied_seqs;
+         applied = Haf_core.Seqset.of_list applied_seqs;
        })
 
 let takeover at server kind ~from ~live =
