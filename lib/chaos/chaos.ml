@@ -124,9 +124,6 @@ let of_string text =
     (Ok []) lines
   |> Result.map List.rev
 
-let pp ppf s =
-  List.iter (fun (t, op) -> Format.fprintf ppf "%8.3f  %s@," t (op_to_string op)) s
-
 (* ---------------------------------------------------------------- *)
 (* Generation.  A schedule is built from paired incidents (fault at t,
    repair at t + duration), then time-sorted; the interpreter treats

@@ -96,8 +96,6 @@ val to_string : schedule -> string
 val of_string : string -> (schedule, string) result
 (** Inverse of {!to_string}; blank lines and [#] comments are skipped. *)
 
-val pp : Format.formatter -> schedule -> unit
-
 val shrink : failing:(schedule -> bool) -> schedule -> schedule * int
 (** [shrink ~failing s]: delta-debugging (ddmin) minimisation.
     [failing] must return [true] iff the candidate schedule still

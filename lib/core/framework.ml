@@ -30,27 +30,21 @@ module Daemon = Haf_gcs.Daemon
 let test_end_session_deletes = ref false
 
 module Make (S : Service_intf.SERVICE) = struct
+  (* No message names its sender, unit or group: the GCS delivery
+     already says who sent it and in which group. *)
   type group_msg =
-    | List_units of { client : int }
-    | Start_session of { session_id : string; unit_id : string; client : int }
+    | List_units
+    | Start_session of { session_id : string }
     | Propagate of { snaps : (string * S.context Unit_db.snapshot) list }
     | End_session of { session_id : string }
-    | State_digest of { sender : int; vid : View.Id.t; digest : Unit_db.digest list }
-    | State_delta of {
-        sender : int;
-        vid : View.Id.t;
-        records : S.context Unit_db.record list;
-      }
+    | State_digest of { vid : View.Id.t; digest : Unit_db.digest list }
+    | State_delta of { vid : View.Id.t; records : S.context Unit_db.session list }
     | Request of { session_id : string; seq : int; body : S.request }
   [@@haf.protocol]
 
   type p2p_msg =
     | Unit_list of string list
-    | Granted of {
-        session_id : string;
-        unit_id : string;
-        primary : int;
-      } [@haf.ack]
+    | Granted of { session_id : string } [@haf.ack]
         (* The session-establishment ack: deep-lint R7 proves every
            emission is dominated by a stable-store sync (or the no-store
            arm), so a crash after the client hears Granted cannot forget
@@ -93,9 +87,9 @@ module Make (S : Service_intf.SERVICE) = struct
         backups : int list;
       }
     | P_ctx of { unit_id : string; session_id : string; snap : S.context Unit_db.snapshot }
-    | P_merge of { unit_id : string; records : S.context Unit_db.record list }
+    | P_merge of { unit_id : string; records : S.context Unit_db.session list }
 
-  type persisted_snapshot = (string * S.context Unit_db.record list) list
+  type persisted_snapshot = (string * S.context Unit_db.session list) list
 
   let encode_persisted (p : persisted) = Marshal.to_string p [] (* haf-lint: allow R2 — simulated disk *)
   let decode_persisted (s : string) : persisted = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated disk *)
@@ -141,7 +135,7 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable ex_plan : Unit_db.plan_entry list option;
           (* [None] until every expected digest is in; then the plan our
              delta was cut from, which completion also reads. *)
-      mutable ex_deltas : (int * S.context Unit_db.record list) list;
+      mutable ex_deltas : (int * S.context Unit_db.session list) list;
       mutable ex_deferred : (int * group_msg) list;  (* newest first *)
     }
 
@@ -707,8 +701,7 @@ module Make (S : Service_intf.SERVICE) = struct
           let client = sess.Unit_db.client in
           let grant () =
             emit t (Events.Session_granted { client; session_id; primary = t.proc });
-            send_p2p t client
-              (Granted { session_id; unit_id = us.u_id; primary = t.proc })
+            send_p2p t client (Granted { session_id })
           in
           (* Durable-before-ack: with a store attached, the session (and
              our claim to primaryship) must hit the platter before the
@@ -743,7 +736,8 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let process_content_msg t us ~sender msg =
       match msg with
-      | Start_session { session_id; unit_id = _; client } ->
+      | Start_session { session_id } ->
+          let client = sender in
           let existed = Unit_db.mem us.u_db session_id in
           let started_at = now t in
           ignore (Unit_db.add_session us.u_db ~session_id ~client ~started_at);
@@ -781,7 +775,7 @@ module Make (S : Service_intf.SERVICE) = struct
           else Unit_db.end_session us.u_db session_id;
           refresh_checksum us
       | State_digest _ | State_delta _ -> ()  (* handled by the exchange machinery *)
-      | List_units _ | Request _ -> ()
+      | List_units | Request _ -> ()
 
     (* Exchange debugging goes to the deterministic trace (visible with a
        tracing Gcs + [Trace.echo]), not to stderr: haf-lint rule R4. *)
@@ -847,7 +841,7 @@ module Make (S : Service_intf.SERVICE) = struct
         let plan = Unit_db.exchange_plan ~members:ex.ex_expected ex.ex_digests in
         ex.ex_plan <- Some plan;
         let records = Unit_db.delta us.u_db ~me:t.proc plan in
-        let msg = State_delta { sender = t.proc; vid = ex.ex_vid; records } in
+        let msg = State_delta { vid = ex.ex_vid; records } in
         emit t
           (Events.Exchange_sent
              {
@@ -879,8 +873,8 @@ module Make (S : Service_intf.SERVICE) = struct
       us.u_exchange <- Some ex;
       dbg t "s%d exchange START %s vid=%a expect=[%a]" t.proc us.u_id View.Id.pp
         view.View.id View.pp_procs view.View.members;
-      let digest = List.map Unit_db.digest_of_record (Unit_db.export us.u_db) in
-      let msg = State_digest { sender = t.proc; vid = view.View.id; digest } in
+      let digest = List.map Unit_db.digest_of_session (Unit_db.sessions us.u_db) in
+      let msg = State_digest { vid = view.View.id; digest } in
       emit t
         (Events.Exchange_sent
            {
@@ -917,7 +911,7 @@ module Make (S : Service_intf.SERVICE) = struct
         when match (msg, us.u_view) with
              | State_digest { vid; _ }, Some v -> View.Id.equal vid v.View.id
              | State_digest _, None -> false
-             | ( ( List_units _ | Start_session _ | Propagate _ | End_session _
+             | ( ( List_units | Start_session _ | Propagate _ | End_session _
                  | State_delta _ | Request _ ),
                  _ ) ->
                  false -> (
@@ -937,12 +931,11 @@ module Make (S : Service_intf.SERVICE) = struct
           | None -> ())
       | Some ex -> (
           match msg with
-          | State_digest { sender = xsender; vid; digest }
-            when View.Id.equal vid ex.ex_vid ->
+          | State_digest { vid; digest } when View.Id.equal vid ex.ex_vid ->
               dbg t "s%d exchange DIGEST %s from s%d vid=%a" t.proc us.u_id
-                xsender View.Id.pp vid;
-              if not (List.mem_assoc xsender ex.ex_digests) then begin
-                ex.ex_digests <- (xsender, digest) :: ex.ex_digests;
+                sender View.Id.pp vid;
+              if not (List.mem_assoc sender ex.ex_digests) then begin
+                ex.ex_digests <- (sender, digest) :: ex.ex_digests;
                 if
                   List.for_all
                     (fun m -> List.mem_assoc m ex.ex_digests)
@@ -952,12 +945,11 @@ module Make (S : Service_intf.SERVICE) = struct
                      digest at every member, so it is safe to send now. *)
                   send_delta t us ex
               end
-          | State_delta { sender = xsender; vid; records }
-            when View.Id.equal vid ex.ex_vid ->
+          | State_delta { vid; records } when View.Id.equal vid ex.ex_vid ->
               dbg t "s%d exchange DELTA %s from s%d vid=%a (%d records)" t.proc
-                us.u_id xsender View.Id.pp vid (List.length records);
-              if not (List.mem_assoc xsender ex.ex_deltas) then begin
-                ex.ex_deltas <- (xsender, records) :: ex.ex_deltas;
+                us.u_id sender View.Id.pp vid (List.length records);
+              if not (List.mem_assoc sender ex.ex_deltas) then begin
+                ex.ex_deltas <- (sender, records) :: ex.ex_deltas;
                 match ex.ex_plan with
                 | Some plan
                   when List.for_all
@@ -966,11 +958,10 @@ module Make (S : Service_intf.SERVICE) = struct
                     exchange_complete t us ex plan
                 | Some _ | None -> ()
               end
-          | State_digest { sender = xsender; vid; _ }
-          | State_delta { sender = xsender; vid; _ } ->
+          | State_digest { vid; _ } | State_delta { vid; _ } ->
               dbg t "s%d exchange STALE %s from s%d vid=%a (want %a)" t.proc
-                us.u_id xsender View.Id.pp vid View.Id.pp ex.ex_vid
-          | ( List_units _ | Start_session _ | Propagate _ | End_session _
+                us.u_id sender View.Id.pp vid View.Id.pp ex.ex_vid
+          | ( List_units | Start_session _ | Propagate _ | End_session _
             | Request _ ) as other ->
               ex.ex_deferred <- (sender, other) :: ex.ex_deferred)
       | None -> process_content_msg t us ~sender msg
@@ -990,13 +981,13 @@ module Make (S : Service_intf.SERVICE) = struct
           end
       | Some _ | None -> ()
 
-    let on_service_msg t msg =
+    let on_service_msg t ~sender msg =
       match msg with
-      | List_units { client } -> (
+      | List_units -> (
           (* One designated member answers: the service-view coordinator. *)
           match t.svc_view with
           | Some v when View.coordinator v = t.proc ->
-              send_p2p t client (Unit_list t.catalog)
+              send_p2p t sender (Unit_list t.catalog)
           | Some _ | None -> ())
       | Start_session _ | Propagate _ | End_session _ | State_digest _
       | State_delta _ | Request _ ->
@@ -1021,7 +1012,7 @@ module Make (S : Service_intf.SERVICE) = struct
     let on_message t ~group ~sender payload =
       if t.running then
         let msg = decode_group payload in
-        if Naming.is_service_group group then on_service_msg t msg
+        if Naming.is_service_group group then on_service_msg t ~sender msg
         else
           match Naming.content_unit_of group with
           | Some u -> (
@@ -1035,7 +1026,7 @@ module Make (S : Service_intf.SERVICE) = struct
                  session's primary and backups. *)
               match msg with
               | Request { session_id; seq; body } -> on_request t ~session_id ~seq ~body
-              | List_units _ | Start_session _ | Propagate _ | End_session _
+              | List_units | Start_session _ | Propagate _ | End_session _
               | State_digest _ | State_delta _ ->
                   ())
 
@@ -1328,12 +1319,12 @@ module Make (S : Service_intf.SERVICE) = struct
                   t.on_units <- None;
                   k units
               | None -> ())
-          | Granted { session_id; unit_id = _; primary } -> (
+          | Granted { session_id } -> (
               match Hashtbl.find_opt t.sessions session_id with
               | Some cs when not cs.c_granted ->
                   cs.c_granted <- true;
                   Events.emit t.events ~now:(Engine.now engine)
-                    (Events.Session_granted { client = t.proc; session_id; primary })
+                    (Events.Session_granted { client = t.proc; session_id; primary = sender })
               | Some _ | None -> ())
           | Responses { items } ->
               List.iter
@@ -1368,7 +1359,7 @@ module Make (S : Service_intf.SERVICE) = struct
     let discover_units t k =
       t.on_units <- Some k;
       Gcs.open_send t.gcs t.proc Naming.service_group
-        (encode_group (List_units { client = t.proc }))
+        (encode_group List_units)
 
     let send_request t cs =
       if t.running && not cs.c_done then begin
@@ -1423,7 +1414,7 @@ module Make (S : Service_intf.SERVICE) = struct
         if t.running && not cs.c_done then
           Gcs.open_send t.gcs t.proc
             (Naming.content_group unit_id)
-            (encode_group (Start_session { session_id; unit_id; client = t.proc }))
+            (encode_group (Start_session { session_id }))
       in
       ask ();
       (* Re-ask every grant timeout until granted: covers the primary

@@ -28,32 +28,27 @@ module Make (S : Service_intf.SERVICE) : sig
   (** {2 Wire messages}
 
       Exposed so that tests and harnesses can inject hand-crafted
-      traffic; normal applications never construct these. *)
+      traffic; normal applications never construct these.  No message
+      names its sender or group: receivers take the sender from the GCS
+      delivery ([~sender]) and the unit from the group it arrived in. *)
 
   type group_msg =
-    | List_units of { client : int }  (** Client -> service group. *)
-    | Start_session of { session_id : string; unit_id : string; client : int }
-        (** Client -> content group (totally ordered at every replica). *)
+    | List_units  (** Client -> service group; answered to its sender. *)
+    | Start_session of { session_id : string }
+        (** Client -> content group (totally ordered at every replica);
+            the delivery's sender is the session's client. *)
     | Propagate of { snaps : (string * S.context Unit_db.snapshot) list }
         (** Server -> content group, every propagation period: one frame
             per server and unit carries the (session id, snapshot) pair
             of every local primary of the unit, in session-id order,
             applied in order. *)
     | End_session of { session_id : string }
-    | State_digest of {
-        sender : int;
-        vid : Haf_gcs.View.Id.t;
-        digest : Unit_db.digest list;
-      }
+    | State_digest of { vid : Haf_gcs.View.Id.t; digest : Unit_db.digest list }
         (** Members -> content group after a view change with joiners:
             round one of the state exchange, advertising per-session
-            metadata only. *)
-    | State_delta of {
-        sender : int;
-        vid : Haf_gcs.View.Id.t;
-        records : S.context Unit_db.record list;
-      }
-        (** Round two: each member ships exactly the records it is the
+            metadata only.  Counted once per delivering sender. *)
+    | State_delta of { vid : Haf_gcs.View.Id.t; records : S.context Unit_db.session list }
+        (** Round two: each member ships exactly the sessions it is the
             designated holder of and that some member lacks — possibly
             none, so completion stays detectable. *)
     | Request of { session_id : string; seq : int; body : S.request }
@@ -62,7 +57,8 @@ module Make (S : Service_intf.SERVICE) : sig
 
   type p2p_msg =
     | Unit_list of string list
-    | Granted of { session_id : string; unit_id : string; primary : int }
+    | Granted of { session_id : string }
+        (** Primary -> client: the p2p sender is the granting primary. *)
     | Responses of { items : (string * S.response) list }
         (** Server -> client, once per service tick: the responses of
             every session this server is primary of for the client, in
@@ -107,9 +103,9 @@ module Make (S : Service_intf.SERVICE) : sig
         backups : int list;
       }
     | P_ctx of { unit_id : string; session_id : string; snap : S.context Unit_db.snapshot }
-    | P_merge of { unit_id : string; records : S.context Unit_db.record list }
+    | P_merge of { unit_id : string; records : S.context Unit_db.session list }
 
-  type persisted_snapshot = (string * S.context Unit_db.record list) list
+  type persisted_snapshot = (string * S.context Unit_db.session list) list
 
   val encode_persisted : persisted -> string
 

@@ -4,14 +4,16 @@ type 'ctx snapshot = {
   snap_at : float;
 }
 
+(* Field order is part of the wire and disk bytes: state deltas, merge
+   records and snapshot blobs marshal sessions as they are. *)
 type 'ctx session = {
   session_id : string;
   client : int;
   unit_id : string;
   started_at : float;
+  mutable propagated : 'ctx snapshot option;
   mutable primary : int option;
   mutable backups : int list;
-  mutable propagated : 'ctx snapshot option;
   mutable ended : bool;
 }
 
@@ -34,30 +36,7 @@ let[@hot] find t sid = Hashtbl.find_opt t.tbl sid
 
 let[@hot] mem t sid = Hashtbl.mem t.tbl sid
 
-type 'ctx record = {
-  r_session_id : string;
-  r_client : int;
-  r_unit_id : string;
-  r_started_at : float;
-  r_propagated : 'ctx snapshot option;
-  r_primary : int option;
-  r_backups : int list;
-  r_ended : bool;
-}
-
-let record_of_session s =
-  {
-    r_session_id = s.session_id;
-    r_client = s.client;
-    r_unit_id = s.unit_id;
-    r_started_at = s.started_at;
-    r_propagated = s.propagated;
-    r_primary = s.primary;
-    r_backups = s.backups;
-    r_ended = s.ended;
-  }
-
-(* The per-session digest: every coordination-relevant field of a record
+(* The per-session digest: every coordination-relevant field of a session
    except the service context itself.  Two uses: (a) the total
    preference order below, shared by merges and by the framework's
    digest/delta state exchange so both pick the same winner; (b) the
@@ -75,21 +54,21 @@ type digest = {
   d_ended : bool;
 }
 
-let digest_of_record r =
+let digest_of_session s =
   let d_req_seq, d_at =
-    match r.r_propagated with
-    | Some s -> (Seqset.max s.snap_applied, s.snap_at)
+    match s.propagated with
+    | Some p -> (Seqset.max p.snap_applied, p.snap_at)
     | None -> (-1, 0.)
   in
   {
-    d_session_id = r.r_session_id;
-    d_client = r.r_client;
-    d_started_at = r.r_started_at;
+    d_session_id = s.session_id;
+    d_client = s.client;
+    d_started_at = s.started_at;
     d_req_seq;
     d_at;
-    d_primary = Option.value r.r_primary ~default:(-1);
-    d_backups = r.r_backups;
-    d_ended = r.r_ended;
+    d_primary = Option.value s.primary ~default:(-1);
+    d_backups = s.backups;
+    d_ended = s.ended;
   }
 
 (* One session's contribution to the checksum.  Hashed with generous
@@ -98,8 +77,7 @@ let digest_of_record r =
    unchanged — then multiplied to spread structurally similar digests
    before the XOR combine. *)
 let session_hash s =
-  let d = digest_of_record (record_of_session s) in
-  Hashtbl.hash_param 256 256 d * 0x9e3779b9 land max_int (* haf-lint: allow R2 — local integrity checksum, never compared across processes *)
+  Hashtbl.hash_param 256 256 (digest_of_session s) * 0x9e3779b9 land max_int (* haf-lint: allow R2 — local integrity checksum, never compared across processes *)
 
 (* Run a sanctioned in-place mutation, keeping the incremental cache in
    sync: XOR out the old contribution, XOR in the new. *)
@@ -157,10 +135,15 @@ let live_sessions t = List.filter (fun s -> not s.ended) (sessions t)
 
 let size t = Hashtbl.length t.tbl
 
-let fresher a b =
-  (* Newest request first, then wall-clock as a tiebreak. *)
-  let ma = Seqset.max a.snap_applied and mb = Seqset.max b.snap_applied in
-  if ma <> mb then ma > mb else a.snap_at > b.snap_at
+(* The one snapshot-freshness rule, over (highest applied seq, [snap_at])
+   pairs, a seq of [-1] meaning no snapshot: newest request first, then
+   wall-clock as a tiebreak; a snapshot beats none. *)
+let compare_freshness ~seq_a ~at_a ~seq_b ~at_b =
+  if seq_a < 0 && seq_b < 0 then 0
+  else if seq_b < 0 then 1
+  else if seq_a < 0 then -1
+  else if seq_a <> seq_b then Int.compare seq_a seq_b
+  else Float.compare at_a at_b
 
 let set_propagated t sid snap =
   match find t sid with
@@ -168,7 +151,11 @@ let set_propagated t sid snap =
   | Some { ended = true; _ } -> ()
   | Some s -> (
       match s.propagated with
-      | Some old when not (fresher snap old) -> ()
+      | Some old
+        when compare_freshness ~seq_a:(Seqset.max snap.snap_applied) ~at_a:snap.snap_at
+               ~seq_b:(Seqset.max old.snap_applied) ~at_b:old.snap_at
+             <= 0 ->
+          ()
       | Some _ | None -> touching t s (fun s -> s.propagated <- Some snap))
 
 let set_assignment t sid ~primary ~backups =
@@ -180,7 +167,10 @@ let set_assignment t sid ~primary ~backups =
           s.primary <- Some primary;
           s.backups <- backups)
 
-let export t = List.map record_of_session (sessions t)
+(* A detached copy: later mutations of the table do not reach it. *)
+let copy s = { s with ended = s.ended }
+
+let export t = List.map copy (sessions t)
 
 (* Compare only the replicated-content part of two digests: which
    propagated snapshot is fresher (the [-1] sentinel means none).
@@ -192,11 +182,7 @@ let digest_snap_compare a b =
      session's content, so it both wins merges and gets shipped to
      members still holding live copies. *)
   if a.d_ended || b.d_ended then Bool.compare a.d_ended b.d_ended
-  else if a.d_req_seq < 0 && b.d_req_seq < 0 then 0
-  else if b.d_req_seq < 0 then 1
-  else if a.d_req_seq < 0 then -1
-  else if a.d_req_seq <> b.d_req_seq then Int.compare a.d_req_seq b.d_req_seq
-  else Float.compare a.d_at b.d_at
+  else compare_freshness ~seq_a:a.d_req_seq ~at_a:a.d_at ~seq_b:b.d_req_seq ~at_b:b.d_at
 
 (* Total preference order (positive = first argument wins) so that
    merges are deterministic and order-independent: fresher snapshot
@@ -223,7 +209,7 @@ let digest_preference a b =
         if client <> 0 then client
         else Float.compare b.d_started_at a.d_started_at
 
-let preference ra rb = digest_preference (digest_of_record ra) (digest_of_record rb)
+let preference a b = digest_preference (digest_of_session a) (digest_of_session b)
 
 type plan_entry = {
   pl_session_id : string;
@@ -283,23 +269,20 @@ let delta t ~me plan =
   List.filter_map
     (fun e ->
       if e.pl_sender = me && e.pl_needed then
-        Option.map record_of_session (find t e.pl_session_id)
+        Option.map copy (find t e.pl_session_id)
       else None)
     plan
 
 let merge_records t records =
   List.iter
     (fun r ->
-      let s =
-        add_session t ~session_id:r.r_session_id ~client:r.r_client
-          ~started_at:r.r_started_at
-      in
-      if preference r (record_of_session s) > 0 then
+      let s = add_session t ~session_id:r.session_id ~client:r.client ~started_at:r.started_at in
+      if preference r s > 0 then
         touching t s (fun s ->
-            s.propagated <- r.r_propagated;
-            s.primary <- r.r_primary;
-            s.backups <- r.r_backups;
-            s.ended <- r.r_ended))
+            s.propagated <- r.propagated;
+            s.primary <- r.primary;
+            s.backups <- r.backups;
+            s.ended <- r.ended))
     records
 
 (* Full recompute, order-independent (XOR combine over the per-session

@@ -25,15 +25,18 @@ type 'ctx session = {
   client : int;
   unit_id : string;
   started_at : float;
+  mutable propagated : 'ctx snapshot option;
   mutable primary : int option;
   mutable backups : int list;
-  mutable propagated : 'ctx snapshot option;
   mutable ended : bool;
       (** Tombstone: the session's End was processed here.  The entry
           stays (and wins merges) so a state exchange with a member that
           missed the End — or recovered from a store predating it —
           cannot resurrect the session. *)
 }
+(** One session's entry, and also what a state exchange ships and a
+    stable-store snapshot holds: the field order is part of those
+    bytes. *)
 
 type 'ctx t
 
@@ -73,25 +76,18 @@ val live_sessions : 'ctx t -> 'ctx session list
 val size : _ t -> int
 
 val set_propagated : 'ctx t -> string -> 'ctx snapshot -> unit
-(** Keeps the freshest snapshot: older (highest applied seq, [snap_at])
-    pairs never overwrite newer ones (relevant when merging partitions). *)
+(** Keeps the freshest snapshot: the new one replaces the old only when
+    the freshness rule of {!digest_snap_compare} (highest applied seq,
+    then [snap_at]) ranks it higher (relevant when merging
+    partitions). *)
 
 val set_assignment : 'ctx t -> string -> primary:int -> backups:int list -> unit
 
 (** {2 State exchange} *)
 
-type 'ctx record = {
-  r_session_id : string;
-  r_client : int;
-  r_unit_id : string;
-  r_started_at : float;
-  r_propagated : 'ctx snapshot option;
-  r_primary : int option;
-  r_backups : int list;
-  r_ended : bool;
-}
-
-val export : 'ctx t -> 'ctx record list
+val export : 'ctx t -> 'ctx session list
+(** Copies of every session in {!sessions} order: later mutations of the
+    database do not reach them. *)
 
 type digest = {
   d_session_id : string;
@@ -105,11 +101,11 @@ type digest = {
   d_backups : int list;
   d_ended : bool;
 }
-(** Everything a record carries except the service context — small
+(** Everything a session carries except the service context — small
     enough to advertise on the wire during a state exchange, rich
     enough to decide which member holds the authoritative copy. *)
 
-val digest_of_record : _ record -> digest
+val digest_of_session : _ session -> digest
 
 val digest_snap_compare : digest -> digest -> int
 (** Compare only the replicated-content part — which propagated
@@ -126,8 +122,8 @@ val digest_preference : digest -> digest -> int
     remaining fields — so every member, merging in any order, picks the
     same winner. *)
 
-val preference : _ record -> _ record -> int
-(** {!digest_preference} lifted to records. *)
+val preference : _ session -> _ session -> int
+(** {!digest_preference} lifted to sessions. *)
 
 type plan_entry = {
   pl_session_id : string;
@@ -149,12 +145,12 @@ val exchange_plan : members:int list -> (int * digest list) list -> plan_entry l
     computes the same plan from the same digests.  O(sessions × members)
     after hashing the digests. *)
 
-val delta : 'ctx t -> me:int -> plan_entry list -> 'ctx record list
-(** The records member [me] ships under a plan: those it is the sender
-    of and someone needs, in plan order. *)
+val delta : 'ctx t -> me:int -> plan_entry list -> 'ctx session list
+(** Copies of the sessions member [me] ships under a plan: those it is
+    the sender of and someone needs, in plan order. *)
 
-val merge_records : 'ctx t -> 'ctx record list -> unit
-(** Union by session id.  For sessions known on both sides, the record
+val merge_records : 'ctx t -> 'ctx session list -> unit
+(** Union by session id.  For sessions known on both sides, the copy
     preferred by {!preference} wins the snapshot and the recorded
     assignment — a deterministic, order-independent rule, so replicas
     merging the same snapshots in any order converge. *)

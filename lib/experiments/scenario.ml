@@ -43,13 +43,3 @@ let unit_name k = Printf.sprintf "u%02d" k
 
 let servers_for_unit t k =
   List.init (Int.min t.replication t.n_servers) (fun i -> (k + i) mod t.n_servers)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "servers=%d units=%d repl=%d clients=%d policy=(%a) dur=%gs seed=%d%s" t.n_servers
-    t.n_units t.replication t.n_clients Haf_core.Policy.pp t.policy t.duration t.seed
-    (match t.store with
-    | Some cfg ->
-        Printf.sprintf " store=(snap=%gs sync=%gs)"
-          cfg.Haf_store.Store.snapshot_period cfg.Haf_store.Store.sync_period
-    | None -> "")

@@ -49,5 +49,3 @@ val unit_name : int -> string
 
 val servers_for_unit : t -> int -> int list
 (** Deterministic round-robin placement of unit replicas. *)
-
-val pp : Format.formatter -> t -> unit

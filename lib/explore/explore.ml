@@ -89,11 +89,6 @@ let of_string text =
     (Ok []) lines
   |> Result.map List.rev
 
-let pp ppf s =
-  List.iter
-    (fun (t, d) -> Format.fprintf ppf "%8.3f  %s@," t (decision_to_string d))
-    s
-
 (* ---------------------------------------------------------------- *)
 (* Executor control: installs the engine's picker and chooser so one
    execution replays a decision prefix and then continues under the

@@ -54,8 +54,6 @@ val to_string : schedule -> string
 val of_string : string -> (schedule, string) result
 (** Inverse of {!to_string}; blank lines and [#] comments are skipped. *)
 
-val pp : Format.formatter -> schedule -> unit
-
 (** {1 One execution} *)
 
 exception Replay_divergence of string

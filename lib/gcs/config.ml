@@ -17,7 +17,3 @@ let validate t =
     Error "suspect_timeout must be at least two heartbeat intervals"
   else if t.flush_timeout <= 0. then Error "flush_timeout must be positive"
   else Ok t
-
-let pp ppf t =
-  Format.fprintf ppf "hb=%gs suspect=%gs flush=%gs" t.heartbeat_interval
-    t.suspect_timeout t.flush_timeout

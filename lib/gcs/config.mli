@@ -19,5 +19,3 @@ val default : t
 
 val validate : t -> (t, string) result
 (** Check the cross-parameter constraints documented above. *)
-
-val pp : Format.formatter -> t -> unit

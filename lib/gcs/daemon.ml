@@ -40,7 +40,7 @@ type gstate = {
   seen_uids : (Wire.uid, unit) Hashtbl.t;
   delivered_uids : (Wire.uid, unit) Hashtbl.t;
       (* Application-level exactly-once guard: a stale copy of a message
-         can be re-sequenced after a merge (e.g. a Data_req parked in a
+         can be re-sequenced after a merge (e.g. a forward parked in a
          transport retransmission queue across a partition reaches a new
          sequencer that never saw the uid); the duplicate is dropped at
          the delivery boundary. *)
@@ -49,7 +49,9 @@ type gstate = {
       (* Entries this member forwarded to the sequencer on behalf of a
          non-member (or a stale-view member): held until seen in the log,
          resubmitted after view changes — otherwise a request forwarded
-         to a crashed, not-yet-suspected sequencer would vanish. *)
+         to a crashed, not-yet-suspected sequencer would vanish.  Entries
+         buffered in [pending_open] during a flush are forwarded at
+         install without entering this table. *)
   mutable pending_open : Wire.entry list;  (* open sends held during flush *)
   mutable left : proc list;
 }
@@ -119,8 +121,6 @@ type t = {
          it); called just before the group resets. *)
   mutable resets : int;
 }
-
-let proc t = t.me
 
 let alive t = t.is_alive
 
@@ -254,8 +254,6 @@ let reachable t p = p = t.me || Fd.reachable t.fd p
 
 let monitor_peer t p = Fd.monitor t.fd p ~now:(now t)
 
-let suspects t = Fd.suspects t.fd
-
 let groups t = List.map fst (sorted_gstates t)
 
 let is_member t group = Hashtbl.mem t.gstates group
@@ -284,7 +282,7 @@ let note_logged t gs (entry : Wire.entry) =
 let deliver t gs (entry : Wire.entry) =
   if not (Hashtbl.mem gs.delivered_uids entry.uid) then begin
     Hashtbl.replace gs.delivered_uids entry.uid ();
-    t.callbacks.on_message ~group:gs.group ~sender:entry.orig entry.payload
+    t.callbacks.on_message ~group:gs.group ~sender:entry.uid.origin entry.payload
   end
 
 let deliver_contiguous t gs =
@@ -320,7 +318,7 @@ let submit t gs (entry : Wire.entry) =
   | Stable ->
       let coord = View.coordinator gs.view in
       if coord = t.me then sequence t gs entry
-      else send_reliable t coord (Wire.Data_req { group = gs.group; entry })
+      else send_reliable t coord (Wire.Open_send { group = gs.group; entry; ttl = 0 })
   | Proposing _ | Flushed _ ->
       (* Buffered; the install path resubmits outstanding/pending. *)
       ()
@@ -356,10 +354,9 @@ let candidates_are_members t gs =
   List.mem t.me members && all_eligible t gs members
   && eligible_advertisers_in t gs members (sorted_advertisers t)
 
-let flush_info_of t gs =
+let flush_info_of gs =
   {
-    Wire.fi_sender = t.me;
-    fi_member = true;
+    Wire.fi_member = true;
     fi_prev_vid = gs.view.View.id;
     fi_log = Det_tbl.sorted_bindings ~compare:Int.compare gs.log;
   }
@@ -387,7 +384,7 @@ let merge_sync_sets replies =
       (vid, Det_tbl.sorted_bindings ~compare:Int.compare log) :: acc)
     tbl []
 
-let rec apply_install t gs ~epoch ~view_id ~members ~sync =
+let rec apply_install t gs ~view_id ~members ~sync =
   (* Risky-pattern choice point (paper §4): a member may crash at the
      instant it would install a new view — after flushing, before the
      installation takes effect locally. *)
@@ -424,7 +421,7 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   gs.delivered_up_to <- 0;
   gs.next_seq <- 1;
   gs.mstate <- Stable;
-  gs.max_epoch <- Int.max gs.max_epoch epoch;
+  gs.max_epoch <- Int.max gs.max_epoch view_id.View.Id.epoch;
   gs.left <- [];
   Hashtbl.remove t.vid_mismatch gs.group;
   t.view_changes <- t.view_changes + 1;
@@ -434,9 +431,7 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   (* Resubmit multicasts not yet sequenced, oldest first, and any open
      sends buffered during the flush. *)
   let mine = List.rev gs.outstanding in
-  List.iter
-    (fun (uid, payload) -> submit t gs { Wire.uid; orig = t.me; payload })
-    mine;
+  List.iter (fun (uid, payload) -> submit t gs { Wire.uid; payload }) mine;
   let opens = List.rev gs.pending_open in
   gs.pending_open <- [];
   List.iter (fun entry -> submit t gs entry) opens;
@@ -456,8 +451,8 @@ and finalize_proposal t gs ~epoch ~candidates ~replies =
   in
   let view_id = { View.Id.epoch; coord = t.me } in
   let sync = merge_sync_sets infos in
-  send_others t members (Wire.Install { group = gs.group; epoch; view_id; members; sync });
-  apply_install t gs ~epoch ~view_id ~members ~sync
+  send_others t members (Wire.Install { group = gs.group; view_id; members; sync });
+  apply_install t gs ~view_id ~members ~sync
 
 and check_finalize t gs =
   match gs.mstate with
@@ -471,10 +466,10 @@ and propose t gs =
   let epoch = Int.max gs.max_epoch gs.view.View.id.View.Id.epoch + 1 in
   gs.max_epoch <- epoch;
   let replies = Hashtbl.create 8 in
-  Hashtbl.replace replies t.me (flush_info_of t gs);
+  Hashtbl.replace replies t.me (flush_info_of gs);
   gs.mstate <- Proposing { epoch; candidates; replies; started = now t };
   tr t "propose %s e%d cands=[%a]" gs.group epoch View.pp_procs candidates;
-  send_others t candidates (Wire.Propose { group = gs.group; epoch; candidates });
+  send_others t candidates (Wire.Propose { group = gs.group; epoch });
   check_finalize t gs
 
 (* A co-member has been advertising a different view id for longer
@@ -761,8 +756,7 @@ let heartbeat_tick t =
 (* ------------------------------------------------------------------ *)
 (* Incoming protocol messages                                          *)
 
-let handle_propose t ~src ~group ~epoch ~candidates =
-  ignore candidates;
+let handle_propose t ~src ~group ~epoch =
   match Hashtbl.find_opt t.gstates group with
   | None ->
       (* Not a member (stale advert or restart): tell the proposer so it
@@ -772,13 +766,7 @@ let handle_propose t ~src ~group ~epoch ~candidates =
            {
              group;
              epoch;
-             info =
-               {
-                 fi_sender = t.me;
-                 fi_member = false;
-                 fi_prev_vid = View.Id.initial t.me;
-                 fi_log = [];
-               };
+             info = { fi_member = false; fi_prev_vid = View.Id.initial t.me; fi_log = [] };
            })
   | Some gs ->
       if epoch <= gs.max_epoch then
@@ -788,17 +776,17 @@ let handle_propose t ~src ~group ~epoch ~candidates =
         gs.max_epoch <- epoch;
         gs.mstate <- Flushed { epoch; coord = src; since = now t };
         send_reliable t src
-          (Wire.Flush_reply { group; epoch; info = flush_info_of t gs })
+          (Wire.Flush_reply { group; epoch; info = flush_info_of gs })
       end
 
-let handle_flush_reply t ~group ~epoch ~info =
+let handle_flush_reply t ~src ~group ~epoch ~info =
   match Hashtbl.find_opt t.gstates group with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
       | Proposing { epoch = e; candidates; replies; _ }
-        when e = epoch && List.mem info.Wire.fi_sender candidates ->
-          Hashtbl.replace replies info.Wire.fi_sender info;
+        when e = epoch && List.mem src candidates ->
+          Hashtbl.replace replies src info;
           check_finalize t gs
       | Proposing _ | Stable | Flushed _ -> ())
 
@@ -817,13 +805,13 @@ let handle_nack t ~group ~epoch_hint =
       | Proposing _ | Stable | Flushed _ ->
           gs.max_epoch <- Int.max gs.max_epoch epoch_hint)
 
-let handle_install t ~group ~epoch ~view_id ~members ~sync =
+let handle_install t ~group ~view_id ~members ~sync =
   match Hashtbl.find_opt t.gstates group with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
-      | Flushed { epoch = e; _ } when e = epoch && List.mem t.me members ->
-          apply_install t gs ~epoch ~view_id ~members ~sync
+      | Flushed { epoch; _ } when epoch = view_id.View.Id.epoch && List.mem t.me members ->
+          apply_install t gs ~view_id ~members ~sync
       | Flushed _ | Stable | Proposing _ -> ())
 
 let handle_data t ~group ~vid ~seq ~entry =
@@ -840,25 +828,19 @@ let handle_data t ~group ~vid ~seq ~entry =
         match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
       end
 
-let handle_data_req t ~group ~entry =
+(* A member submits the entry (a forwarding member holds it in
+   [relayed] until it is seen in the log) or buffers it while the view
+   changes; a non-member with hops left passes it on to the members it
+   believes in. *)
+let handle_open_send t ~group ~entry ~ttl =
   match Hashtbl.find_opt t.gstates group with
-  | None -> ()
   | Some gs -> (
       match gs.mstate with
       | Stable ->
-          let coord = View.coordinator gs.view in
-          if coord = t.me then sequence t gs entry
-          else begin
-            if not (Hashtbl.mem gs.seen_uids entry.Wire.uid) then
-              Hashtbl.replace gs.relayed entry.Wire.uid entry;
-            send_reliable t coord (Wire.Data_req { group; entry })
-          end
-      | Proposing _ | Flushed _ ->
-          gs.pending_open <- entry :: gs.pending_open)
-
-let handle_open_send t ~group ~entry ~ttl =
-  match Hashtbl.find_opt t.gstates group with
-  | Some _ -> handle_data_req t ~group ~entry
+          if View.coordinator gs.view <> t.me && not (Hashtbl.mem gs.seen_uids entry.Wire.uid)
+          then Hashtbl.replace gs.relayed entry.Wire.uid entry;
+          submit t gs entry
+      | Proposing _ | Flushed _ -> gs.pending_open <- entry :: gs.pending_open)
   | None ->
       if ttl > 0 then begin
         let targets = advertisers t group in
@@ -868,7 +850,7 @@ let handle_open_send t ~group ~entry ~ttl =
           targets
       end
 
-let handle_leave t ~group ~who =
+let handle_leave t ~src:who ~group =
   match Hashtbl.find_opt t.gstates group with
   | None -> ()
   | Some gs ->
@@ -906,18 +888,16 @@ let on_reliable t ~src payload =
     Fd.heard_from t.fd src ~now:(now t);
     match checked_decode t payload with
     | None -> ()
-    | Some (Wire.Propose { group; epoch; candidates }) ->
-        handle_propose t ~src ~group ~epoch ~candidates
+    | Some (Wire.Propose { group; epoch }) -> handle_propose t ~src ~group ~epoch
     | Some (Wire.Flush_reply { group; epoch; info }) ->
-        handle_flush_reply t ~group ~epoch ~info
+        handle_flush_reply t ~src ~group ~epoch ~info
     | Some (Wire.Nack { group; epoch_hint }) -> handle_nack t ~group ~epoch_hint
-    | Some (Wire.Install { group; epoch; view_id; members; sync }) ->
-        handle_install t ~group ~epoch ~view_id ~members ~sync
+    | Some (Wire.Install { group; view_id; members; sync }) ->
+        handle_install t ~group ~view_id ~members ~sync
     | Some (Wire.Data { group; vid; seq; entry }) -> handle_data t ~group ~vid ~seq ~entry
-    | Some (Wire.Data_req { group; entry }) -> handle_data_req t ~group ~entry
     | Some (Wire.Open_send { group; entry; ttl }) ->
         handle_open_send t ~group ~entry ~ttl
-    | Some (Wire.Leave { group; who }) -> handle_leave t ~group ~who
+    | Some (Wire.Leave { group }) -> handle_leave t ~src ~group
     | Some (Wire.P2p { payload }) -> t.callbacks.on_p2p ~sender:src payload
     | Some (Wire.Ping _ | Wire.Pong _) -> ()
   end
@@ -975,8 +955,7 @@ let on_raw t ~src payload =
            message kind must decide its transport explicitly. *)
         | Some
             (Wire.Propose _ | Wire.Flush_reply _ | Wire.Nack _ | Wire.Install _
-            | Wire.Data _ | Wire.Data_req _ | Wire.Open_send _
-            | Wire.Leave _ | Wire.P2p _) -> ())
+            | Wire.Data _ | Wire.Open_send _ | Wire.Leave _ | Wire.P2p _) -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -1027,7 +1006,7 @@ let leave t group =
   match Hashtbl.find_opt t.gstates group with
   | None -> ()
   | Some gs ->
-      send_others t gs.view.View.members (Wire.Leave { group; who = t.me });
+      send_others t gs.view.View.members (Wire.Leave { group });
       Hashtbl.remove t.gstates group;
       t.sorted_gstates <- None
 
@@ -1037,7 +1016,7 @@ let multicast t group payload =
   | Some gs ->
       let uid = fresh_uid t in
       gs.outstanding <- (uid, payload) :: gs.outstanding;
-      submit t gs { Wire.uid; orig = t.me; payload }
+      submit t gs { Wire.uid; payload }
 
 (* Relay hops allowed for an open-group send routed through non-member
    daemons. *)
@@ -1047,7 +1026,7 @@ let open_send t group payload =
   match Hashtbl.find_opt t.gstates group with
   | Some _ -> multicast t group payload
   | None ->
-      let entry = { Wire.uid = fresh_uid t; orig = t.me; payload } in
+      let entry = { Wire.uid = fresh_uid t; payload } in
       let believed = believed_members t group in
       let targets = List.filter (fun p -> reachable t p && p <> t.me) believed in
       let targets = if targets = [] then List.filter (reachable t) t.contacts else targets in

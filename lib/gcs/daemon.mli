@@ -64,8 +64,6 @@ val stop : t -> unit
 
 val alive : t -> bool
 
-val proc : t -> proc
-
 (** {2 Group operations} *)
 
 val join : t -> string -> unit
@@ -94,12 +92,7 @@ val p2p : t -> dst:proc -> string -> unit
 val believed_members : t -> string -> proc list
 (** Own view if a member, else peers advertising the group, else []. *)
 
-val reachable : t -> proc -> bool
-(** Monitored and currently not suspected. *)
-
 val monitor_peer : t -> proc -> unit
-
-val suspects : t -> proc list
 
 val groups : t -> string list
 

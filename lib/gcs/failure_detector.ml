@@ -45,12 +45,6 @@ let suspected t p =
   | Some peer -> peer.suspect
   | None -> false
 
-let suspects t =
-  Det_tbl.fold_sorted ~compare:Int.compare
-    (fun p peer acc -> if peer.suspect then p :: acc else acc)
-    t.peers []
-  |> List.rev
-
 let reachable t p =
   match Hashtbl.find_opt t.peers p with
   | Some peer -> not peer.suspect

@@ -33,7 +33,5 @@ val sweep : t -> now:float -> proc list
 val suspected : t -> proc -> bool
 (** Unmonitored peers are never suspected. *)
 
-val suspects : t -> proc list
-
 val reachable : t -> proc -> bool
 (** Monitored and not suspected. *)

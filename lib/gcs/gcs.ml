@@ -176,8 +176,6 @@ let view_of t p g = Daemon.view_of (daemon t p) g
 
 let believed_members t p g = Daemon.believed_members (daemon t p) g
 
-let reachable t p q = Daemon.reachable (daemon t p) q
-
 let membership_stable t p g = Daemon.membership_stable (daemon t p) g
 
 let alive t p = match (slot t p).daemon with Some d -> Daemon.alive d | None -> false

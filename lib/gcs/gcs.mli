@@ -102,9 +102,6 @@ val view_of : t -> proc -> string -> View.t option
 
 val believed_members : t -> proc -> string -> proc list
 
-val reachable : t -> proc -> proc -> bool
-(** [reachable t p q]: does [p]'s failure detector currently trust [q]? *)
-
 val membership_stable : t -> proc -> string -> bool
 
 (** {2 Fault injection} *)

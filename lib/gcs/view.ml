@@ -35,9 +35,6 @@ let coordinator t =
   | m :: _ -> m
   | [] -> invalid_arg "View.coordinator: empty view"
 
-let equal a b =
-  Id.equal a.id b.id && String.equal a.group b.group && a.members = b.members
-
 let pp_procs ppf ps =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')

@@ -41,8 +41,6 @@ val coordinator : t -> proc
 (** The lowest-id member: sequencer of the view's totally ordered
     multicasts. *)
 
-val equal : t -> t -> bool
-
 val pp_procs : Format.formatter -> proc list -> unit
 (** Comma-separated process ids. *)
 

@@ -10,12 +10,11 @@ let compare_uid a b =
       | c -> c)
   | c -> c
 
-type entry = { uid : uid; orig : proc; payload : string }
+type entry = { uid : uid; payload : string }
 
 type advert = { adv_group : string; adv_vid : View.Id.t }
 
 type flush_info = {
-  fi_sender : proc;
   fi_member : bool;
   fi_prev_vid : View.Id.t;
   fi_log : (int * entry) list;
@@ -24,21 +23,19 @@ type flush_info = {
 type msg =
   | Ping of { adverts : advert list }
   | Pong of { adverts : advert list }
-  | Propose of { group : string; epoch : int; candidates : proc list }
+  | Propose of { group : string; epoch : int }
   | Flush_reply of { group : string; epoch : int; info : flush_info }
   | Nack of { group : string; epoch_hint : int }
   | Install of {
       group : string;
-      epoch : int;
       view_id : View.Id.t;
       members : proc list;
       sync : (View.Id.t * (int * entry) list) list;
     }
-  | Data_req of { group : string; entry : entry }
   | Data of { group : string; vid : View.Id.t; seq : int; entry : entry }
       (* One sequencer slot. *)
   | Open_send of { group : string; entry : entry; ttl : int }
-  | Leave of { group : string; who : proc }
+  | Leave of { group : string }
   | P2p of { payload : string }
 [@@haf.protocol]
 (* Deep-lint R6 (handler totality): every [match] over [msg] in protocol
@@ -63,7 +60,7 @@ let decode (s : string) : msg = Marshal.from_string s 0
 
 let valid_uid (u : uid) = u.origin >= 0 && u.incarnation >= 0 && u.serial >= 0
 
-let valid_entry (e : entry) = valid_uid e.uid && e.orig >= 0
+let valid_entry (e : entry) = valid_uid e.uid
 
 let valid_vid (v : View.Id.t) = v.View.Id.epoch >= 0 && v.View.Id.coord >= 0
 
@@ -78,32 +75,24 @@ let check cond msg = if cond then Ok () else Error msg
 let validate = function
   | Ping { adverts } | Pong { adverts } ->
       check (List.for_all valid_advert adverts) "malformed advert"
-  | Propose { group; epoch; candidates } ->
-      check
-        (String.length group > 0 && epoch >= 1
-        && candidates <> []
-        && List.for_all (fun p -> p >= 0) candidates)
-        "malformed propose"
+  | Propose { group; epoch } ->
+      check (String.length group > 0 && epoch >= 1) "malformed propose"
   | Flush_reply { group; epoch; info } ->
       check
-        (String.length group > 0 && epoch >= 1 && info.fi_sender >= 0
+        (String.length group > 0 && epoch >= 1
         && valid_vid info.fi_prev_vid && valid_log info.fi_log)
         "malformed flush_reply"
   | Nack { group; epoch_hint } ->
       check (String.length group > 0 && epoch_hint >= 0) "malformed nack"
-  | Install { group; epoch; view_id; members; sync } ->
+  | Install { group; view_id; members; sync } ->
       check
-        (String.length group > 0 && epoch >= 1 && valid_vid view_id
+        (String.length group > 0 && view_id.View.Id.epoch >= 1 && valid_vid view_id
         && members <> []
         && List.for_all (fun p -> p >= 0) members
         && List.for_all
              (fun (vid, log) -> valid_vid vid && valid_log log)
              sync)
         "malformed install"
-  | Data_req { group; entry } ->
-      check
-        (String.length group > 0 && valid_entry entry)
-        "malformed data_req"
   | Data { group; vid; seq; entry } ->
       check
         (String.length group > 0 && valid_vid vid && seq >= 1 && valid_entry entry)
@@ -112,8 +101,7 @@ let validate = function
       check
         (String.length group > 0 && valid_entry entry && ttl >= 0)
         "malformed open_send"
-  | Leave { group; who } ->
-      check (String.length group > 0 && who >= 0) "malformed leave"
+  | Leave { group } -> check (String.length group > 0) "malformed leave"
   | P2p _ -> Ok ()
 
 let pp ppf = function
@@ -122,9 +110,9 @@ let pp ppf = function
   | Propose { group; epoch; _ } -> Format.fprintf ppf "propose(%s,e%d)" group epoch
   | Flush_reply { group; epoch; _ } -> Format.fprintf ppf "flush(%s,e%d)" group epoch
   | Nack { group; epoch_hint } -> Format.fprintf ppf "nack(%s,e%d)" group epoch_hint
-  | Install { group; epoch; _ } -> Format.fprintf ppf "install(%s,e%d)" group epoch
-  | Data_req { group; _ } -> Format.fprintf ppf "data_req(%s)" group
+  | Install { group; view_id; _ } ->
+      Format.fprintf ppf "install(%s,e%d)" group view_id.View.Id.epoch
   | Data { group; seq; _ } -> Format.fprintf ppf "data(%s,%d)" group seq
   | Open_send { group; _ } -> Format.fprintf ppf "open_send(%s)" group
-  | Leave { group; who } -> Format.fprintf ppf "leave(%s,%d)" group who
+  | Leave { group } -> Format.fprintf ppf "leave(%s)" group
   | P2p _ -> Format.pp_print_string ppf "p2p"

@@ -11,6 +11,7 @@ type config = {
   ack_confirm_delay : float;
 }
 
+(* Derive the bounds the policy and GCS timing actually promise. *)
 let make_config ~(policy : Haf_core.Policy.t) ~(gcs : Haf_gcs.Config.t) =
   (* The slack term covers one suspicion plus two view-change rounds:
      the longest a correct run keeps a stale belief alive.  The merge

@@ -49,9 +49,6 @@ type config = {
           snapshot would never have reached any member's database. *)
 }
 
-val make_config : policy:Haf_core.Policy.t -> gcs:Haf_gcs.Config.t -> config
-(** Derive the bounds the policy and GCS timing actually promise. *)
-
 val create :
   ?config:config ->
   network:Haf_net.Network.t ->

@@ -62,5 +62,3 @@ let converged t = t.episode_start = None
 let injected t = t.injected
 
 let reconvergence_times t = List.rev t.times
-
-let window t = t.window

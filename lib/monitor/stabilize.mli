@@ -34,5 +34,3 @@ val injected : t -> int
 val reconvergence_times : t -> float list
 (** Closed episodes' corruption-to-legal durations, oldest first.
     Resolution is the caller's probe interval. *)
-
-val window : t -> float

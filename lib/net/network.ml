@@ -47,8 +47,6 @@ let create ?(trace = Trace.disabled) engine config =
     delay_overrides = Hashtbl.create 16;
   }
 
-let engine t = t.engine
-
 let fresh_node () =
   { up = true; receiver = (fun ~src:_ _ -> ()); stats = fresh_counters () }
 

@@ -25,8 +25,6 @@ val default_config : config
 
 val create : ?trace:Haf_sim.Trace.t -> Haf_sim.Engine.t -> config -> t
 
-val engine : t -> Haf_sim.Engine.t
-
 val add_node : t -> node_id
 (** Nodes get consecutive ids starting from 0. *)
 

@@ -20,8 +20,6 @@ type t = {
   mutable closed : bool;
 }
 
-let engine t = t.engine
-
 let check_node t id what =
   if id < 0 || id >= t.nodes then
     invalid_arg (Fmt.str "Udp.%s: unknown node %d" what id)

@@ -48,10 +48,6 @@ val create_local :
 
 val substrate : t -> Haf_net.Substrate.t
 
-val engine : t -> Haf_sim.Engine.t
-(** The external-clock engine; share it with every layer built on this
-    substrate. *)
-
 (** {2 Reactor} *)
 
 val run_for : t -> float -> unit

@@ -16,8 +16,6 @@ type request = Reposition of { seq : int; to_ : int }
 
 type response = Item of { index : int }
 
-val critical_every : int
-
 include
   Haf_core.Service_intf.SERVICE
     with type context := context

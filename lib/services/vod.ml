@@ -8,6 +8,7 @@ let name = "vod"
 
 let gop = 12
 
+(* Frames per movie when the unit id does not specify one. *)
 let default_length = 500_000
 
 let frames_per_tick = 5

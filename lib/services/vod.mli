@@ -20,9 +20,6 @@ type response = Frame of { index : int; key : bool }
 val gop : int
 (** Group-of-pictures length: 12. *)
 
-val default_length : int
-(** Frames per movie when the unit id does not specify one. *)
-
 val frames_per_tick : int
 
 include

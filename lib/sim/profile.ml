@@ -73,8 +73,6 @@ let[@hot] hit s =
     c land sample_mask = 0
   end
 
-let[@hot] count s = if !enabled then s.s_count <- s.s_count + 1
-
 let words () = Gc.minor_words ()
 
 let cpu () = match !clock with None -> 0. | Some f -> f ()

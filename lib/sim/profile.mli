@@ -45,10 +45,6 @@ val hit : slot -> bool
 (** Count one guarded-section entry; [true] iff this entry should be
     measured (always [false] while disabled, including the count). *)
 
-val count : slot -> unit
-(** Count-only probe for sites where a delta measurement makes no
-    sense (pure counters). *)
-
 val words : unit -> float
 (** [Gc.minor_words] — pair with {!leave}. *)
 

@@ -13,8 +13,6 @@ let bits64 t =
 
 let split t = { state = bits64 t }
 
-let copy t = { state = t.state }
-
 let nonneg t = Int64.shift_right_logical (bits64 t) 1
 
 let int t bound =

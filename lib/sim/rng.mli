@@ -15,10 +15,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent child generator, advancing [t] once. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; both copies then produce the
-    same stream. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

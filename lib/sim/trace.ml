@@ -13,8 +13,6 @@ let create ?(echo = false) ?(capacity = 100_000) () =
 let disabled =
   { on = false; echo = false; capacity = 0; buffer = Queue.create () }
 
-let enabled t = t.on
-
 let set_enabled t on = t.on <- on
 
 let emit t ~time ~component message =
@@ -39,5 +37,3 @@ let lines t = List.of_seq (Queue.to_seq t.buffer)
 
 let matching t ~component =
   List.filter (fun l -> String.equal l.component component) (lines t)
-
-let clear t = Queue.clear t.buffer

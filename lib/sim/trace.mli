@@ -17,8 +17,6 @@ val create : ?echo:bool -> ?capacity:int -> unit -> t
 val disabled : t
 (** A shared sink that records nothing. *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 
 val emit : t -> time:float -> component:string -> string -> unit
@@ -33,5 +31,3 @@ val lines : t -> line list
 (** Recorded lines, oldest first. *)
 
 val matching : t -> component:string -> line list
-
-val clear : t -> unit

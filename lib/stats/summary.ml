@@ -45,7 +45,3 @@ let of_list xs =
 
 let ci95_halfwidth t =
   if t.n <= 1 then 0. else 1.96 *. t.stddev /. sqrt (float_of_int t.n)
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g +-%.2g [%.4g..%.4g] p50=%.4g p95=%.4g" t.n
-    t.mean (ci95_halfwidth t) t.min t.max t.p50 t.p95

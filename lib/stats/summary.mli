@@ -23,5 +23,3 @@ val percentile : float list -> float -> float
 val ci95_halfwidth : t -> float
 (** Half-width of the normal-approximation 95% confidence interval of the
     mean: [1.96 * stddev / sqrt n]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -498,7 +498,7 @@ let prop_db_tombstones_win =
       let e1 = Unit_db.export db1 and e2 = Unit_db.export db2 in
       let tombstoned =
         List.filter_map
-          (fun r -> if r.Unit_db.r_ended then Some r.Unit_db.r_session_id else None)
+          (fun s -> if s.Unit_db.ended then Some s.Unit_db.session_id else None)
           (e1 @ e2)
         |> List.sort_uniq String.compare
       in

@@ -546,7 +546,7 @@ let recorder w =
 let start_recorded w r session_id =
   Gcs.open_send w.gcs r.rproc
     (Haf_core.Naming.content_group "movie:1")
-    (FV.encode_group (FV.Start_session { session_id; unit_id = "movie:1"; client = r.rproc }))
+    (FV.encode_group (FV.Start_session { session_id }))
 
 (* [r]'s frames in (from, until], oldest first. *)
 let frames_between r ~from ~until =

@@ -283,6 +283,34 @@ let test_open_send_survives_member_crash () =
            (deliveries_of rec_ ~proc:p ~group:"g")))
     [ 1; 2 ]
 
+(* The client reaches no member, only the non-member 3: its open send
+   must take the ttl relay hop through 3 and still be delivered exactly
+   once at every member, attributed to the client. *)
+let test_open_send_relayed_by_non_member () =
+  let engine, gcs, rec_ = make ~n:4 () in
+  let members = [ 0; 1; 2 ] in
+  List.iter (fun p -> Gcs.join gcs p "g") members;
+  let client = Gcs.add_client gcs in
+  List.iter
+    (fun p ->
+      Gcs.set_link gcs client p false;
+      Gcs.set_link gcs p client false)
+    members;
+  settle engine ~until:3.;
+  Gcs.open_send gcs client "g" "relayed";
+  settle engine ~until:6.;
+  List.iter
+    (fun p ->
+      let got =
+        deliveries_of rec_ ~proc:p ~group:"g"
+        |> List.filter (fun (s, payload) -> s = client && payload = "relayed")
+      in
+      check Alcotest.int (Printf.sprintf "relayed msg exactly once at %d" p) 1
+        (List.length got))
+    members;
+  check Alcotest.int "nothing delivered at the relay" 0
+    (List.length (deliveries_of rec_ ~proc:3 ~group:"g"))
+
 let test_p2p () =
   let engine, gcs, rec_ = make ~n:2 () in
   Gcs.p2p gcs 0 ~dst:1 "direct";
@@ -566,6 +594,8 @@ let suite =
         Alcotest.test_case "open send from client" `Quick test_open_send_from_client;
         Alcotest.test_case "open send after crash" `Quick
           test_open_send_survives_member_crash;
+        Alcotest.test_case "open send relayed by a non-member" `Quick
+          test_open_send_relayed_by_non_member;
         Alcotest.test_case "p2p" `Quick test_p2p;
       ] );
   ]

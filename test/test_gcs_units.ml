@@ -55,20 +55,75 @@ let test_config_validate () =
        (Config.validate { Config.default with heartbeat_interval = 0. }))
 
 (* ------------------------------------------------------------------ *)
-(* Wire: the sequencer's Data frame *)
+(* Wire: one well-formed and one malformed frame per constructor *)
 
-let data seq entry =
-  Wire.Data { group = "g"; vid = { View.Id.epoch = 2; coord = 0 }; seq; entry }
+let vid = { View.Id.epoch = 2; coord = 0 }
 
-let entry serial =
-  { Wire.uid = { origin = 1; incarnation = 0; serial }; orig = 1; payload = "p" }
+let data seq entry = Wire.Data { group = "g"; vid; seq; entry }
 
-let test_wire_data_frame () =
+let entry serial = { Wire.uid = { origin = 1; incarnation = 0; serial }; payload = "p" }
+
+(* Exhaustive on purpose: a new constructor fails to compile here until
+   the table below gains a row for it. *)
+let wire_tag : Wire.msg -> string = function
+  | Wire.Ping _ -> "ping"
+  | Wire.Pong _ -> "pong"
+  | Wire.Propose _ -> "propose"
+  | Wire.Flush_reply _ -> "flush_reply"
+  | Wire.Nack _ -> "nack"
+  | Wire.Install _ -> "install"
+  | Wire.Data _ -> "data"
+  | Wire.Open_send _ -> "open_send"
+  | Wire.Leave _ -> "leave"
+  | Wire.P2p _ -> "p2p"
+
+(* (well-formed, malformed).  [P2p] has no malformed form: its payload
+   is opaque bytes for the layer above. *)
+let wire_table : (Wire.msg * Wire.msg option) list =
+  let info log = { Wire.fi_member = true; fi_prev_vid = vid; fi_log = log } in
+  let install view_id =
+    Wire.Install { group = "g"; view_id; members = [ 0; 1 ]; sync = [ (vid, [ (1, entry 0) ]) ] }
+  in
+  [
+    ( Wire.Ping { adverts = [ { adv_group = "g"; adv_vid = vid } ] },
+      Some (Wire.Ping { adverts = [ { adv_group = ""; adv_vid = vid } ] }) );
+    ( Wire.Pong { adverts = [ { adv_group = "g"; adv_vid = vid } ] },
+      Some (Wire.Pong { adverts = [ { adv_group = "g"; adv_vid = { vid with epoch = -1 } } ] })
+    );
+    (Wire.Propose { group = "g"; epoch = 3 }, Some (Wire.Propose { group = "g"; epoch = 0 }));
+    ( Wire.Flush_reply { group = "g"; epoch = 3; info = info [ (1, entry 0) ] },
+      Some (Wire.Flush_reply { group = "g"; epoch = 3; info = info [ (0, entry 0) ] }) );
+    (Wire.Nack { group = "g"; epoch_hint = 3 }, Some (Wire.Nack { group = "g"; epoch_hint = -1 }));
+    (* The epoch travels only in [view_id]: its range is checked there. *)
+    (install { View.Id.epoch = 3; coord = 0 }, Some (install { View.Id.epoch = 0; coord = 0 }));
+    (data 1 (entry 0), Some (data 0 (entry 0)));
+    ( Wire.Open_send { group = "g"; entry = entry 0; ttl = 0 },
+      Some (Wire.Open_send { group = "g"; entry = entry 0; ttl = -1 }) );
+    (Wire.Leave { group = "g" }, Some (Wire.Leave { group = "" }));
+    (Wire.P2p { payload = "x" }, None);
+  ]
+
+let test_wire_frame_table () =
   let ok m = Result.is_ok (Wire.validate m) in
-  check Alcotest.bool "frame accepted" true (ok (data 1 (entry 0)));
-  check Alcotest.bool "seq 0 rejected" false (ok (data 0 (entry 0)));
-  let one = data 1 (entry 0) in
-  check Alcotest.bool "frame round-trips" true (Wire.decode (Wire.encode one) = one)
+  let round_trips m = Wire.decode (Wire.encode m) = m in
+  check (Alcotest.list Alcotest.string) "one row per constructor"
+    [
+      "ping"; "pong"; "propose"; "flush_reply"; "nack"; "install"; "data"; "open_send"; "leave";
+      "p2p";
+    ]
+    (List.map (fun (m, _) -> wire_tag m) wire_table);
+  List.iter
+    (fun (good, bad) ->
+      let tag = wire_tag good in
+      check Alcotest.bool (tag ^ " round-trips") true (round_trips good);
+      check Alcotest.bool (tag ^ " accepted") true (ok good);
+      match bad with
+      | Some bad ->
+          check Alcotest.string (tag ^ " malformed row") tag (wire_tag bad);
+          check Alcotest.bool (tag ^ " malformed round-trips") true (round_trips bad);
+          check Alcotest.bool (tag ^ " malformed rejected") false (ok bad)
+      | None -> ())
+    wire_table
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
@@ -1100,20 +1155,20 @@ let prop_tombstone_survives_flag_corruption =
       Unit_db.end_session db "s00";
       let zombie =
         {
-          Unit_db.r_session_id = "s00";
-          r_client = 1;
-          r_unit_id = "u00";
-          r_started_at = 1.;
-          r_propagated =
+          Unit_db.session_id = "s00";
+          client = 1;
+          unit_id = "u00";
+          started_at = 1.;
+          propagated =
             Some
               {
                 Unit_db.snap_ctx = 99;
                 snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 1000) empty);
                 snap_at = Haf_sim.Rng.float rng 100.;
               };
-          r_primary = Some (Haf_sim.Rng.int rng 4);
-          r_backups = [];
-          r_ended = false;
+          primary = Some (Haf_sim.Rng.int rng 4);
+          backups = [];
+          ended = false;
         }
       in
       Unit_db.merge_records db [ zombie ];
@@ -1248,9 +1303,8 @@ let prop_shuffled_merge_fixed_point =
       && cache_ok shuffled
       && Result.is_ok (Unit_db.sound shuffled)
       && List.for_all
-           (fun (r : int Unit_db.record) ->
-             (not r.Unit_db.r_ended)
-             || not (Unit_db.live shuffled r.Unit_db.r_session_id))
+           (fun (s : int Unit_db.session) ->
+             (not s.Unit_db.ended) || not (Unit_db.live shuffled s.Unit_db.session_id))
            (ra @ rb))
 
 let suite =
@@ -1262,7 +1316,7 @@ let suite =
         Alcotest.test_case "empty view raises" `Quick test_view_make_empty_raises;
         Alcotest.test_case "singleton view" `Quick test_view_singleton;
         Alcotest.test_case "config validation" `Quick test_config_validate;
-        Alcotest.test_case "wire data frame" `Quick test_wire_data_frame;
+        Alcotest.test_case "wire frame per constructor" `Quick test_wire_frame_table;
         Alcotest.test_case "fd lifecycle" `Quick test_fd_lifecycle;
         Alcotest.test_case "fd self/unknown" `Quick test_fd_self_and_unknown;
         Alcotest.test_case "fd unmonitor" `Quick test_fd_unmonitor;
