@@ -311,6 +311,63 @@ let test_open_send_relayed_by_non_member () =
   check Alcotest.int "nothing delivered at the relay" 0
     (List.length (deliveries_of rec_ ~proc:3 ~group:"g"))
 
+(* An open send a member parks while flushed must survive the new
+   coordinator crashing before it sequences the entry.  The client
+   reaches only member 3.  After 0 crashes, 1 coordinates the new view,
+   and the delayed 1 -> 3 link keeps 3 flushed for 0.2 s after 2 has
+   installed; the client sends at that instant, so 3 parks the entry.  1
+   crashes the moment 3 installs, before the forwarded entry reaches it:
+   only the view after that can deliver it. *)
+let test_parked_open_send_survives_coordinator_crash () =
+  let engine, gcs, rec_ = make ~n:4 () in
+  List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+  let client = Gcs.add_client gcs in
+  List.iter
+    (fun p ->
+      Gcs.set_link gcs client p false;
+      Gcs.set_link gcs p client false)
+    [ 0; 1; 2 ];
+  settle engine ~until:3.;
+  Network.set_link_delay (Gcs.network gcs) 1 3 (Some 0.2);
+  let without_0 (v : View.t) = v.View.group = "g" && v.View.members = [ 1; 2; 3 ] in
+  let sent = ref false and crashed = ref false in
+  let wrap p on_view =
+    Gcs.set_app gcs p
+      {
+        Haf_gcs.Daemon.on_view =
+          (fun v ->
+            rec_.views <- (p, v) :: rec_.views;
+            on_view v);
+        on_message =
+          (fun ~group ~sender payload ->
+            rec_.delivered <- (p, group, sender, payload) :: rec_.delivered);
+        on_p2p = (fun ~sender payload -> rec_.p2p <- (p, sender, payload) :: rec_.p2p);
+      }
+  in
+  wrap 2 (fun v ->
+      if without_0 v && not !sent then begin
+        sent := true;
+        Gcs.open_send gcs client "g" "parked"
+      end);
+  wrap 3 (fun v ->
+      if without_0 v && not !crashed then begin
+        crashed := true;
+        Gcs.crash gcs 1
+      end);
+  Gcs.crash gcs 0;
+  settle engine ~until:8.;
+  check Alcotest.bool "sent while 3 was flushed" true !sent;
+  check Alcotest.bool "1 crashed at 3's install" true !crashed;
+  List.iter
+    (fun p ->
+      let got =
+        deliveries_of rec_ ~proc:p ~group:"g"
+        |> List.filter (fun (s, payload) -> s = client && payload = "parked")
+      in
+      check Alcotest.int (Printf.sprintf "parked msg exactly once at %d" p) 1
+        (List.length got))
+    [ 2; 3 ]
+
 let test_p2p () =
   let engine, gcs, rec_ = make ~n:2 () in
   Gcs.p2p gcs 0 ~dst:1 "direct";
@@ -596,6 +653,8 @@ let suite =
           test_open_send_survives_member_crash;
         Alcotest.test_case "open send relayed by a non-member" `Quick
           test_open_send_relayed_by_non_member;
+        Alcotest.test_case "parked open send survives coordinator crash" `Quick
+          test_parked_open_send_survives_coordinator_crash;
         Alcotest.test_case "p2p" `Quick test_p2p;
       ] );
   ]
