@@ -42,9 +42,11 @@ val expected_missing_per_takeover : response_rate:float -> period:float -> float
 
 val takeover_latency :
   suspect_timeout:float -> rtt:float -> with_exchange:bool -> float
-(** Crash-detected takeover: suspicion, then one flush round (propose +
-    flush-reply + install ~ 1.5 RTT); a join additionally needs the state
-    exchange round. *)
+(** Crash-detected takeover as the client sees it: suspicion, then one
+    flush round (propose + flush-reply + install ~ 1.5 RTT); a join
+    additionally needs the state exchange round.  A crash successor
+    serves as soon as the install returns, so this models the gap the
+    client sees (up to one delivery), not only role assumption. *)
 
 val propagation_msgs_per_sec :
   sessions_primary:int -> period:float -> group_size:int -> float

@@ -176,9 +176,13 @@ module Make (S : Service_intf.SERVICE) = struct
           (* The local primaries by session id, walked in that order by
              the service and propagation ticks.  Only [become_primary]
              adds and [drop_primary] removes. *)
+      mutable taken_over : slocal String_map.t;
+          (* Crash takeovers not yet served, by session id: one
+             zero-delay event serves them all ([serve_taken_over]). *)
       outbox : (int, (string * S.response) list) Hashtbl.t;
-          (* Per client, the responses of the service tick in progress,
-             newest first; empty between ticks. *)
+          (* Per client, the responses not yet sent, newest first:
+             filled by a tick or a Hybrid re-send, emptied by
+             [flush_outbox]. *)
       group_refs : (string, int) Hashtbl.t;
           (* How many local sessions hold a role in each session group
              (always 0 or 1 for per-session groups).  The daemon joins a
@@ -311,11 +315,8 @@ module Make (S : Service_intf.SERVICE) = struct
              critical = S.response_critical r;
            })
 
-    (* One session's share of a service tick: its next responses join
-       its client's frame, and a finished session asks to be ended. *)
-    let tick_session t sl =
-      let responses, ctx = S.tick sl.sl_ctx in
-      sl.sl_ctx <- ctx;
+    (* [responses] of [sl] join its client's next frame. *)
+    let queue_responses t sl responses =
       if responses <> [] then begin
         let items = Option.value (Hashtbl.find_opt t.outbox sl.sl_client) ~default:[] in
         Hashtbl.replace t.outbox sl.sl_client
@@ -324,23 +325,33 @@ module Make (S : Service_intf.SERVICE) = struct
                response_sent t sl r;
                (sl.sl_session, r) :: items)
              items responses)
-      end;
+      end
+
+    (* One session's share of a service tick: its next responses join
+       its client's frame, and a finished session asks to be ended. *)
+    let tick_session t sl =
+      let responses, ctx = S.tick sl.sl_ctx in
+      sl.sl_ctx <- ctx;
+      queue_responses t sl responses;
       if S.session_finished ctx && not sl.sl_ending then begin
         sl.sl_ending <- true;
         multicast_content t sl.sl_unit (End_session { session_id = sl.sl_session })
       end
 
+    (* One [Responses] frame per client, clients ascending. *)
+    let flush_outbox t =
+      Det_tbl.iter_sorted ~compare:Int.compare
+        (fun client items -> send_p2p t client (Responses { items = List.rev items }))
+        t.outbox;
+      Hashtbl.clear t.outbox
+
     (* The server's service tick: every local primary in session-id
-       order, then one [Responses] frame per client, clients ascending —
-       O(clients) frames per server and tick, whatever the session
-       count. *)
+       order, then one frame per client — O(clients) frames per server
+       and tick, whatever the session count. *)
     let service_tick_body t =
       if t.running then begin
         String_map.iter (fun _ sl -> tick_session t sl) t.primaries;
-        Det_tbl.iter_sorted ~compare:Int.compare
-          (fun client items -> send_p2p t client (Responses { items = List.rev items }))
-          t.outbox;
-        Hashtbl.clear t.outbox
+        flush_outbox t
       end
 
     let service_tick t =
@@ -410,12 +421,25 @@ module Make (S : Service_intf.SERVICE) = struct
           done;
           sl.sl_base_at <- now t;
           if t.policy.Policy.takeover = Policy.Hybrid then
-            match List.filter S.response_critical (List.rev !skipped) with
-            | [] -> ()
-            | critical ->
-                List.iter (response_sent t sl) critical;
-                send_p2p t sl.sl_client
-                  (Responses { items = List.map (fun r -> (sl.sl_session, r)) critical })
+            queue_responses t sl (List.filter S.response_critical (List.rev !skipped))
+
+    (* A crash successor serves what it took over at once, not at its
+       next service tick: one tick of every such session still primary,
+       in session-id order, and one frame per client, after the view
+       change that handed them over has returned — so the updates its
+       install resubmitted are applied first. *)
+    let serve_taken_over t =
+      let taken = t.taken_over in
+      t.taken_over <- String_map.empty;
+      if t.running then begin
+        String_map.iter (fun _ sl -> if sl.sl_role = Some Primary then tick_session t sl) taken;
+        flush_outbox t
+      end
+
+    let serve_soon t sl =
+      if String_map.is_empty t.taken_over then
+        ignore (Engine.schedule t.engine ~delay:0. (fun () -> serve_taken_over t));
+      t.taken_over <- String_map.add sl.sl_session sl t.taken_over
 
     (* -------------------------------------------------------------- *)
     (* Role transitions                                                *)
@@ -450,7 +474,10 @@ module Make (S : Service_intf.SERVICE) = struct
         t.primaries <- String_map.add sl.sl_session sl t.primaries;
         if not had_live then acquire_group t sl.sl_session;
         emit t
-          (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary })
+          (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary });
+        (* A rebalance successor waits for its tick: the old primary's
+           [Handoff] with the exact context is on its way. *)
+        if kind = Events.Crash then serve_soon t sl
       end
 
     (* Stepping down from primary.  When another server takes over
@@ -1122,6 +1149,7 @@ module Make (S : Service_intf.SERVICE) = struct
           units = Hashtbl.create 4;
           sessions = Hashtbl.create 16;
           primaries = String_map.empty;
+          taken_over = String_map.empty;
           outbox = Hashtbl.create 4;
           group_refs = Hashtbl.create 8;
           store;

@@ -60,10 +60,11 @@ module Make (S : Service_intf.SERVICE) : sig
     | Granted of { session_id : string }
         (** Primary -> client: the p2p sender is the granting primary. *)
     | Responses of { items : (string * S.response) list }
-        (** Server -> client, once per service tick: the responses of
-            every session this server is primary of for the client, in
-            session-id order.  A Hybrid takeover re-sends the critical
-            responses of its uncertainty window in one such frame. *)
+        (** Server -> client, once per service tick, and once more when
+            a crash successor serves the sessions it took over: the
+            responses of every session this server is primary of for
+            the client (or took over), in session-id order.  A Hybrid
+            takeover's re-sent critical responses lead the frame. *)
     | Handoff of {
         session_id : string;
         ctx : S.context;
