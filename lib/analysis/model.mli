@@ -46,7 +46,12 @@ val takeover_latency :
     flush round (propose + flush-reply + install ~ 1.5 RTT); a join
     additionally needs the state exchange round.  A crash successor
     serves as soon as the install returns, so this models the gap the
-    client sees (up to one delivery), not only role assumption. *)
+    client sees (up to one delivery), not only role assumption.  The
+    coordinator suspects the victim at last heard + [suspect_timeout]
+    (its deadline timer, not its next heartbeat sweep), and the victim
+    was last heard at or before the crash, so for a crash [suspect +
+    1.5 RTT] is a tight upper bound: the gap falls short of it only by
+    how long before the crash the victim last sent. *)
 
 val propagation_msgs_per_sec :
   sessions_primary:int -> period:float -> group_size:int -> float

@@ -125,6 +125,9 @@ type t = {
   incarnation : int;
   mutable next_serial : int;
   mutable hb_timer : Engine.timer option;
+  mutable deadline_timer : (float * Engine.timer) option;
+      (* The one-shot suspicion timer and the deadline it fires at.  See
+         [arm_deadline]. *)
   mutable view_changes : int;
   mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
       (* Observer for audit failures (the framework emits events from
@@ -187,6 +190,7 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     incarnation;
     next_serial = 0;
     hb_timer = None;
+    deadline_timer = None;
     view_changes = 0;
     audit_hook = None;
     resets = 0;
@@ -770,7 +774,49 @@ let record_adverts t sender peer advs cache =
   end
   else record_adverts_body t sender peer advs cache
 
-let sweep_groups t = List.iter (fun (_, gs) -> sweep_group t gs) (sorted_gstates t)
+let sweep_groups_body t = List.iter (fun (_, gs) -> sweep_group t gs) (sorted_gstates t)
+
+let sweep_groups t =
+  if Haf_sim.Profile.hit prof_sweep then begin
+    let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
+    sweep_groups_body t;
+    Haf_sim.Profile.leave prof_sweep ~w0 ~c0
+  end
+  else sweep_groups_body t
+
+let disarm_deadline t =
+  Option.iter (fun (_, timer) -> Engine.cancel timer) t.deadline_timer;
+  t.deadline_timer <- None
+
+(* Suspect every peer whose silence reached the timeout, run the
+   membership sweep, and re-arm the suspicion timer: the one routine of
+   the heartbeat tick and of the suspicion timer, so a view change starts
+   at the deadline rather than at the next tick. *)
+let rec suspect_overdue t =
+  let suspects, next = Fd.sweep t.fd ~now:(now t) in
+  if suspects <> [] then note_change t;
+  sweep_groups t;
+  if t.is_alive then arm_deadline t next
+
+(* The timer is armed only for a peer already silent for longer than one
+   of this daemon's heartbeat intervals.  A live server peer never is (it
+   answers every Ping), and a client's slower probes would otherwise arm
+   a timer that its next Pong makes moot on almost every tick.  A timer
+   whose deadline has since moved (the peer was heard) is cancelled at
+   the next tick, if that tick comes first. *)
+and arm_deadline t next =
+  let wanted = next -. t.config.Config.suspect_timeout < now t -. t.hb_interval in
+  match t.deadline_timer with
+  | Some (at, _) when wanted && Float.equal at next -> ()
+  | Some _ | None ->
+      disarm_deadline t;
+      if wanted then
+        t.deadline_timer <-
+          Some
+            ( next,
+              Engine.schedule_at t.engine ~time:next (fun () ->
+                  t.deadline_timer <- None;
+                  if t.is_alive then suspect_overdue t) )
 
 let heartbeat_tick_body t =
   if t.is_alive then begin
@@ -786,13 +832,7 @@ let heartbeat_tick_body t =
         List.iter
           (fun p -> Transport.send_unreliable t.transport ~src:t.me ~dst:p ping)
           peers);
-    if Fd.sweep t.fd ~now:(now t) <> [] then note_change t;
-    if Haf_sim.Profile.hit prof_sweep then begin
-      let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
-      sweep_groups t;
-      Haf_sim.Profile.leave prof_sweep ~w0 ~c0
-    end
-    else sweep_groups t
+    suspect_overdue t
   end
 
 let heartbeat_tick t =
@@ -1020,7 +1060,8 @@ let start t =
 let stop t =
   t.is_alive <- false;
   Option.iter Engine.cancel t.hb_timer;
-  t.hb_timer <- None
+  t.hb_timer <- None;
+  disarm_deadline t
 
 let join t group =
   if not (Hashtbl.mem t.gstates group) then begin

@@ -8,17 +8,32 @@ type t = {
   me : proc;
   timeout : float;
   peers : (proc, peer) Hashtbl.t;
+  mutable sorted : (proc * peer) list;
+      (* [peers] in proc order, rebuilt when a peer is added or removed,
+         so a heartbeat's Ping fan-out and sweep sort nothing. *)
+  mutable procs : proc list;  (* the keys of [sorted] *)
 }
 
-let create ~me ~suspect_timeout = { me; timeout = suspect_timeout; peers = Hashtbl.create 16 }
+let create ~me ~suspect_timeout =
+  { me; timeout = suspect_timeout; peers = Hashtbl.create 16; sorted = []; procs = [] }
+
+let reindex t =
+  t.sorted <- Det_tbl.sorted_bindings ~compare:Int.compare t.peers;
+  t.procs <- List.map fst t.sorted
 
 let monitor t p ~now =
-  if p <> t.me && not (Hashtbl.mem t.peers p) then
-    Hashtbl.replace t.peers p { last = now; suspect = false }
+  if p <> t.me && not (Hashtbl.mem t.peers p) then begin
+    Hashtbl.replace t.peers p { last = now; suspect = false };
+    reindex t
+  end
 
-let unmonitor t p = Hashtbl.remove t.peers p
+let unmonitor t p =
+  if Hashtbl.mem t.peers p then begin
+    Hashtbl.remove t.peers p;
+    reindex t
+  end
 
-let monitored t = Det_tbl.sorted_keys ~compare:Int.compare t.peers
+let monitored t = t.procs
 
 let is_monitored t p = Hashtbl.mem t.peers p
 
@@ -30,15 +45,19 @@ let heard_from t p ~now =
   | None -> ()
 
 let sweep t ~now =
-  Det_tbl.fold_sorted ~compare:Int.compare
-    (fun p peer acc ->
-      if (not peer.suspect) && now -. peer.last > t.timeout then begin
-        peer.suspect <- true;
-        p :: acc
-      end
-      else acc)
-    t.peers []
-  |> List.rev
+  let suspects = ref [] and next = ref infinity in
+  List.iter
+    (fun (p, peer) ->
+      if not peer.suspect then begin
+        let deadline = peer.last +. t.timeout in
+        if deadline <= now then begin
+          peer.suspect <- true;
+          suspects := p :: !suspects
+        end
+        else if deadline < !next then next := deadline
+      end)
+    t.sorted;
+  (List.rev !suspects, !next)
 
 let suspected t p =
   match Hashtbl.find_opt t.peers p with

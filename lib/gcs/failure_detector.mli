@@ -27,8 +27,12 @@ val heard_from : t -> proc -> now:float -> unit
 (** Record any direct communication from the peer.  Clears an existing
     suspicion (the membership sweep will then attempt a merge). *)
 
-val sweep : t -> now:float -> proc list
-(** Mark newly silent peers as suspected; returns them. *)
+val sweep : t -> now:float -> proc list * float
+(** Mark as suspected every trusted peer whose silence reached the
+    timeout ([last heard + timeout <= now]) and return them, with the
+    earliest deadline of the peers still trusted afterwards ([infinity]
+    when there is none).  A suspected peer has no deadline: hearing from
+    it again gives it a fresh one. *)
 
 val suspected : t -> proc -> bool
 (** Unmonitored peers are never suspected. *)

@@ -57,7 +57,13 @@ let test_hybrid_policy_critical_only () =
   let w = vod_setup ~policy ~seed:402 () in
   Engine.run ~until:3. w.engine;
   let sid = FV.Client.start_session w.client ~unit_id:"m" ~duration:40. ~request_interval:0. in
-  Engine.run ~until:8. w.engine;
+  (* The successor skips the whole service ticks since the last
+     propagation and serves the next one at once, so P/B frames go
+     missing only when a tick of the dead primary falls between the
+     crash and the takeover.  The primary ticks at 7.99 s, 8.19 s, ...
+     here; a crash at 8.1 s leaves two ticks before the takeover about
+     a suspicion timeout later, one of which nobody sends. *)
+  Engine.run ~until:8.1 w.engine;
   crash w (Option.get (vod_primary w sid));
   Engine.run ~until:20. w.engine;
   let tl = Events.events w.events in

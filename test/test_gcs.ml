@@ -613,6 +613,83 @@ let test_view_order_all_schedules () =
     "explored more than one schedule" true
     (stats.Haf_explore.Explore.schedules > 1)
 
+(* ------------------------------------------------------------------ *)
+(* Suspicion deadlines *)
+
+(* Three servers in one group; [victim] crashes [offset] seconds into a
+   heartbeat period.  Returns the time the coordinator last received a
+   datagram from the victim and the time it installed a view without
+   it.  The substrate is wrapped to see every arrival. *)
+let detect_after_crash ~offset =
+  let coord = 0 and victim = 2 in
+  let engine = Engine.create ~seed:42 () in
+  let net = Network.create engine Network.default_config in
+  let sub = Network.substrate net in
+  let last_rx = ref neg_infinity and installed = ref None in
+  let sub =
+    {
+      sub with
+      Haf_net.Substrate.set_receiver =
+        (fun node recv ->
+          sub.Haf_net.Substrate.set_receiver node (fun ~src payload ->
+              if node = coord && src = victim then last_rx := Engine.now engine;
+              recv ~src payload));
+    }
+  in
+  let gcs = Gcs.create_on ~servers:[ 0; 1; 2 ] ~local:[ 0; 1; 2 ] sub in
+  Gcs.set_app gcs coord
+    {
+      Haf_gcs.Daemon.no_callbacks with
+      on_view =
+        (fun v ->
+          if !installed = None && not (List.mem victim v.View.members) then
+            installed := Some (Engine.now engine));
+    };
+  List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+  settle engine ~until:(3. +. offset);
+  check (Alcotest.list Alcotest.int) "full view first" [ 0; 1; 2 ]
+    (Option.get (Gcs.view_of gcs coord "g")).View.members;
+  (* The singleton views of the joins do not count. *)
+  installed := None;
+  Haf_gcs.Daemon.stop (Gcs.daemon gcs victim);
+  Network.crash net victim;
+  settle engine ~until:6.;
+  match !installed with
+  | Some at -> (!last_rx, at)
+  | None -> Alcotest.failf "offset %.3f: no view without the victim" offset
+
+let test_install_at_deadline () =
+  (* The coordinator proposes when the victim's silence reaches the
+     suspicion timeout, not at its next heartbeat tick: wherever the
+     crash falls in a heartbeat period, the install follows the last
+     datagram by the timeout plus a round trip. *)
+  let cfg = Config.default in
+  List.iter
+    (fun i ->
+      let offset = float_of_int i *. cfg.Config.heartbeat_interval /. 10. in
+      let last_rx, at = detect_after_crash ~offset in
+      let bound = cfg.Config.suspect_timeout +. 0.005 in
+      if at -. last_rx > bound then
+        Alcotest.failf "offset %.3f: install %.4f s after the last datagram (bound %.4f)"
+          offset (at -. last_rx) bound)
+    (List.init 10 Fun.id)
+
+let test_stop_cancels_deadline () =
+  (* Server 1 falls silent; once server 0 has armed its suspicion timer,
+     stopping 0 cancels it along with the heartbeat, and nothing fires
+     afterwards. *)
+  let engine, gcs, _ = make ~n:2 () in
+  List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+  settle engine ~until:3.;
+  Gcs.crash gcs 1;
+  settle engine ~until:3.25;
+  check Alcotest.int "heartbeat and suspicion timer armed" 2 (Engine.pending engine);
+  Gcs.crash gcs 0;
+  check Alcotest.int "both cancelled" 0 (Engine.pending engine);
+  let fired = Engine.events_processed engine in
+  settle engine ~until:10.;
+  check Alcotest.int "no timer fires after stop" fired (Engine.events_processed engine)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -634,6 +711,10 @@ let suite =
         Alcotest.test_case "overlapping groups" `Quick test_overlapping_groups;
         Alcotest.test_case "view order across all explored schedules" `Quick
           test_view_order_all_schedules;
+        Alcotest.test_case "install at the suspicion deadline" `Quick
+          test_install_at_deadline;
+        Alcotest.test_case "stop cancels the suspicion timer" `Quick
+          test_stop_cancels_deadline;
       ] );
     ( "gcs.ordering",
       [

@@ -134,9 +134,9 @@ let test_fd_lifecycle () =
   Fd.monitor fd 2 ~now:0.;
   check (Alcotest.list Alcotest.int) "monitored" [ 1; 2 ] (Fd.monitored fd);
   (* Nothing suspected inside the grace period. *)
-  check (Alcotest.list Alcotest.int) "no early suspicion" [] (Fd.sweep fd ~now:0.9);
+  check (Alcotest.list Alcotest.int) "no early suspicion" [] (fst (Fd.sweep fd ~now:0.9));
   Fd.heard_from fd 1 ~now:1.0;
-  check (Alcotest.list Alcotest.int) "2 went silent" [ 2 ] (Fd.sweep fd ~now:1.5);
+  check (Alcotest.list Alcotest.int) "2 went silent" [ 2 ] (fst (Fd.sweep fd ~now:1.5));
   check Alcotest.bool "2 suspected" true (Fd.suspected fd 2);
   check Alcotest.bool "1 trusted" true (Fd.reachable fd 1);
   (* Hearing again clears the suspicion. *)
@@ -154,13 +154,45 @@ let test_fd_unmonitor () =
   let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
   Fd.monitor fd 1 ~now:0.;
   Fd.unmonitor fd 1;
-  check (Alcotest.list Alcotest.int) "gone" [] (Fd.sweep fd ~now:10.)
+  check (Alcotest.list Alcotest.int) "gone" [] (fst (Fd.sweep fd ~now:10.))
 
 let test_fd_sweep_idempotent () =
   let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
   Fd.monitor fd 1 ~now:0.;
-  check (Alcotest.list Alcotest.int) "first sweep reports" [ 1 ] (Fd.sweep fd ~now:5.);
-  check (Alcotest.list Alcotest.int) "second sweep silent" [] (Fd.sweep fd ~now:6.)
+  check (Alcotest.list Alcotest.int) "first sweep reports" [ 1 ] (fst (Fd.sweep fd ~now:5.));
+  check (Alcotest.list Alcotest.int) "second sweep silent" [] (fst (Fd.sweep fd ~now:6.))
+
+let sweep_result = Alcotest.(pair (list int) (float 0.))
+
+let test_fd_deadline_exact () =
+  (* The overdue test is [last + timeout <= now]: a timer armed at the
+     deadline itself suspects the peer, rather than finding it one
+     rounding error short and re-arming at the same instant. *)
+  let fd = Fd.create ~me:0 ~suspect_timeout:0.35 in
+  Fd.monitor fd 1 ~now:0.1;
+  let deadline = 0.1 +. 0.35 in
+  check sweep_result "pending before" ([], deadline) (Fd.sweep fd ~now:0.3);
+  check sweep_result "suspected at the deadline" ([ 1 ], infinity)
+    (Fd.sweep fd ~now:deadline)
+
+let test_fd_heard_moves_deadline () =
+  let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
+  Fd.monitor fd 1 ~now:0.;
+  check sweep_result "deadline from the grace period" ([], 1.0) (Fd.sweep fd ~now:0.5);
+  Fd.heard_from fd 1 ~now:0.8;
+  check sweep_result "heard since: not suspected at the old deadline, new one"
+    ([], 1.8) (Fd.sweep fd ~now:1.0)
+
+let test_fd_suspects_have_no_deadline () =
+  let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
+  Fd.monitor fd 1 ~now:0.;
+  Fd.monitor fd 2 ~now:0.;
+  Fd.heard_from fd 2 ~now:0.5;
+  check sweep_result "1 suspected, 2 pending" ([ 1 ], 1.5) (Fd.sweep fd ~now:1.0);
+  check sweep_result "suspect 1 sets no deadline" ([], 1.5) (Fd.sweep fd ~now:1.2);
+  check sweep_result "all suspected: no deadline" ([ 2 ], infinity) (Fd.sweep fd ~now:1.5);
+  Fd.heard_from fd 1 ~now:2.0;
+  check sweep_result "heard again: a fresh deadline" ([], 3.0) (Fd.sweep fd ~now:2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Latency models *)
@@ -1321,6 +1353,10 @@ let suite =
         Alcotest.test_case "fd self/unknown" `Quick test_fd_self_and_unknown;
         Alcotest.test_case "fd unmonitor" `Quick test_fd_unmonitor;
         Alcotest.test_case "fd sweep idempotent" `Quick test_fd_sweep_idempotent;
+        Alcotest.test_case "fd suspects at the exact deadline" `Quick test_fd_deadline_exact;
+        Alcotest.test_case "fd hearing moves the deadline" `Quick test_fd_heard_moves_deadline;
+        Alcotest.test_case "fd suspects have no deadline" `Quick
+          test_fd_suspects_have_no_deadline;
         Alcotest.test_case "latency models" `Quick test_latency_positive_and_mean;
         Alcotest.test_case "trace" `Quick test_trace_capture_and_filter;
         Alcotest.test_case "trace off never formats" `Quick
