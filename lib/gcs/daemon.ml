@@ -44,15 +44,9 @@ type gstate = {
          transport retransmission queue across a partition reaches a new
          sequencer that never saw the uid); the duplicate is dropped at
          the delivery boundary. *)
-  mutable outstanding : (Wire.uid * string) list;  (* newest first *)
-  relayed : (Wire.uid, Wire.entry) Hashtbl.t;
-      (* Entries this member forwarded to the sequencer on behalf of a
-         non-member (or a stale-view member), including those parked in
-         [pending_open] during a flush and forwarded at install: held
-         until seen in the log, resubmitted after view changes —
-         otherwise a request forwarded to a crashed, not-yet-suspected
-         sequencer would vanish. *)
-  mutable pending_open : Wire.entry list;  (* open sends held during flush *)
+  held : (Wire.uid, Wire.entry) Hashtbl.t;
+      (* Entries submitted and not yet seen in a log: this member's own
+         multicasts and the open sends it relays.  See [hold]. *)
   mutable left : proc list;
   mutable clean_at : int;
   mutable clean_view : View.t;
@@ -297,12 +291,9 @@ let stats_resets t = t.resets
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
 
-let note_logged t gs (entry : Wire.entry) =
+let note_logged gs (entry : Wire.entry) =
   Hashtbl.replace gs.seen_uids entry.uid ();
-  Hashtbl.remove gs.relayed entry.uid;
-  if entry.uid.origin = t.me then
-    gs.outstanding <-
-      List.filter (fun (uid, _) -> uid <> entry.uid) gs.outstanding
+  Hashtbl.remove gs.held entry.uid
 
 let deliver t gs (entry : Wire.entry) =
   if not (Hashtbl.mem gs.delivered_uids entry.uid) then begin
@@ -332,7 +323,7 @@ let sequence t gs (entry : Wire.entry) =
     let seq = gs.next_seq in
     gs.next_seq <- seq + 1;
     Hashtbl.replace gs.log seq entry;
-    note_logged t gs entry;
+    note_logged gs entry;
     send_others t gs.view.View.members
       (Wire.Data { group = gs.group; vid = gs.view.View.id; seq; entry });
     deliver_contiguous t gs
@@ -345,16 +336,18 @@ let submit t gs (entry : Wire.entry) =
       if coord = t.me then sequence t gs entry
       else send_reliable t coord (Wire.Open_send { group = gs.group; entry; ttl = 0 })
   | Proposing _ | Flushed _ ->
-      (* Buffered; the install path resubmits outstanding/pending. *)
+      (* Held; the install path resubmits [gs.held]. *)
       ()
 
-(* Forward another process's entry: a member that is not the sequencer
-   holds it in [relayed] until it is seen in the log, so a sequencer
-   that crashes before sequencing it cannot lose it. *)
-let relay t gs (entry : Wire.entry) =
-  if View.coordinator gs.view <> t.me && not (Hashtbl.mem gs.seen_uids entry.Wire.uid) then
-    Hashtbl.replace gs.relayed entry.Wire.uid entry;
-  submit t gs entry
+(* Keep an unseen entry in [gs.held] until it is seen in a log, and
+   submit it.  A coordinator sequences it at once, which drops it again;
+   any other member keeps it, and resubmits it at every install, so a
+   sequencer that crashes before sequencing it cannot lose it. *)
+let hold t gs (entry : Wire.entry) =
+  if not (Hashtbl.mem gs.seen_uids entry.Wire.uid) then begin
+    Hashtbl.replace gs.held entry.Wire.uid entry;
+    submit t gs entry
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
@@ -430,8 +423,7 @@ let rec apply_install t gs ~view_id ~members ~sync =
   | Some entries ->
       List.iter
         (fun (seq, entry) ->
-          Hashtbl.replace gs.seen_uids entry.Wire.uid ();
-          note_logged t gs entry;
+          note_logged gs entry;
           if seq > gs.delivered_up_to then begin
             gs.delivered_up_to <- seq;
             deliver t gs entry
@@ -446,7 +438,7 @@ let rec apply_install t gs ~view_id ~members ~sync =
   List.iter
     (fun (vid, entries) ->
       if not (View.Id.equal vid gs.view.View.id) then
-        List.iter (fun (_, entry) -> note_logged t gs entry) entries)
+        List.iter (fun (_, entry) -> note_logged gs entry) entries)
     sync;
   let view = View.make ~id:view_id ~group:gs.group ~members in
   gs.view <- view;
@@ -461,17 +453,9 @@ let rec apply_install t gs ~view_id ~members ~sync =
   List.iter (fun m -> monitor_peer t m) members;
   tr t "installed %a" View.pp view;
   t.callbacks.on_view view;
-  (* Resubmit multicasts not yet sequenced, oldest first, and any open
-     sends buffered during the flush. *)
-  let mine = List.rev gs.outstanding in
-  List.iter (fun (uid, payload) -> submit t gs { Wire.uid; payload }) mine;
-  (* The relayed entries are read before the parked open sends are
-     relayed, so each entry is forwarded once. *)
-  let relayed = Det_tbl.sorted_values ~compare:Wire.compare_uid gs.relayed in
-  let opens = List.rev gs.pending_open in
-  gs.pending_open <- [];
-  List.iter (fun entry -> relay t gs entry) opens;
-  List.iter (fun entry -> submit t gs entry) relayed
+  (* Resubmit every held entry in uid order: each origin's entries in
+     the order it sent them. *)
+  List.iter (submit t gs) (Det_tbl.sorted_values ~compare:Wire.compare_uid gs.held)
   end
 
 and finalize_proposal t gs ~epoch ~candidates ~replies =
@@ -613,11 +597,10 @@ let audit_ok t =
 (* Local reset-and-rejoin: throw away the group's poisoned view state
    and fall back to a fresh singleton, exactly as a joining process
    does.  Peers see the advert's view id diverge, the vid-mismatch
-   machinery forces a merge, and the install path resubmits our
-   outstanding multicasts — so recovery rides the ordinary membership
-   protocol rather than a parallel one.  The epoch high-water mark is
-   kept (clamped non-negative) so the merge's proposal outbids both
-   lives. *)
+   machinery forces a merge, and the install path resubmits the held
+   entries — so recovery rides the ordinary membership protocol rather
+   than a parallel one.  The epoch high-water mark is kept (clamped
+   non-negative) so the merge's proposal outbids both lives. *)
 let reset_group t gs =
   gs.view <- View.singleton ~group:gs.group t.me;
   Hashtbl.reset gs.log;
@@ -914,19 +897,15 @@ let handle_data t ~group ~vid ~seq ~entry =
          matches and the data is ignored like any other stale frame. *)
       if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
         if not (Hashtbl.mem gs.log seq) then Hashtbl.replace gs.log seq entry;
-        note_logged t gs entry;
+        note_logged gs entry;
         match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
       end
 
-(* A member relays the entry, or parks it while the view changes and
-   relays it at install; a non-member with hops left passes it on to the
-   members it believes in. *)
+(* A member holds the entry; a non-member with hops left passes it on to
+   the members it believes in. *)
 let handle_open_send t ~group ~entry ~ttl =
   match Hashtbl.find_opt t.gstates group with
-  | Some gs -> (
-      match gs.mstate with
-      | Stable -> relay t gs entry
-      | Proposing _ | Flushed _ -> gs.pending_open <- entry :: gs.pending_open)
+  | Some gs -> hold t gs entry
   | None ->
       if ttl > 0 then begin
         let targets = advertisers t group in
@@ -1077,9 +1056,7 @@ let join t group =
         max_epoch = 0;
         seen_uids = Hashtbl.create 64;
         delivered_uids = Hashtbl.create 64;
-        outstanding = [];
-        relayed = Hashtbl.create 16;
-        pending_open = [];
+        held = Hashtbl.create 16;
         left = [];
         clean_at = -1;
         clean_view = view;
@@ -1105,9 +1082,7 @@ let multicast t group payload =
   match Hashtbl.find_opt t.gstates group with
   | None -> invalid_arg (Printf.sprintf "Daemon.multicast: %d not in %s" t.me group)
   | Some gs ->
-      let uid = fresh_uid t in
-      gs.outstanding <- (uid, payload) :: gs.outstanding;
-      submit t gs { Wire.uid; payload }
+      hold t gs { Wire.uid = fresh_uid t; payload }
 
 (* Relay hops allowed for an open-group send routed through non-member
    daemons. *)

@@ -114,7 +114,7 @@ val incarnation : t -> int
     failing verdict it {e resets and rejoins}: the group's state falls
     back to a fresh singleton view and the ordinary vid-mismatch merge
     machinery reconciles it with the surviving members, resubmitting
-    outstanding multicasts.  Gated by {!Audit.enabled}. *)
+    every entry it holds that no log has shown yet.  Gated by {!Audit.enabled}. *)
 
 val set_audit_hook : t -> (group:string -> Audit.verdict -> unit) option -> unit
 (** Observer called once per audit failure, just before the group's

@@ -133,12 +133,6 @@ let requests_lost tl ~sid =
   in
   (List.length (Seqset.to_list (Seqset.diff !sent final_knowledge)), !n_sent)
 
-let crash_times tl =
-  List.filter_map
-    (fun (at, e) ->
-      match e with Events.Server_crashed { server } -> Some (server, at) | _ -> None)
-    tl
-
 let primary_intervals tl ~sid ~horizon =
   (* Scan the timeline keeping per-server open intervals. *)
   let open_at = Hashtbl.create 8 in
@@ -237,18 +231,27 @@ let multi_source_time tl ~sid ~window =
   in
   List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0. merged
 
+(* One chronological pass over the latest crash of each server and the
+   latest time each server assumed each session's primary role.  A
+   predecessor that assumed the role after its latest crash was live
+   when it was taken over; one that restarted without assuming it is
+   still the crashed primary (the restart beat the takeover). *)
 let takeover_latencies tl =
-  let crashes = crash_times tl in
+  let crashed = Hashtbl.create 8 and assumed = Hashtbl.create 64 in
   List.filter_map
     (fun (at, e) ->
       match e with
-      | Events.Takeover { kind = Events.Crash; _ } ->
-          let last_crash =
-            List.fold_left
-              (fun acc (_, ct) -> if ct <= at then Float.max acc ct else acc)
-              neg_infinity crashes
-          in
-          if last_crash > neg_infinity then Some (at -. last_crash) else None
+      | Events.Server_crashed { server } ->
+          Hashtbl.replace crashed server at;
+          None
+      | Events.Role_assumed { server; session_id; role = Events.Primary } ->
+          Hashtbl.replace assumed (server, session_id) at;
+          None
+      | Events.Takeover { kind = Events.Crash; from_primary = Some p; session_id; _ } -> (
+          match (Hashtbl.find_opt crashed p, Hashtbl.find_opt assumed (p, session_id)) with
+          | Some crash, Some since when since < crash -> Some (at -. crash)
+          | Some crash, None -> Some (at -. crash)
+          | Some _, Some _ | None, _ -> None)
       | _ -> None)
     tl
 

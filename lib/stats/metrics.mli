@@ -60,8 +60,11 @@ val multi_source_time : timeline -> sid:string -> window:float -> float
     WAN connectivity). *)
 
 val takeover_latencies : timeline -> float list
-(** For each crash-kind takeover, the delay since the most recent server
-    crash. *)
+(** For each crash-kind takeover, the delay since its [from_primary]'s
+    latest crash.  A takeover from a predecessor that never crashed, or
+    that assumed the session's primary role again after its latest
+    crash, was a false suspicion of a live primary and yields no
+    sample. *)
 
 val count_takeovers : ?kind:Haf_core.Events.takeover_kind -> timeline -> int
 

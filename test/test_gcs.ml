@@ -311,14 +311,12 @@ let test_open_send_relayed_by_non_member () =
   check Alcotest.int "nothing delivered at the relay" 0
     (List.length (deliveries_of rec_ ~proc:3 ~group:"g"))
 
-(* An open send a member parks while flushed must survive the new
-   coordinator crashing before it sequences the entry.  The client
-   reaches only member 3.  After 0 crashes, 1 coordinates the new view,
-   and the delayed 1 -> 3 link keeps 3 flushed for 0.2 s after 2 has
-   installed; the client sends at that instant, so 3 parks the entry.  1
-   crashes the moment 3 installs, before the forwarded entry reaches it:
-   only the view after that can deliver it. *)
-let test_parked_open_send_survives_coordinator_crash () =
+(* Four servers in "g" and a client that reaches only member 3; the
+   1 -> 3 link is delayed 0.2 s, so once 0 crashes and 1 coordinates the
+   view without it, 3 stays flushed for 0.2 s after 2 has installed.
+   [wrap p on_view] records [p]'s callbacks like [make] and also runs
+   [on_view] at each of its installs. *)
+let crash_0_harness () =
   let engine, gcs, rec_ = make ~n:4 () in
   List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
   let client = Gcs.add_client gcs in
@@ -329,8 +327,6 @@ let test_parked_open_send_survives_coordinator_crash () =
     [ 0; 1; 2 ];
   settle engine ~until:3.;
   Network.set_link_delay (Gcs.network gcs) 1 3 (Some 0.2);
-  let without_0 (v : View.t) = v.View.group = "g" && v.View.members = [ 1; 2; 3 ] in
-  let sent = ref false and crashed = ref false in
   let wrap p on_view =
     Gcs.set_app gcs p
       {
@@ -344,6 +340,18 @@ let test_parked_open_send_survives_coordinator_crash () =
         on_p2p = (fun ~sender payload -> rec_.p2p <- (p, sender, payload) :: rec_.p2p);
       }
   in
+  (engine, gcs, rec_, client, wrap)
+
+let without_0 (v : View.t) = v.View.group = "g" && v.View.members = [ 1; 2; 3 ]
+
+(* An open send a member parks while flushed must survive the new
+   coordinator crashing before it sequences the entry.  The client sends
+   at 2's install, so 3 parks the entry.  1 crashes the moment 3
+   installs, before the forwarded entry reaches it: only the view after
+   that can deliver it. *)
+let test_parked_open_send_survives_coordinator_crash () =
+  let engine, gcs, rec_, client, wrap = crash_0_harness () in
+  let sent = ref false and crashed = ref false in
   wrap 2 (fun v ->
       if without_0 v && not !sent then begin
         sent := true;
@@ -367,6 +375,31 @@ let test_parked_open_send_survives_coordinator_crash () =
       check Alcotest.int (Printf.sprintf "parked msg exactly once at %d" p) 1
         (List.length got))
     [ 2; 3 ]
+
+(* One origin's entries keep their order across an install.  "first"
+   reaches 3 right after 0 crashes, before anyone suspects it, so 3
+   forwards it to the dead 0 and holds it; "second" reaches 3 while it
+   is flushed.  At its install 3 resubmits both, "first" first. *)
+let test_origin_order_across_install () =
+  let engine, gcs, rec_, client, wrap = crash_0_harness () in
+  let sent = ref false in
+  wrap 2 (fun v ->
+      if without_0 v && not !sent then begin
+        sent := true;
+        Gcs.open_send gcs client "g" "second"
+      end);
+  Gcs.crash gcs 0;
+  Gcs.open_send gcs client "g" "first";
+  settle engine ~until:8.;
+  check Alcotest.bool "second sent at 2's install" true !sent;
+  List.iter
+    (fun p ->
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "client order at %d" p)
+        [ "first"; "second" ]
+        (deliveries_of rec_ ~proc:p ~group:"g"
+        |> List.filter_map (fun (s, payload) -> if s = client then Some payload else None)))
+    [ 1; 2; 3 ]
 
 let test_p2p () =
   let engine, gcs, rec_ = make ~n:2 () in
@@ -522,11 +555,24 @@ let test_overlapping_groups () =
   | Some v -> check (Alcotest.list Alcotest.int) "b shrinks" [ 2 ] v.View.members
   | None -> Alcotest.fail "no view b"
 
+(* Whether every origin's payloads, each "<origin>.<k>" with [k] its
+   send count, appear in increasing [k]. *)
+let in_send_order payloads =
+  let last = Hashtbl.create 8 in
+  List.for_all
+    (fun payload ->
+      Scanf.sscanf payload "%d.%d" (fun origin k ->
+          let ok = k > Option.value (Hashtbl.find_opt last origin) ~default:0 in
+          Hashtbl.replace last origin k;
+          ok))
+    payloads
+
 (* Property: under a random crash schedule, every pair of surviving
    processes delivers the same totally ordered prefix-consistent
    sequences: one is a subsequence-free exact match after filtering to
-   messages both delivered (total order), and no process delivers a
-   message twice. *)
+   messages both delivered (total order), no process delivers a message
+   twice, and each origin's messages — a client's open sends too — arrive
+   in the order it sent them. *)
 let prop_total_order_random_crashes =
   QCheck.Test.make ~name:"gcs: agreement under random crashes" ~count:15
     QCheck.(int_bound 10_000)
@@ -534,22 +580,31 @@ let prop_total_order_random_crashes =
       let engine, gcs, rec_ = make ~n:4 ~seed:(seed + 1) () in
       let rng = Haf_sim.Rng.create (seed + 77) in
       List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+      let client = Gcs.add_client gcs in
       Engine.run ~until:3. engine;
       (* Random traffic and one random crash at a random moment. *)
       let victim = Haf_sim.Rng.int rng 4 in
       let crash_at = 3. +. Haf_sim.Rng.float rng 2. in
       ignore
         (Engine.schedule_at engine ~time:crash_at (fun () -> Gcs.crash gcs victim));
+      let sent = Hashtbl.create 8 in
+      let next_payload p =
+        let k = Option.value (Hashtbl.find_opt sent p) ~default:0 + 1 in
+        Hashtbl.replace sent p k;
+        Printf.sprintf "%d.%d" p k
+      in
+      let at_random_times send =
+        for _ = 1 to 8 do
+          let at = 3. +. Haf_sim.Rng.float rng 3. in
+          ignore (Engine.schedule_at engine ~time:at send)
+        done
+      in
       List.iter
         (fun p ->
-          for i = 1 to 8 do
-            let at = 3. +. Haf_sim.Rng.float rng 3. in
-            ignore
-              (Engine.schedule_at engine ~time:at (fun () ->
-                   if Gcs.alive gcs p then
-                     Gcs.multicast gcs p "g" (Printf.sprintf "%d.%d" p i)))
-          done)
+          at_random_times (fun () ->
+              if Gcs.alive gcs p then Gcs.multicast gcs p "g" (next_payload p)))
         (Gcs.servers gcs);
+      at_random_times (fun () -> Gcs.open_send gcs client "g" (next_payload client));
       Engine.run ~until:20. engine;
       let survivors = List.filter (fun p -> p <> victim) (Gcs.servers gcs) in
       let seqs =
@@ -559,9 +614,11 @@ let prop_total_order_random_crashes =
       List.for_all
         (fun s -> List.length s = List.length (List.sort_uniq compare s))
         seqs
-      (* ...and all survivors deliver identical sequences (they end in the
-         same final view, so virtual synchrony forces full agreement). *)
-      && List.for_all (fun s -> s = List.hd seqs) seqs)
+      (* ...all survivors deliver identical sequences (they end in the
+         same final view, so virtual synchrony forces full agreement)... *)
+      && List.for_all (fun s -> s = List.hd seqs) seqs
+      (* ...and in each origin's send order. *)
+      && List.for_all in_send_order seqs)
 
 (* ------------------------------------------------------------------ *)
 (* View-ordering under exploration: across every explored delivery
@@ -736,6 +793,8 @@ let suite =
           test_open_send_relayed_by_non_member;
         Alcotest.test_case "parked open send survives coordinator crash" `Quick
           test_parked_open_send_survives_coordinator_crash;
+        Alcotest.test_case "origin order across install" `Quick
+          test_origin_order_across_install;
         Alcotest.test_case "p2p" `Quick test_p2p;
       ] );
   ]

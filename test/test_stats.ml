@@ -204,12 +204,46 @@ let test_no_primary_time () =
   let tl = [ assume 0. 0; crashed 4. 0; assume 6. 1 ] in
   check (Alcotest.float 1e-9) "gap 4..6" 2. (Metrics.no_primary_time tl ~sid:"s" ~horizon:10.)
 
+let restarted at server = ev at (Events.Server_restarted { server })
+
 let test_takeover_latency () =
+  let latencies = Alcotest.list (Alcotest.float 1e-9) in
   let tl =
     [ crashed 4. 0; takeover 4.5 1 Events.Crash ~from:(Some 0) ~live:true ]
   in
-  check (Alcotest.list (Alcotest.float 1e-9)) "latency" [ 0.5 ]
-    (Metrics.takeover_latencies tl)
+  check latencies "latency" [ 0.5 ] (Metrics.takeover_latencies tl);
+  (* Server 2's crash does not time a takeover from the live primary 0. *)
+  let tl =
+    [
+      assume 0. 0;
+      crashed 4. 2;
+      takeover 12. 1 Events.Crash ~from:(Some 0) ~live:true;
+    ]
+  in
+  check latencies "takeover from a live primary" [] (Metrics.takeover_latencies tl);
+  (* Nor does 0's own crash once 0 has restarted and is primary again. *)
+  let tl =
+    [
+      assume 0. 0;
+      crashed 4. 0;
+      takeover 4.5 1 Events.Crash ~from:(Some 0) ~live:true;
+      restarted 6. 0;
+      assume 8. 0;
+      takeover 12. 1 Events.Crash ~from:(Some 0) ~live:true;
+    ]
+  in
+  check latencies "false suspicion after a restart" [ 0.5 ]
+    (Metrics.takeover_latencies tl);
+  (* A restart that beats the takeover leaves it timed from the crash. *)
+  let tl =
+    [
+      assume 0. 0;
+      crashed 4. 0;
+      restarted 4.3 0;
+      takeover 4.5 1 Events.Crash ~from:(Some 0) ~live:true;
+    ]
+  in
+  check latencies "restart before the takeover" [ 0.5 ] (Metrics.takeover_latencies tl)
 
 let test_multi_source_time () =
   (* Interleaved arrivals from two servers for 4 seconds, then single. *)
