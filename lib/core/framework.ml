@@ -114,7 +114,7 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable sl_reqs : (int * S.request) list;
           (* Retained for replay, newest first: only seqs above the
              newest snapshot or handoff this server has folded
-             ([prune_reqs]). *)
+             ([rebase]). *)
       mutable sl_ending : bool;
     }
 
@@ -251,21 +251,23 @@ module Make (S : Service_intf.SERVICE) = struct
     (* -------------------------------------------------------------- *)
     (* Session-local state                                             *)
 
-    let reapply_requests sl ~above ctx =
-      (* Rebase: replay retained client requests newer than [above] on a
-         fresh context (propagated snapshot or handoff). *)
-      let newer =
-        List.filter (fun (seq, _) -> seq > above) sl.sl_reqs
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
-      List.fold_left (fun ctx (_, body) -> S.apply_request ctx body) ctx newer
-
-    (* Once a snapshot up to [upto] is folded in, no later rebase replays
-       a seq at or below it: the primary propagates only context it has
-       already delivered, so every later snapshot or handoff reaches at
-       least as high. *)
-    let prune_reqs sl ~upto =
-      sl.sl_reqs <- List.filter (fun (seq, _) -> seq > upto) sl.sl_reqs
+    (* Rebase on a fresh context (a propagated snapshot or a handoff)
+       that incorporates [applied] as of [at]: replay the retained client
+       requests newer than it, oldest first, and drop the rest.  No later
+       rebase replays a seq at or below [applied]: the primary propagates
+       only context it has already delivered, so every later snapshot or
+       handoff reaches at least as high. *)
+    let rebase sl ~ctx ~applied ~at =
+      let upto = Seqset.max applied in
+      let newer = List.filter (fun (seq, _) -> seq > upto) sl.sl_reqs in
+      sl.sl_reqs <- newer;
+      sl.sl_ctx <-
+        List.fold_left
+          (fun ctx (_, body) -> S.apply_request ctx body)
+          ctx
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) newer);
+      sl.sl_base_at <- at;
+      sl.sl_applied <- Seqset.union applied sl.sl_applied
 
     let fresh_local (sess : S.context Unit_db.session) =
       let ctx, base_at, applied =
@@ -754,11 +756,8 @@ module Make (S : Service_intf.SERVICE) = struct
       match Hashtbl.find_opt t.sessions session_id with
       | Some { sl_role = Some Backup; _ } when sender = t.proc -> ()
       | Some ({ sl_role = Some Backup; _ } as sl) ->
-          let upto = Seqset.max snap.Unit_db.snap_applied in
-          sl.sl_ctx <- reapply_requests sl ~above:upto snap.Unit_db.snap_ctx;
-          sl.sl_base_at <- snap.Unit_db.snap_at;
-          sl.sl_applied <- Seqset.union snap.Unit_db.snap_applied sl.sl_applied;
-          prune_reqs sl ~upto
+          rebase sl ~ctx:snap.Unit_db.snap_ctx ~applied:snap.Unit_db.snap_applied
+            ~at:snap.Unit_db.snap_at
       | Some _ | None -> ()
 
     let process_content_msg t us ~sender msg =
@@ -1062,12 +1061,7 @@ module Make (S : Service_intf.SERVICE) = struct
         match decode_p2p payload with
         | Handoff { session_id; ctx; applied; at } -> (
             match Hashtbl.find_opt t.sessions session_id with
-            | Some sl when sl.sl_role = Some Primary ->
-                let upto = Seqset.max applied in
-                sl.sl_ctx <- reapply_requests sl ~above:upto ctx;
-                sl.sl_base_at <- at;
-                sl.sl_applied <- Seqset.union applied sl.sl_applied;
-                prune_reqs sl ~upto
+            | Some sl when sl.sl_role = Some Primary -> rebase sl ~ctx ~applied ~at
             | Some _ | None -> ())
         | Unit_list _ | Granted _ | Responses _ -> ()
 

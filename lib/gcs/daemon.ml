@@ -65,8 +65,8 @@ type gstate = {
 type advert_cache = {
   ac_groups : (string * gstate) list;
   ac_adverts : Wire.advert list;  (* one per group of [ac_groups], same order *)
-  ac_ping : string Lazy.t;  (* the Wire payloads, each encoded on first use *)
-  ac_pong : string Lazy.t;
+  ac_ping : Transport.raw Lazy.t;  (* the framed Wire payloads, each built on first use *)
+  ac_pong : Transport.raw Lazy.t;
 }
 
 (* What this daemon knows from one peer's Pings and Pongs. *)
@@ -75,7 +75,7 @@ type peer = {
       (* group -> view id, from the peer's latest Ping/Pong (first
          occurrence of a group wins); cleared and refilled in place. *)
   mutable last_ping : (string * Wire.advert list) option;
-      (* The peer's last Ping payload, with its decoded, valid adverts. *)
+      (* The peer's last Ping datagram, with its decoded, valid adverts. *)
   mutable last_pong : (string * Wire.advert list) option;
   mutable applied : (Wire.advert list * advert_cache) option;
       (* The advert list last recorded into [index], and the advert cache
@@ -148,8 +148,8 @@ let advert_cache groups =
   {
     ac_groups = groups;
     ac_adverts = adverts;
-    ac_ping = lazy (Wire.encode (Wire.Ping { adverts = descending }));
-    ac_pong = lazy (Wire.encode (Wire.Pong { adverts = descending }));
+    ac_ping = lazy (Transport.raw (Wire.encode (Wire.Ping { adverts = descending })));
+    ac_pong = lazy (Transport.raw (Wire.encode (Wire.Pong { adverts = descending })));
   }
 
 let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
@@ -935,8 +935,8 @@ let handle_leave t ~src:who ~group =
    (corrupted bytes) or decodes to a structurally invalid message (a
    corrupted peer marshalled its poisoned state) is dropped and counted
    — it must never reach a handler. *)
-let checked_decode t payload =
-  let decoded = try Some (Wire.decode payload) with _ -> None in
+let checked_decode t ?pos payload =
+  let decoded = try Some (Wire.decode ?pos payload) with _ -> None in
   match decoded with
   | None ->
       Transport.note_rejected t.transport;
@@ -992,29 +992,29 @@ let on_ping t src peer adverts =
 
 let on_pong t src peer adverts = record_adverts t src peer adverts (current_adverts t)
 
-(* A payload byte-equal to the peer's last Ping or Pong decodes to the
-   same, already validated adverts, so it skips [checked_decode]. *)
-let on_raw t ~src payload =
+(* A datagram byte-equal to the peer's last Ping or Pong carries the
+   same, already validated adverts, so it skips [checked_decode].  This
+   is the only memo on the heartbeat path: the transport hands the
+   datagram over whole, its payload starting at [pos]. *)
+let on_raw t ~src dgram pos =
   if t.is_alive then
     match Hashtbl.find_opt t.adverts src with
-    | Some ({ last_ping = Some (bytes, adverts); _ } as p) when String.equal payload bytes
-      ->
+    | Some ({ last_ping = Some (bytes, adverts); _ } as p) when String.equal dgram bytes ->
         on_ping t src p adverts
-    | Some ({ last_pong = Some (bytes, adverts); _ } as p) when String.equal payload bytes
-      ->
+    | Some ({ last_pong = Some (bytes, adverts); _ } as p) when String.equal dgram bytes ->
         on_pong t src p adverts
     | Some _ | None -> (
-        match checked_decode t payload with
+        match checked_decode t ~pos dgram with
         | None -> ()
         | Some (Wire.Ping { adverts }) ->
             let p = peer_of t src in
             let adverts = shared adverts p.last_pong in
-            p.last_ping <- Some (payload, adverts);
+            p.last_ping <- Some (dgram, adverts);
             on_ping t src p adverts
         | Some (Wire.Pong { adverts }) ->
             let p = peer_of t src in
             let adverts = shared adverts p.last_ping in
-            p.last_pong <- Some (payload, adverts);
+            p.last_pong <- Some (dgram, adverts);
             on_pong t src p adverts
         (* Reliable-only traffic never legitimately arrives on the raw
            datagram path; name every constructor (deep-lint R6) so a new
@@ -1029,7 +1029,7 @@ let on_raw t ~src payload =
 let start t =
   t.is_alive <- true;
   Transport.attach t.transport t.me
-    ~on_raw:(fun ~src payload -> on_raw t ~src payload)
+    ~on_raw:(fun ~src dgram pos -> on_raw t ~src dgram pos)
     (fun ~src payload -> on_reliable t ~src payload);
   List.iter (fun c -> monitor_peer t c) t.contacts;
   let first = Haf_sim.Rng.float t.rng t.hb_interval in

@@ -50,7 +50,7 @@ type msg =
 let encode (m : msg) = Marshal.to_string m []
 
 (* haf-lint: allow R2 — see [encode]. *)
-let decode (s : string) : msg = Marshal.from_string s 0
+let decode ?(pos = 0) (s : string) : msg = Marshal.from_string s pos
 
 (* Structural validation of inbound messages: one corrupted replica must
    not be able to push garbage (negative counters, empty groups, ghost

@@ -62,7 +62,8 @@ type msg =
 
 val encode : msg -> string
 
-val decode : string -> msg
+val decode : ?pos:int -> string -> msg
+(** Decode the message that starts at [pos] (default 0). *)
 
 val validate : msg -> (unit, string) result
 (** Structural validation of an inbound message: every invariant a

@@ -2,24 +2,47 @@ module Engine = Haf_sim.Engine
 module Trace = Haf_sim.Trace
 module Sub = Substrate
 
-(* Each Data carries [lo], the sender's lowest unacknowledged sequence
+(* Frames.  The first byte names the kind; integers are fixed 8-byte
+   little-endian (a [conn] is negative after [corrupt_conn]); a Data or
+   Raw payload is the rest of the datagram:
+
+     Data: 'D' conn seq lo payload     (25-byte header)
+     Ack:  'A' conn cum                (exactly 17 bytes)
+     Raw:  'R' payload                 (1-byte header)
+
+   Each Data carries [lo], the sender's lowest unacknowledged sequence
    number: a receiver with no state for the connection (fresh process, or
    first contact arriving out of order) starts expecting [lo] rather than
    guessing.  Connection ids increase globally, so data from a stale
    incarnation can never clobber a newer channel. *)
-type wire =
-  | Data of { conn : int; seq : int; lo : int; payload : string }
-  | Ack of { conn : int; cum : int }
-  | Raw of string
+let data_header = 25
 
-(* haf-lint: allow R8 — wire format, reached from protocol senders; the
-   bytes only ever travel between runs of the same binary (one process
-   on the sim substrate, identical executables on the UDP one) and never
-   feed a comparison, so Marshal is safe here. *)
-let encode (w : wire) = Marshal.to_string w []
+let ack_length = 17
 
-(* haf-lint: allow R8 — see [encode]. *)
-let decode (s : string) : wire = Marshal.from_string s 0
+let set_int b pos n = Bytes.set_int64_le b pos (Int64.of_int n)
+
+let get_int s pos = Int64.to_int (String.get_int64_le s pos)
+
+let encode_data ~conn ~seq ~lo payload =
+  let n = String.length payload in
+  let b = Bytes.create (data_header + n) in
+  Bytes.set b 0 'D';
+  set_int b 1 conn;
+  set_int b 9 seq;
+  set_int b 17 lo;
+  Bytes.blit_string payload 0 b data_header n;
+  Bytes.unsafe_to_string b
+
+let encode_ack ~conn ~cum =
+  let b = Bytes.create ack_length in
+  Bytes.set b 0 'A';
+  set_int b 1 conn;
+  set_int b 9 cum;
+  Bytes.unsafe_to_string b
+
+type raw = string
+
+let raw payload = "R" ^ payload
 
 type sender_channel = {
   mutable conn : int;
@@ -40,15 +63,6 @@ type receiver_channel = {
   rconn : int;
   mutable next_expected : int;
   pending : (int, string) Hashtbl.t;
-}
-
-(* The last two raw frames seen at one end, as (key, value) pairs:
-   heartbeat traffic alternates between two payloads (a daemon's Ping
-   and its Pong), so two slots hold both.  [recent] is the slot used
-   last. *)
-type raw_memo = {
-  mutable recent : string * string;
-  mutable older : string * string;
 }
 
 type stats = {
@@ -78,11 +92,7 @@ type t = {
   senders : (int * int, sender_channel) Hashtbl.t;  (* (src, dst) *)
   receivers : (int * int, receiver_channel) Hashtbl.t;  (* (dst, src) *)
   handlers : (int, src:int -> string -> unit) Hashtbl.t;
-  raw_handlers : (int, src:int -> string -> unit) Hashtbl.t;
-  raw_sent : (int, raw_memo) Hashtbl.t;
-      (* src -> (payload, frame), the payload matched by physical identity *)
-  raw_received : (int * int, raw_memo) Hashtbl.t;
-      (* (dst, src) -> (frame, payload), the frame matched by its bytes *)
+  raw_handlers : (int, src:int -> string -> int -> unit) Hashtbl.t;
 }
 
 (* Initial retransmission timeout; it doubles per silent round up to
@@ -115,13 +125,9 @@ let create ?(trace = Trace.disabled) sub =
     receivers = Hashtbl.create 64;
     handlers = Hashtbl.create 16;
     raw_handlers = Hashtbl.create 16;
-    raw_sent = Hashtbl.create 16;
-    raw_received = Hashtbl.create 64;
   }
 
 let set_give_up_after t v = t.give_up_after <- v
-
-let give_ups t = t.give_ups
 
 let fresh_conn t =
   let c = t.next_conn in
@@ -155,7 +161,7 @@ let[@hot] transmit t ~src ~dst ch seq payload =
   t.sub.Sub.send
     ~label:(Engine.Deliver { src; dst })
     ~src ~dst
-    (encode (Data { conn = ch.conn; seq; lo = ch.lowest_unacked; payload }))
+    (encode_data ~conn:ch.conn ~seq ~lo:ch.lowest_unacked payload)
 
 let retransmit_all t ~src ~dst ch =
   let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) ch.unsent [] in
@@ -265,76 +271,39 @@ let[@hot] handle_data t ~me ~src conn seq lo payload =
       done;
       t.acks_sent <- t.acks_sent + 1;
       t.sub.Sub.send ~src:me ~dst:src
-        (encode (Ack { conn; cum = rc.next_expected - 1 }))
+        (encode_ack ~conn ~cum:(rc.next_expected - 1))
 
 let note_rejected t = t.rejected <- t.rejected + 1
 
-let rejected t = t.rejected
-
-(* A hit in the older slot makes it the recent one. *)
-let promote m =
-  let hit = m.older in
-  m.older <- m.recent;
-  m.recent <- hit
-
-(* Make [(key, value)] the memo's recent slot. *)
-let remember memo key value =
-  match Hashtbl.find_opt memo key with
-  | Some m ->
-      m.older <- m.recent;
-      m.recent <- value
-  | None -> Hashtbl.replace memo key { recent = value; older = value }
-
-let[@hot] deliver_raw t me ~src payload =
-  match Hashtbl.find_opt t.raw_handlers me with
-  | Some h -> h ~src payload
-  | None -> ()
-
-(* A raw frame byte-equal to one of the last two from the same source
-   carries the same payload: hand that on without decoding again. *)
-let[@hot] dispatch t me ~src raw =
-  let key = (me, src) in
-  match Hashtbl.find_opt t.raw_received key with
-  | Some m when String.equal raw (fst m.recent) -> deliver_raw t me ~src (snd m.recent)
-  | Some m when String.equal raw (fst m.older) ->
-      promote m;
-      deliver_raw t me ~src (snd m.recent)
-  | Some _ | None -> (
-      (* A datagram that does not decode to a frame (a corrupted replica,
-         a stray sender on the UDP port, bit rot on the wire) must not
-         crash the receiver: drop it and count it, like any other
-         invalid input. *)
-      match decode raw with
-      | exception _ -> note_rejected t
-      | Data { conn; seq; lo; payload } -> handle_data t ~me ~src conn seq lo payload
-      | Ack { conn; cum } -> handle_ack t ~src ~me conn cum
-      | Raw payload ->
-          remember t.raw_received key (raw, payload);
-          deliver_raw t me ~src payload)
+(* Route a datagram on its kind byte.  Anything that is not a frame (a
+   corrupted replica, a stray sender on the UDP port, bit rot on the
+   wire) must not crash the receiver: drop it and count it, like any
+   other invalid input.  A raw payload is handed on in place, at offset
+   1 of the datagram, so a heartbeat is never copied. *)
+let[@hot] dispatch t me ~src dgram =
+  let len = String.length dgram in
+  if len = 0 then note_rejected t
+  else
+    match dgram.[0] with
+    | 'D' when len >= data_header ->
+        handle_data t ~me ~src (get_int dgram 1) (get_int dgram 9) (get_int dgram 17)
+          (String.sub dgram data_header (len - data_header))
+    | 'A' when len = ack_length ->
+        handle_ack t ~src ~me (get_int dgram 1) (get_int dgram 9)
+    | 'R' -> (
+        match Hashtbl.find_opt t.raw_handlers me with
+        | Some h -> h ~src dgram 1
+        | None -> ())
+    | _ -> note_rejected t
 
 let attach t node ?on_raw handler =
   Hashtbl.replace t.handlers node handler;
   (match on_raw with
   | Some h -> Hashtbl.replace t.raw_handlers node h
   | None -> Hashtbl.remove t.raw_handlers node);
-  t.sub.Sub.set_receiver node (fun ~src raw -> dispatch t node ~src raw)
+  t.sub.Sub.set_receiver node (fun ~src dgram -> dispatch t node ~src dgram)
 
-(* The frame of a raw payload, encoded once however many times the same
-   payload (physically) is sent: a heartbeat fans one Ping out to every
-   peer and answers every Ping with one Pong. *)
-let raw_frame t ~src payload =
-  match Hashtbl.find_opt t.raw_sent src with
-  | Some { recent = p, frame; _ } when p == payload -> frame
-  | Some ({ older = p, frame; _ } as m) when p == payload ->
-      promote m;
-      frame
-  | Some _ | None ->
-      let frame = encode (Raw payload) in
-      remember t.raw_sent src (payload, frame);
-      frame
-
-let send_unreliable t ~src ~dst payload =
-  t.sub.Sub.send ~src ~dst (raw_frame t ~src payload)
+let send_unreliable t ~src ~dst (r : raw) = t.sub.Sub.send ~src ~dst r
 
 let reset_node t node =
   let sender_keys =
@@ -375,9 +344,6 @@ let corrupt_conn t node =
     keys;
   keys <> []
 
-let unacked t =
-  Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.unsent) t.senders 0
-
 let stats t =
   {
     payloads_sent = t.payloads_sent;
@@ -387,5 +353,5 @@ let stats t =
     acks_sent = t.acks_sent;
     give_ups = t.give_ups;
     rejected = t.rejected;
-    unacked = unacked t;
+    unacked = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.unsent) t.senders 0;
   }

@@ -28,10 +28,11 @@ type stats = {
   acks_sent : int;
   give_ups : int;  (** Channels declared dead (see {!set_give_up_after}). *)
   rejected : int;
-      (** Inbound datagrams dropped as invalid: undecodable frames, plus
-          wire-validation failures counted by receivers via
+      (** Inbound datagrams dropped as invalid: datagrams that are not
+          frames (an unknown kind byte, or a length the kind does not
+          allow), plus payload failures counted by receivers via
           {!note_rejected}. *)
-  unacked : int;  (** Currently outstanding payloads, as {!unacked}. *)
+  unacked : int;  (** Payloads queued now, awaiting acknowledgement. *)
 }
 
 val create : ?trace:Haf_sim.Trace.t -> Substrate.t -> t
@@ -42,30 +43,34 @@ val set_give_up_after : t -> float option -> unit
 (** Set the give-up threshold ([None] disables): once a channel has had
     payloads outstanding for that many seconds with no ack at all, the
     channel is declared dead — its timer is cancelled, its queue
-    dropped and {!give_ups} incremented — instead of backing off
+    dropped and [give_ups] in {!stats} incremented — instead of backing off
     forever.  A later {!send} to the same destination transparently
     opens a fresh connection incarnation.  Applies to the next
     retransmission round of every channel.  Default: never give up (the
     GCS transport assumption: reliable delivery once eventually
     reconnected). *)
 
-val give_ups : t -> int
-(** Channels declared dead so far. *)
-
-
 val attach :
   t ->
   Substrate.node_id ->
-  ?on_raw:(src:Substrate.node_id -> string -> unit) ->
+  ?on_raw:(src:Substrate.node_id -> string -> int -> unit) ->
   (src:Substrate.node_id -> string -> unit) ->
   unit
 (** Take over the node's network receiver and deliver reliable in-order
     payloads to the given handler.  Must be called once per node before
-    sending or receiving.  [on_raw] receives datagrams sent with
-    {!send_unreliable} (heartbeats etc.) that bypass the reliable
-    machinery. *)
+    sending or receiving.  [on_raw ~src dgram pos] receives a datagram
+    sent with {!send_unreliable} (heartbeats etc.), which bypasses the
+    reliable machinery: its payload is [dgram] from offset [pos] on,
+    handed over in place rather than copied out.  Two datagrams carry
+    the same payload exactly when they are byte-equal. *)
 
-val send_unreliable : t -> src:Substrate.node_id -> dst:Substrate.node_id -> string -> unit
+type raw
+(** A payload framed for {!send_unreliable}. *)
+
+val raw : string -> raw
+(** Frame a payload once; the frame can be sent any number of times. *)
+
+val send_unreliable : t -> src:Substrate.node_id -> dst:Substrate.node_id -> raw -> unit
 (** One-shot datagram sharing the node's network receiver: no
     retransmission, no ordering.  Used for failure-detector heartbeats so
     that dead peers do not accumulate retransmission queues. *)
@@ -80,12 +85,9 @@ val reset_node : t -> Substrate.node_id -> unit
     on the node crashes or restarts. *)
 
 val note_rejected : t -> unit
-(** Count one invalid inbound message.  Undecodable datagrams are
-    counted automatically; layers above (GCS wire validation) call this
-    when a frame decodes but fails structural validation. *)
-
-val rejected : t -> int
-(** Invalid inbound messages dropped so far. *)
+(** Count one invalid inbound message.  Datagrams that are not transport
+    frames are counted automatically; layers above (GCS wire validation)
+    call this when a payload fails to decode or validate. *)
 
 val corrupt_conn : t -> Substrate.node_id -> bool
 (** Chaos hook: roll every sender-channel connection id of [node] back
@@ -94,9 +96,6 @@ val corrupt_conn : t -> Substrate.node_id -> bool
     to corrupt.  Recovery is the give-up threshold: once the stalled
     channels are declared dead, the next send opens a fresh (strictly
     newer) incarnation and delivery resumes. *)
-
-val unacked : t -> int
-(** Total payloads queued awaiting acknowledgement (diagnostics). *)
 
 val stats : t -> stats
 (** Snapshot of the transport-level counters, identical in meaning on

@@ -774,7 +774,9 @@ let raw_msg_of () =
     }
   in
   let tr = Transport.create sub in
-  Transport.attach tr 0 ~on_raw:(fun ~src:_ payload -> got := Some payload) (fun ~src:_ _ -> ());
+  Transport.attach tr 0
+    ~on_raw:(fun ~src:_ dgram pos -> got := Some (String.sub dgram pos (String.length dgram - pos)))
+    (fun ~src:_ _ -> ());
   fun frame ->
     got := None;
     !receiver ~src:1 frame;
@@ -1023,67 +1025,59 @@ let test_unchanged_advert_after_install_and_reset () =
     (Printf.sprintf "after a reset: 0 re-merges (%d installs)" after_reset)
     true (after_reset >= 3)
 
-(* (c) The transport hands on a remembered payload only for a frame
-   byte-equal to a remembered one.  A frame of the same length with one
-   byte flipped is decoded afresh: inside the payload it yields the
-   flipped payload, in the header it is rejected and counted. *)
+(* (c) The daemon reuses a peer's memoized adverts only for a datagram
+   byte-equal to that peer's last Ping or Pong.  A Ping of the same
+   length with one advert byte flipped is decoded afresh; a flipped kind
+   byte makes it no transport frame at all, so it is rejected and
+   counted and reaches no daemon. *)
 let test_raw_frame_memo_needs_equal_bytes () =
-  let engine = Engine.create ~seed:5 () in
-  let net = Network.create engine Network.default_config in
-  List.iter (fun _ -> ignore (Network.add_node net)) [ 0; 1 ];
-  let base = Network.substrate net in
-  let frames = ref [] in
-  let sub =
-    {
-      base with
-      Sub.send =
-        (fun ?label ~src ~dst frame ->
-          frames := frame :: !frames;
-          base.Sub.send ?label ~src ~dst frame);
-    }
+  let group = "memo-group" in
+  let msg_of = raw_msg_of () in
+  let pings = ref [] in
+  let route ~src ~dst frame =
+    (if src = 1 && dst = 0 then
+       match msg_of frame with
+       | Some (_, Wire.Ping _) -> pings := frame :: !pings
+       | Some _ | None -> ());
+    Some frame
   in
-  let tr = Transport.create sub in
-  let got = ref [] in
-  Transport.attach tr 1 ~on_raw:(fun ~src:_ p -> got := p :: !got) (fun ~src:_ _ -> ());
-  Transport.attach tr 0 (fun ~src:_ _ -> ());
-  let payload = "heartbeat-payload" in
-  Transport.send_unreliable tr ~src:0 ~dst:1 payload;
-  Transport.send_unreliable tr ~src:0 ~dst:1 payload;
-  Engine.run engine;
+  let f = make_fabric ~n:2 ~seed:5 route in
+  Gcs.join f.gcs 1 group;
+  Engine.run ~until:2. f.engine;
   let frame =
-    match !frames with
-    | [ b; a ] ->
-        check Alcotest.bool "one payload is framed once" true (a == b);
-        a
-    | l -> Alcotest.failf "expected 2 frames, got %d" (List.length l)
+    match !pings with
+    | b :: a :: _ ->
+        check Alcotest.bool "an unchanged Ping is framed once" true (a == b);
+        b
+    | _ -> Alcotest.fail "fewer than two Pings from 1 to 0"
   in
-  check (Alcotest.list Alcotest.string) "both delivered" [ payload; payload ] !got;
+  let advertisers g = Gcs.believed_members f.gcs 0 g in
+  check ints "0 learns 1's group from its Pings" [ 1 ] (advertisers group);
   let flip i =
     let b = Bytes.of_string frame in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
     Bytes.to_string b
   in
   let at =
-    let n = String.length payload in
+    let n = String.length group in
     let rec find i =
-      if String.equal (String.sub frame i n) payload then i else find (i + 1)
+      if String.equal (String.sub frame i n) group then i else find (i + 1)
     in
     find 0
   in
-  got := [];
-  let rejected = Transport.rejected tr in
-  Network.send net ~src:0 ~dst:1 (flip at);
-  Engine.run engine;
-  check (Alcotest.list Alcotest.string) "a flipped payload byte is decoded afresh"
-    [ "Heartbeat-payload" ] !got;
-  Network.send net ~src:0 ~dst:1 (flip 0);
-  Engine.run engine;
-  check Alcotest.int "a flipped header byte is rejected" (rejected + 1) (Transport.rejected tr);
-  check Alcotest.int "and reaches no handler" 1 (List.length !got);
-  Network.send net ~src:0 ~dst:1 frame;
-  Engine.run engine;
-  check (Alcotest.list Alcotest.string) "the original still delivers"
-    [ payload; "Heartbeat-payload" ] !got
+  (* Same length, one advert byte off: "Memo-group".  Matching on
+     anything short of the whole datagram would keep the old adverts. *)
+  f.inject ~dst:0 ~src:1 (flip at);
+  check ints "a flipped advert byte is decoded afresh" [ 1 ] (advertisers "Memo-group");
+  check ints "and replaces the memoized adverts" [] (advertisers group);
+  let rejected () = (Transport.stats (Gcs.transport f.gcs)).Transport.rejected in
+  let before = rejected () in
+  f.inject ~dst:0 ~src:1 (flip 0);
+  check Alcotest.int "a flipped kind byte is rejected" (before + 1) (rejected ());
+  check ints "and reaches no daemon" [ 1 ] (advertisers "Memo-group");
+  f.inject ~dst:0 ~src:1 frame;
+  check ints "the original still delivers" [ 1 ] (advertisers group);
+  check ints "over the flipped one" [] (advertisers "Memo-group")
 
 (* ------------------------------------------------------------------ *)
 (* Unit-db self-checking: corruption detection and reconciliation      *)

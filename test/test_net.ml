@@ -217,6 +217,8 @@ let make_transport ?(drop = 0.) ?(n = 3) () =
   let tr = Transport.create (Network.substrate net) in
   (engine, net, tr, nodes)
 
+let payload_at dgram pos = String.sub dgram pos (String.length dgram - pos)
+
 let collect tr node =
   let got = ref [] in
   Transport.attach tr node (fun ~src payload -> got := (src, payload) :: !got);
@@ -273,9 +275,9 @@ let test_transport_unreliable_raw () =
   let engine, _, tr, _ = make_transport () in
   let raw = ref [] in
   Transport.attach tr 1
-    ~on_raw:(fun ~src payload -> raw := (src, payload) :: !raw)
+    ~on_raw:(fun ~src dgram pos -> raw := (src, payload_at dgram pos) :: !raw)
     (fun ~src:_ _ -> ());
-  Transport.send_unreliable tr ~src:0 ~dst:1 "ping";
+  Transport.send_unreliable tr ~src:0 ~dst:1 (Transport.raw "ping");
   Engine.run engine;
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string)) "raw path"
     [ (0, "ping") ] !raw
@@ -316,7 +318,7 @@ let test_transport_give_up () =
      retransmit forever; with one, it must declare the channel dead
      within ~5s and stop (no live timers => the engine drains). *)
   Engine.run ~until:60. engine;
-  check Alcotest.int "one channel declared dead" 1 (Transport.give_ups tr);
+  check Alcotest.int "one channel declared dead" 1 (Transport.stats tr).Transport.give_ups;
   (* A later send transparently opens a fresh incarnation. *)
   Network.heal_links net;
   Transport.send tr ~src:0 ~dst:1 "post-heal";
@@ -386,6 +388,155 @@ let prop_transport_any_loss_rate =
       Engine.run ~until:120. engine;
       List.rev !got = List.init 30 (fun i -> string_of_int (i + 1)))
 
+(* ------------------------------------------------------------------ *)
+(* Transport frames *)
+
+(* A substrate that only queues: a datagram reaches its destination's
+   receiver (the transport's frame dispatcher) when [pump] hands it
+   over, so a test can drive the dispatcher with any bytes. *)
+type mailbox = {
+  sub : Haf_net.Substrate.t;
+  queued : (int * int * string) list ref;  (* (src, dst, dgram), newest first *)
+  receivers : (int, src:int -> string -> unit) Hashtbl.t;
+}
+
+let mailbox engine =
+  let queued = ref [] and receivers = Hashtbl.create 4 in
+  let sub =
+    {
+      Haf_net.Substrate.engine;
+      send = (fun ?label:_ ~src ~dst dgram -> queued := (src, dst, dgram) :: !queued);
+      set_receiver = (fun node h -> Hashtbl.replace receivers node h);
+      add_node = (fun () -> Hashtbl.length receivers);
+      node_count = (fun () -> Hashtbl.length receivers);
+      counters = (fun _ -> Haf_net.Substrate.fresh_counters ());
+      reset_counters = (fun () -> ());
+    }
+  in
+  { sub; queued; receivers }
+
+(* Deliver every queued datagram, oldest first, until none is left
+   (acks sent in reply included); [tap] sees each one first. *)
+let pump ?(tap = ignore) mb =
+  while !(mb.queued) <> [] do
+    let batch = List.rev !(mb.queued) in
+    mb.queued := [];
+    List.iter
+      (fun (src, dst, dgram) ->
+        tap dgram;
+        (Hashtbl.find mb.receivers dst) ~src dgram)
+      batch
+  done
+
+(* Data and Ack frames carry connection ids from both ends of their
+   range: large ones (the UDP substrate seeds them from a monotonic clock
+   in milliseconds) and negative ones (a [corrupt_conn] rollback below
+   zero).  The second receiver has no state for the rolled-back
+   connection, so it must take it as first contact and deliver; its Ack
+   must carry the same negative id back, or the sender stays unacked. *)
+let prop_frames_round_trip =
+  QCheck.Test.make ~name:"transport frames: Data, Ack and Raw round-trip through dispatch"
+    ~count:200
+    QCheck.(
+      triple
+        (oneof [ float_bound_inclusive 900.; float_bound_inclusive 1e12 ])
+        (small_list string) (small_list string))
+    (fun (clock, payloads, raws) ->
+      let engine = Engine.create_external ~now:(fun () -> clock) () in
+      let mb = mailbox engine in
+      let sender = Transport.create mb.sub in
+      Transport.attach sender 0 (fun ~src:_ _ -> ());
+      let got = ref [] and got_raw = ref [] in
+      let receiver () =
+        let tr = Transport.create mb.sub in
+        Transport.attach tr 1
+          ~on_raw:(fun ~src:_ dgram pos -> got_raw := payload_at dgram pos :: !got_raw)
+          (fun ~src:_ p -> got := p :: !got);
+        tr
+      in
+      let first = receiver () in
+      List.iter (fun p -> Transport.send sender ~src:0 ~dst:1 p) ("" :: payloads);
+      List.iter (fun p -> Transport.send_unreliable sender ~src:0 ~dst:1 (Transport.raw p)) raws;
+      pump mb;
+      let rolled_back = Transport.corrupt_conn sender 0 in
+      let second = receiver () in
+      Transport.send sender ~src:0 ~dst:1 "after";
+      pump mb;
+      let st = Transport.stats sender in
+      rolled_back
+      && List.rev !got = ("" :: payloads) @ [ "after" ]
+      && List.rev !got_raw = raws
+      && st.Transport.unacked = 0
+      && st.Transport.rejected + (Transport.stats first).Transport.rejected
+         + (Transport.stats second).Transport.rejected
+         = 0)
+
+(* The frame layout, restated: a kind byte, then a Data header of three
+   8-byte integers, an Ack of exactly two, or a Raw payload. *)
+let well_formed dgram =
+  let len = String.length dgram in
+  len > 0
+  &&
+  match dgram.[0] with
+  | 'D' -> len >= 25
+  | 'A' -> len = 17
+  | 'R' -> true
+  | _ -> false
+
+(* Valid frames of every kind, captured off the wire. *)
+let sample_frames =
+  let mb = mailbox (Engine.create ~seed:1 ()) in
+  let tr = Transport.create mb.sub in
+  Transport.attach tr 0 (fun ~src:_ _ -> ());
+  Transport.attach tr 1 (fun ~src:_ _ -> ());
+  let frames = ref [] in
+  Transport.send tr ~src:0 ~dst:1 "a reliable payload";
+  Transport.send tr ~src:0 ~dst:1 "";
+  Transport.send_unreliable tr ~src:0 ~dst:1 (Transport.raw "a heartbeat");
+  Transport.send_unreliable tr ~src:0 ~dst:1 (Transport.raw "");
+  pump ~tap:(fun dgram -> frames := dgram :: !frames) mb;
+  List.rev !frames
+
+let gen_dgram =
+  let open QCheck.Gen in
+  let frame = oneofl sample_frames in
+  oneof
+    [
+      string_size (int_bound 40);
+      (let* kind = oneofl [ 'D'; 'A'; 'R' ] and* rest = string_size (int_bound 40) in
+       return (String.make 1 kind ^ rest));
+      (let* f = frame in
+       let* n = int_bound (String.length f) in
+       return (String.sub f 0 n));
+      (let* f = frame in
+       let* bit = int_bound ((8 * String.length f) - 1) in
+       let b = Bytes.of_string f in
+       let i = bit / 8 in
+       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+       return (Bytes.to_string b));
+    ]
+
+(* A decoder that raises on hostile bytes would crash a receiver from
+   outside; every datagram must be routed or counted, never both. *)
+let prop_dispatch_total =
+  QCheck.Test.make ~name:"transport frames: dispatch is total and counts every non-frame"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun s -> Printf.sprintf "%S" s))
+       (QCheck.Gen.list_size (QCheck.Gen.int_bound 20) gen_dgram))
+    (fun dgrams ->
+      let mb = mailbox (Engine.create ~seed:2 ()) in
+      let tr = Transport.create mb.sub in
+      Transport.attach tr 1 ~on_raw:(fun ~src:_ _ _ -> ()) (fun ~src:_ _ -> ());
+      let dispatch = Hashtbl.find mb.receivers 1 in
+      List.for_all
+        (fun dgram ->
+          let before = (Transport.stats tr).Transport.rejected in
+          dispatch ~src:0 dgram;
+          (Transport.stats tr).Transport.rejected - before
+          = if well_formed dgram then 0 else 1)
+        dgrams)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -416,5 +567,11 @@ let suite =
         Alcotest.test_case "reset node" `Quick test_transport_reset_node;
         Alcotest.test_case "give-up threshold" `Quick test_transport_give_up;
       ]
-      @ qsuite [ prop_transport_any_loss_rate; prop_transport_partition_churn ] );
+      @ qsuite
+          [
+            prop_transport_any_loss_rate;
+            prop_transport_partition_churn;
+            prop_frames_round_trip;
+            prop_dispatch_total;
+          ] );
   ]

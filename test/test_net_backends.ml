@@ -170,9 +170,9 @@ module Conformance (B : BACKEND) = struct
     Transport.attach tr 0 (fun ~src:_ _ -> ());
     B.set_down ctx 1 true;
     Transport.send tr ~src:0 ~dst:1 "doomed";
-    let gave_up = B.run_until ctx (fun () -> Transport.give_ups tr = 1) in
+    let gave_up = B.run_until ctx (fun () -> (Transport.stats tr).Transport.give_ups = 1) in
     check Alcotest.bool "channel declared dead" true gave_up;
-    check Alcotest.int "queue dropped with the channel" 0 (Transport.unacked tr);
+    check Alcotest.int "queue dropped with the channel" 0 (Transport.stats tr).Transport.unacked;
     B.set_down ctx 1 false;
     Transport.send tr ~src:0 ~dst:1 "post-heal";
     let ok =
@@ -184,16 +184,16 @@ module Conformance (B : BACKEND) = struct
   (* Wire validation: a datagram that is not a transport frame (here,
      raw garbage injected straight through the substrate, below the
      transport's own send path) is dropped and counted in
-     [Transport.rejected] and in its stats snapshot.  Honest peers are
+     [rejected] of its stats snapshot.  Honest peers are
      unaffected: a real payload sent after the garbage still arrives. *)
   let test_rejected_counter () =
     let ctx, tr = make_transport ~n:2 () in
     let got = collect tr 1 in
     Transport.attach tr 0 (fun ~src:_ _ -> ());
-    check Alcotest.int "no rejections yet" 0 (Transport.rejected tr);
+    check Alcotest.int "no rejections yet" 0 (Transport.stats tr).Transport.rejected;
     let sub = B.substrate ctx in
     sub.Substrate.send ~src:0 ~dst:1 "not a transport frame";
-    let rejected = B.run_until ctx (fun () -> Transport.rejected tr >= 1) in
+    let rejected = B.run_until ctx (fun () -> (Transport.stats tr).Transport.rejected >= 1) in
     check Alcotest.bool "garbage datagram counted as rejected" true rejected;
     check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
       "garbage never delivered as a payload" [] !got;
