@@ -67,34 +67,17 @@ module Make (S : Service_intf.SERVICE) = struct
   let encode_p2p (m : p2p_msg) = Marshal.to_string m [] (* haf-lint: allow R2 — simulated wire *)
   let decode_p2p (s : string) : p2p_msg = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated wire *)
 
-  (* What goes to stable storage (lib/store): the WAL records mirror
-     every unit-database mutation delivered in total order, and the
-     snapshot blob is the full per-unit export.  Same Marshal rationale
-     as the wire codecs: the bytes stay inside the simulated disk and
-     never feed a comparison. *)
-  type persisted =
-    | P_session of {
-        unit_id : string;
-        session_id : string;
-        client : int;
-        started_at : float;
-      }
-    | P_end of { unit_id : string; session_id : string }
-    | P_assign of {
-        unit_id : string;
-        session_id : string;
-        primary : int;
-        backups : int list;
-      }
-    | P_ctx of { unit_id : string; session_id : string; snap : S.context Unit_db.snapshot }
-    | P_merge of { unit_id : string; records : S.context Unit_db.session list }
+  (* What goes to stable storage (lib/store): one WAL record per
+     unit-database op that changed the database, and a snapshot blob
+     holding every unit's export.  Same Marshal rationale as the wire
+     codecs: the bytes stay inside the simulated disk and never feed a
+     comparison. *)
+  let encode_op (op : S.context Unit_db.op) = Marshal.to_string op [] (* haf-lint: allow R2 — simulated disk *)
+  let decode_op (s : string) : S.context Unit_db.op = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated disk *)
+  type snapshot_blob = (string * S.context Unit_db.session list) list
 
-  type persisted_snapshot = (string * S.context Unit_db.session list) list
-
-  let encode_persisted (p : persisted) = Marshal.to_string p [] (* haf-lint: allow R2 — simulated disk *)
-  let decode_persisted (s : string) : persisted = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated disk *)
-  let encode_snapshot (s : persisted_snapshot) = Marshal.to_string s [] (* haf-lint: allow R2 — simulated disk *)
-  let decode_snapshot (s : string) : persisted_snapshot = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated disk *)
+  let encode_snapshot (s : snapshot_blob) = Marshal.to_string s [] (* haf-lint: allow R2 — simulated disk *)
+  let decode_snapshot (s : string) : snapshot_blob = Marshal.from_string s 0 (* haf-lint: allow R2 — simulated disk *)
 
   (* ================================================================ *)
 
@@ -143,12 +126,7 @@ module Make (S : Service_intf.SERVICE) = struct
       u_id : string;
       mutable u_db : S.context Unit_db.t;
           (* Replaced wholesale only by the audit reset-and-rejoin path;
-             all protocol mutations go through Unit_db's operations. *)
-      mutable u_checksum : int;
-          (* {!Unit_db.checksum} as of the last sanctioned mutation.  The
-             periodic audit recomputes and compares: a mismatch means the
-             database was damaged out-of-band (bit flip, stray write) and
-             convicts this replica without consulting any peer. *)
+             every protocol change is one op through [mutate]. *)
       mutable u_view : View.t option;
       mutable u_exchange : exchange option;
       mutable u_recovering : bool;
@@ -211,17 +189,15 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let send_p2p t dst msg = Gcs.p2p t.gcs t.proc ~dst (encode_p2p msg)
 
-    let store_log t p =
-      match t.store with
-      | Some st -> Haf_store.Store.log st (encode_persisted p)
-      | None -> ()
-
-    (* Called at the tail of every sanctioned unit-db mutation path, so
-       the cached checksum tracks legitimate changes and the periodic
-       audit only ever fires on out-of-band damage.  O(1): Unit_db
-       maintains the checksum incrementally through its own mutators —
-       the audit still recomputes from scratch when comparing. *)
-    let refresh_checksum us = us.u_checksum <- Unit_db.cached_checksum us.u_db
+    (* The one path by which the protocol changes a unit database: apply
+       [op], and log it iff it changed the database, so the WAL replays
+       to the same state.  Returns whether it changed. *)
+    let mutate t us op =
+      let changed = Unit_db.apply us.u_db op in
+      (match t.store with
+      | Some st when changed -> Haf_store.Store.log st (encode_op op)
+      | Some _ | None -> ());
+      changed
 
     (* -------------------------------------------------------------- *)
     (* Session-group membership                                        *)
@@ -533,22 +509,15 @@ module Make (S : Service_intf.SERVICE) = struct
       | None -> ()
       | Some sess ->
           let prev_primary = sess.Unit_db.primary in
-          let changed =
-            sess.Unit_db.primary <> Some a.Selection.a_primary
-            || sess.Unit_db.backups <> a.Selection.a_backups
-          in
-          Unit_db.set_assignment us.u_db a.Selection.a_session_id
-            ~primary:a.Selection.a_primary ~backups:a.Selection.a_backups;
-          refresh_checksum us;
-          if changed then
-            store_log t
-              (P_assign
-                 {
-                   unit_id = us.u_id;
-                   session_id = a.Selection.a_session_id;
-                   primary = a.Selection.a_primary;
-                   backups = a.Selection.a_backups;
-                 });
+          ignore
+            (mutate t us
+               (Assign
+                  {
+                    unit_id = us.u_id;
+                    session_id = a.Selection.a_session_id;
+                    primary = a.Selection.a_primary;
+                    backups = a.Selection.a_backups;
+                  }));
           let target =
             if a.Selection.a_primary = t.proc then Some Primary
             else if List.mem t.proc a.Selection.a_backups then Some Backup
@@ -621,15 +590,17 @@ module Make (S : Service_intf.SERVICE) = struct
     (* -------------------------------------------------------------- *)
     (* Self-stabilization: unit-db audit and reset-and-rejoin          *)
 
-    (* Pure per-unit self-check: structural invariants plus the cached
-       checksum.  Consulted by the convergence oracle on hardened and
-       unhardened builds alike, so it must not depend on
-       [Audit.enabled]. *)
+    (* Pure per-unit self-check: structural invariants plus the
+       incrementally kept checksum, which only [Unit_db.apply] moves, so
+       a full recompute that disagrees convicts out-of-band damage (bit
+       flip, stray write) without consulting any peer.  Consulted by the
+       convergence oracle on hardened and unhardened builds alike, so it
+       must not depend on [Audit.enabled]. *)
     let unit_verdict us =
       match Unit_db.sound us.u_db with
       | Error detail -> Some detail
       | Ok () ->
-          if Unit_db.checksum us.u_db <> us.u_checksum then
+          if Unit_db.checksum us.u_db <> Unit_db.cached_checksum us.u_db then
             Some "unit-db checksum diverged from last sanctioned mutation"
           else None
 
@@ -677,7 +648,6 @@ module Make (S : Service_intf.SERVICE) = struct
       us.u_exchange <- None;
       us.u_recovering <- true;
       us.u_loads <- None;
-      refresh_checksum us;
       Gcs.leave t.gcs t.proc (Naming.content_group us.u_id);
       Gcs.join t.gcs t.proc (Naming.content_group us.u_id);
       recover_alone_after_grace t [ us ]
@@ -747,9 +717,7 @@ module Make (S : Service_intf.SERVICE) = struct
     (* One propagated snapshot landing in the unit database — applied
        for each element of a [Propagate] frame. *)
     let[@hot] apply_propagate t us ~sender session_id snap =
-      Unit_db.set_propagated us.u_db session_id snap;
-      if Unit_db.live us.u_db session_id then
-        store_log t (P_ctx { unit_id = us.u_id; session_id; snap });
+      ignore (mutate t us (Ctx { unit_id = us.u_id; session_id; snap }));
       (* A backup folds the propagation into its live context: take
          the primary's context and replay the requests it has seen
          that the snapshot predates. *)
@@ -763,21 +731,15 @@ module Make (S : Service_intf.SERVICE) = struct
     let process_content_msg t us ~sender msg =
       match msg with
       | Start_session { session_id } ->
-          let client = sender in
-          let existed = Unit_db.mem us.u_db session_id in
-          let started_at = now t in
-          ignore (Unit_db.add_session us.u_db ~session_id ~client ~started_at);
-          refresh_checksum us;
-          if not existed then begin
-            store_log t (P_session { unit_id = us.u_id; session_id; client; started_at });
-            assign_new_session t us session_id
-          end;
+          if
+            mutate t us
+              (Add { unit_id = us.u_id; session_id; client = sender; started_at = now t })
+          then assign_new_session t us session_id;
           grant_if_primary t us session_id
       | Propagate { snaps } ->
           List.iter
             (fun (session_id, snap) -> apply_propagate t us ~sender session_id snap)
-            snaps;
-          refresh_checksum us
+            snaps
       | End_session { session_id } ->
           (match Hashtbl.find_opt t.sessions session_id with
           | Some sl ->
@@ -794,12 +756,8 @@ module Make (S : Service_intf.SERVICE) = struct
               | Some sess -> Selection.unload loads (prev_of sess)
               | None -> ())
           | Some _ | None -> ());
-          if Unit_db.live us.u_db session_id then
-            store_log t (P_end { unit_id = us.u_id; session_id });
-          if !test_end_session_deletes then
-            Unit_db.remove_session us.u_db session_id
-          else Unit_db.end_session us.u_db session_id;
-          refresh_checksum us
+          ignore (mutate t us (End { unit_id = us.u_id; session_id }));
+          if !test_end_session_deletes then Unit_db.remove_session us.u_db session_id
       | State_digest _ | State_delta _ -> ()  (* handled by the exchange machinery *)
       | List_units | Request _ -> ()
 
@@ -816,12 +774,19 @@ module Make (S : Service_intf.SERVICE) = struct
        assignment never need to ship.  This keeps the [prevs] that
        {!reassign} feeds to the deterministic selection identical at
        every member. *)
-    let reconcile_assignments us plan =
+    let reconcile_assignments t us plan =
       List.iter
-        (fun { Unit_db.pl_session_id = sid; pl_best = d; _ } ->
-          if Unit_db.mem us.u_db sid && d.Unit_db.d_primary >= 0 then
-            Unit_db.set_assignment us.u_db sid ~primary:d.Unit_db.d_primary
-              ~backups:d.Unit_db.d_backups)
+        (fun { Unit_db.pl_session_id = session_id; pl_best = d; _ } ->
+          if d.Unit_db.d_primary >= 0 then
+            ignore
+              (mutate t us
+                 (Assign
+                    {
+                      unit_id = us.u_id;
+                      session_id;
+                      primary = d.Unit_db.d_primary;
+                      backups = d.Unit_db.d_backups;
+                    })))
         plan
 
     let exchange_complete t us ex plan =
@@ -831,11 +796,8 @@ module Make (S : Service_intf.SERVICE) = struct
         List.sort (fun (a, _) (b, _) -> Int.compare a b) ex.ex_deltas
         |> List.concat_map snd
       in
-      Unit_db.merge_records us.u_db deltas;
-      reconcile_assignments us plan;
-      refresh_checksum us;
-      if deltas <> [] then
-        store_log t (P_merge { unit_id = us.u_id; records = deltas });
+      ignore (mutate t us (Merge { unit_id = us.u_id; records = deltas }));
+      reconcile_assignments t us plan;
       us.u_exchange <- None;
       us.u_recovering <- false;
       (* A merged-in tombstone ends the session here too: a
@@ -1067,42 +1029,33 @@ module Make (S : Service_intf.SERVICE) = struct
 
     (* -------------------------------------------------------------- *)
 
-    (* Rebuild the unit databases from a recovered snapshot + WAL.  The
-       WAL mirrors the totally ordered mutation stream, so replaying it
-       in order over the snapshot reproduces the database as of the last
-       durable write. *)
+    (* Rebuild the unit databases from a recovered snapshot + WAL: the
+       snapshot is one [Merge] per unit, and the WAL is the ops that
+       changed the database, in their totally ordered sequence, so
+       applying them in order reproduces the database as of the last
+       durable write.  Applied directly: they are already logged. *)
     let replay_recovery t (r : Haf_store.Store.recovery) =
-      let with_unit unit_id f =
+      let replay unit_id op =
         match Hashtbl.find_opt t.units unit_id with
-        | Some us -> f us
+        | Some us -> ignore (Unit_db.apply us.u_db op)
         | None -> ()
       in
       (match r.Haf_store.Store.rec_snapshot with
       | Some blob ->
           List.iter
-            (fun (u, records) -> with_unit u (fun us -> Unit_db.merge_records us.u_db records))
+            (fun (unit_id, records) -> replay unit_id (Merge { unit_id; records }))
             (decode_snapshot blob)
       | None -> ());
       List.iter
         (fun payload ->
-          match decode_persisted payload with
-          | P_session { unit_id; session_id; client; started_at } ->
-              with_unit unit_id (fun us ->
-                  ignore (Unit_db.add_session us.u_db ~session_id ~client ~started_at))
-          | P_end { unit_id; session_id } ->
-              with_unit unit_id (fun us -> Unit_db.end_session us.u_db session_id)
-          | P_assign { unit_id; session_id; primary; backups } ->
-              with_unit unit_id (fun us ->
-                  Unit_db.set_assignment us.u_db session_id ~primary ~backups)
-          | P_ctx { unit_id; session_id; snap } ->
-              with_unit unit_id (fun us ->
-                  Unit_db.set_propagated us.u_db session_id snap)
-          | P_merge { unit_id; records } ->
-              with_unit unit_id (fun us -> Unit_db.merge_records us.u_db records))
-        r.Haf_store.Store.rec_wal;
-      Det_tbl.iter_sorted ~compare:String.compare
-        (fun _ us -> refresh_checksum us)
-        t.units
+          match decode_op payload with
+          | ( Add { unit_id; _ }
+            | End { unit_id; _ }
+            | Assign { unit_id; _ }
+            | Ctx { unit_id; _ }
+            | Merge { unit_id; _ } ) as op ->
+              replay unit_id op)
+        r.Haf_store.Store.rec_wal
 
     let start_store_timers t st =
       let cfg = Haf_store.Store.config st in
@@ -1155,12 +1108,10 @@ module Make (S : Service_intf.SERVICE) = struct
       in
       List.iter
         (fun u ->
-          let db = Unit_db.create ~unit_id:u () in
           Hashtbl.replace t.units u
             {
               u_id = u;
-              u_db = db;
-              u_checksum = Unit_db.checksum db;
+              u_db = Unit_db.create ~unit_id:u ();
               u_view = None;
               u_exchange = None;
               u_recovering = false;

@@ -76,45 +76,21 @@ module Make (S : Service_intf.SERVICE) : sig
 
   val encode_group : group_msg -> string
 
-  val decode_group : string -> group_msg
-
-  val encode_p2p : p2p_msg -> string
-
   val decode_p2p : string -> p2p_msg
 
   (** {2 Persistence format}
 
-      What a server writes to its {!Haf_store.Store.t}: one [persisted]
-      WAL record per totally ordered unit-database mutation, and a
-      [persisted_snapshot] blob (every unit's export) per snapshot
-      cycle.  Exposed for tests that inspect recovered stores. *)
+      What a server writes to its {!Haf_store.Store.t}: one WAL record
+      per {!Unit_db.op} that changed a unit database (the ops
+      {!Unit_db.apply} returned [true] for, in delivery order), and a
+      snapshot blob holding every unit's export per snapshot cycle.
+      Recovery applies the snapshot as one {!Unit_db.Merge} per unit,
+      then each WAL op.  Exposed for tests that inspect recovered
+      stores. *)
 
-  type persisted =
-    | P_session of {
-        unit_id : string;
-        session_id : string;
-        client : int;
-        started_at : float;
-      }
-    | P_end of { unit_id : string; session_id : string }
-    | P_assign of {
-        unit_id : string;
-        session_id : string;
-        primary : int;
-        backups : int list;
-      }
-    | P_ctx of { unit_id : string; session_id : string; snap : S.context Unit_db.snapshot }
-    | P_merge of { unit_id : string; records : S.context Unit_db.session list }
+  val encode_op : S.context Unit_db.op -> string
 
-  type persisted_snapshot = (string * S.context Unit_db.session list) list
-
-  val encode_persisted : persisted -> string
-
-  val decode_persisted : string -> persisted
-
-  val encode_snapshot : persisted_snapshot -> string
-
-  val decode_snapshot : string -> persisted_snapshot
+  val decode_op : string -> S.context Unit_db.op
 
   module Server : sig
     type t
@@ -133,8 +109,8 @@ module Make (S : Service_intf.SERVICE) : sig
         [catalog] is the unit list advertised to clients (the paper's
         "list of available content units").
 
-        With [?store], the server logs every unit-database mutation to
-        the WAL, snapshots all units every [snapshot_period], group-
+        With [?store], the server logs every unit-database op that
+        changed the database to the WAL, snapshots all units every [snapshot_period], group-
         commits every [sync_period], and delays session grants until the
         WAL is durable.  If the store holds recovered state (same
         [Store.t] across a crash/restart), {!create} replays

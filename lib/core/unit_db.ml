@@ -86,7 +86,8 @@ let touching t s f =
   f s;
   t.cache <- t.cache lxor before lxor session_hash s
 
-let add_session t ~session_id ~client ~started_at =
+(* The session for [session_id], inserted fresh if absent. *)
+let add t ~session_id ~client ~started_at =
   match Hashtbl.find_opt t.tbl session_id with
   | Some s -> s
   | None ->
@@ -113,20 +114,6 @@ let remove_session t sid =
       t.cache <- t.cache lxor session_hash s;
       Hashtbl.remove t.tbl sid
 
-(* Tombstone, not deletion: the entry stays, stripped of assignment and
-   content, and wins every merge (see [digest_snap_compare]) — so a
-   member that missed the End multicast, or recovers from a stable store
-   predating it, cannot resurrect the session through a state exchange. *)
-let end_session t sid =
-  match find t sid with
-  | None -> ()
-  | Some s ->
-      touching t s (fun s ->
-          s.ended <- true;
-          s.primary <- None;
-          s.backups <- [];
-          s.propagated <- None)
-
 let live t sid = match find t sid with Some s -> not s.ended | None -> false
 
 let sessions t = Haf_sim.Det_tbl.sorted_values ~compare:String.compare t.tbl
@@ -144,28 +131,6 @@ let compare_freshness ~seq_a ~at_a ~seq_b ~at_b =
   else if seq_a < 0 then -1
   else if seq_a <> seq_b then Int.compare seq_a seq_b
   else Float.compare at_a at_b
-
-let set_propagated t sid snap =
-  match find t sid with
-  | None -> ()
-  | Some { ended = true; _ } -> ()
-  | Some s -> (
-      match s.propagated with
-      | Some old
-        when compare_freshness ~seq_a:(Seqset.max snap.snap_applied) ~at_a:snap.snap_at
-               ~seq_b:(Seqset.max old.snap_applied) ~at_b:old.snap_at
-             <= 0 ->
-          ()
-      | Some _ | None -> touching t s (fun s -> s.propagated <- Some snap))
-
-let set_assignment t sid ~primary ~backups =
-  match find t sid with
-  | None -> ()
-  | Some { ended = true; _ } -> ()
-  | Some s ->
-      touching t s (fun s ->
-          s.primary <- Some primary;
-          s.backups <- backups)
 
 (* A detached copy: later mutations of the table do not reach it. *)
 let copy s = { s with ended = s.ended }
@@ -273,17 +238,74 @@ let delta t ~me plan =
       else None)
     plan
 
-let merge_records t records =
-  List.iter
-    (fun r ->
-      let s = add_session t ~session_id:r.session_id ~client:r.client ~started_at:r.started_at in
-      if preference r s > 0 then
-        touching t s (fun s ->
-            s.propagated <- r.propagated;
-            s.primary <- r.primary;
-            s.backups <- r.backups;
-            s.ended <- r.ended))
-    records
+type 'ctx op =
+  | Add of { unit_id : string; session_id : string; client : int; started_at : float }
+  | End of { unit_id : string; session_id : string }
+  | Assign of { unit_id : string; session_id : string; primary : int; backups : int list }
+  | Ctx of { unit_id : string; session_id : string; snap : 'ctx snapshot }
+  | Merge of { unit_id : string; records : 'ctx session list }
+
+let fresher snap = function
+  | None -> true
+  | Some old ->
+      compare_freshness ~seq_a:(Seqset.max snap.snap_applied) ~at_a:snap.snap_at
+        ~seq_b:(Seqset.max old.snap_applied) ~at_b:old.snap_at
+      > 0
+
+(* One merged record: adopt the session if unknown, and take the
+   preferred copy's content and assignment. *)
+let merge_one t r =
+  let added = not (mem t r.session_id) in
+  let s = add t ~session_id:r.session_id ~client:r.client ~started_at:r.started_at in
+  if preference r s > 0 then begin
+    touching t s (fun s ->
+        s.propagated <- r.propagated;
+        s.primary <- r.primary;
+        s.backups <- r.backups;
+        s.ended <- r.ended);
+    true
+  end
+  else added
+
+let apply t op =
+  match op with
+  | Add { session_id; client; started_at; _ } ->
+      let added = not (mem t session_id) in
+      ignore (add t ~session_id ~client ~started_at);
+      added
+  | End { session_id; _ } -> (
+      (* Tombstone, not deletion: the entry stays, stripped of assignment
+         and content, and wins every merge (see [digest_snap_compare]) —
+         so a member that missed the End multicast, or recovers from a
+         stable store predating it, cannot resurrect the session through
+         a state exchange. *)
+      match find t session_id with
+      | Some ({ ended = false; _ } as s) ->
+          touching t s (fun s ->
+              s.ended <- true;
+              s.primary <- None;
+              s.backups <- [];
+              s.propagated <- None);
+          true
+      | Some _ | None -> false)
+  | Assign { session_id; primary; backups; _ } -> (
+      match find t session_id with
+      | Some ({ ended = false; _ } as s)
+        when (match s.primary with Some p -> p <> primary | None -> true)
+             || not (List.equal Int.equal s.backups backups) ->
+          touching t s (fun s ->
+              s.primary <- Some primary;
+              s.backups <- backups);
+          true
+      | Some _ | None -> false)
+  | Ctx { session_id; snap; _ } -> (
+      match find t session_id with
+      | Some ({ ended = false; _ } as s) when fresher snap s.propagated ->
+          touching t s (fun s -> s.propagated <- Some snap);
+          true
+      | Some _ | None -> false)
+  | Merge { records; _ } ->
+      List.fold_left (fun changed r -> merge_one t r || changed) false records
 
 (* Full recompute, order-independent (XOR combine over the per-session
    digests — equal databases hash equal regardless of iteration order).

@@ -6,10 +6,12 @@
     information as periodically propagated by each primary."
 
     Consistency is not this module's job: the framework applies the same
-    totally ordered stream of operations at every member (or merges
-    explicit state-exchange snapshots after a view change with joiners),
-    so replicas stay identical — a property the test suite checks.  All
-    operations here are deterministic. *)
+    totally ordered stream of {!op}s at every member (a state exchange
+    after a view change with joiners is one more op, a {!Merge}), so
+    replicas stay identical — a property the test suite checks.  Every
+    change goes through {!apply}, which also says whether the op changed
+    anything; the framework logs exactly those ops, and recovery applies
+    them again. *)
 
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
@@ -47,16 +49,9 @@ val create : unit_id:string -> unit -> 'ctx t
 
 val unit_id : _ t -> string
 
-val add_session :
-  'ctx t -> session_id:string -> client:int -> started_at:float -> 'ctx session
-(** Idempotent: re-adding an existing session returns the original. *)
-
 val remove_session : 'ctx t -> string -> unit
-(** Physical deletion; protocol code should prefer {!end_session}. *)
-
-val end_session : 'ctx t -> string -> unit
-(** Tombstone the session: mark it {!session.ended}, strip assignment
-    and content.  No-op if absent. *)
+(** Physical deletion, outside {!apply} and the log; protocol code
+    tombstones with {!End} instead. *)
 
 val live : 'ctx t -> string -> bool
 (** Present and not tombstoned. *)
@@ -74,14 +69,6 @@ val live_sessions : 'ctx t -> 'ctx session list
 (** {!sessions} without the tombstones. *)
 
 val size : _ t -> int
-
-val set_propagated : 'ctx t -> string -> 'ctx snapshot -> unit
-(** Keeps the freshest snapshot: the new one replaces the old only when
-    the freshness rule of {!digest_snap_compare} (highest applied seq,
-    then [snap_at]) ranks it higher (relevant when merging
-    partitions). *)
-
-val set_assignment : 'ctx t -> string -> primary:int -> backups:int list -> unit
 
 (** {2 State exchange} *)
 
@@ -122,9 +109,6 @@ val digest_preference : digest -> digest -> int
     remaining fields — so every member, merging in any order, picks the
     same winner. *)
 
-val preference : _ session -> _ session -> int
-(** {!digest_preference} lifted to sessions. *)
-
 type plan_entry = {
   pl_session_id : string;
   pl_best : digest;  (** The winning copy under {!digest_preference}. *)
@@ -149,11 +133,38 @@ val delta : 'ctx t -> me:int -> plan_entry list -> 'ctx session list
 (** Copies of the sessions member [me] ships under a plan: those it is
     the sender of and someone needs, in plan order. *)
 
-val merge_records : 'ctx t -> 'ctx session list -> unit
-(** Union by session id.  For sessions known on both sides, the copy
-    preferred by {!preference} wins the snapshot and the recorded
-    assignment — a deterministic, order-independent rule, so replicas
-    merging the same snapshots in any order converge. *)
+(** {2 Operations} *)
+
+type 'ctx op =
+  | Add of { unit_id : string; session_id : string; client : int; started_at : float }
+      (** Insert a fresh session; no-op if the id is known (even as a
+          tombstone). *)
+  | End of { unit_id : string; session_id : string }
+      (** Tombstone the session: mark it {!session.ended}, strip
+          assignment and content.  No-op if absent or ended. *)
+  | Assign of { unit_id : string; session_id : string; primary : int; backups : int list }
+      (** Record a live session's primary and backups. *)
+  | Ctx of { unit_id : string; session_id : string; snap : 'ctx snapshot }
+      (** A propagated snapshot for a live session, kept only when the
+          freshness rule of {!digest_snap_compare} (highest applied
+          seq, then [snap_at]) ranks it above the current one. *)
+  | Merge of { unit_id : string; records : 'ctx session list }
+      (** Union by session id.  For sessions known on both sides, the
+          copy preferred by {!digest_preference} wins the snapshot and
+          the recorded assignment — a deterministic, order-independent
+          rule, so replicas merging the same records in any order
+          converge. *)
+(** Every change the protocol makes to a unit database, and also the
+    framework's WAL record: the constructor and field order are the
+    disk bytes.  [unit_id] names the database the op belongs to; the
+    caller routes it, {!apply} does not read it. *)
+
+val apply : 'ctx t -> 'ctx op -> bool
+(** Apply one op, keeping {!cached_checksum} in step; [true] iff the
+    database changed.  Deterministic: the same ops applied in the same
+    order to equal databases leave them equal, and an op that returned
+    [false] changed nothing, so replaying only the [true] ops rebuilds
+    the same database. *)
 
 (** {2 Self-checking} *)
 

@@ -274,24 +274,41 @@ let prop_fresh_session_moves_nothing =
 
 let mkdb () = Unit_db.create ~unit_id:"u" ()
 
+(* The protocol's ops on unit "u", for tests that only build state. *)
+let add ?(client = 0) ?(started_at = 0.) db session_id =
+  ignore (Unit_db.apply db (Add { unit_id = "u"; session_id; client; started_at }))
+
+let end_ db session_id = ignore (Unit_db.apply db (End { unit_id = "u"; session_id }))
+
+let assign db session_id ~primary ~backups =
+  ignore (Unit_db.apply db (Assign { unit_id = "u"; session_id; primary; backups }))
+
+let propagate db session_id snap =
+  ignore (Unit_db.apply db (Ctx { unit_id = "u"; session_id; snap }))
+
+let merge db records = ignore (Unit_db.apply db (Merge { unit_id = "u"; records }))
+
 let test_db_add_idempotent () =
   let db = mkdb () in
-  let s1 = Unit_db.add_session db ~session_id:"s" ~client:7 ~started_at:1. in
-  let s2 = Unit_db.add_session db ~session_id:"s" ~client:9 ~started_at:2. in
-  check Alcotest.bool "same record" true (s1 == s2);
-  check Alcotest.int "client unchanged" 7 s2.Unit_db.client;
+  let op client started_at =
+    Unit_db.Add { unit_id = "u"; session_id = "s"; client; started_at }
+  in
+  check Alcotest.bool "first add changes" true (Unit_db.apply db (op 7 1.));
+  check Alcotest.bool "re-add changes nothing" false (Unit_db.apply db (op 9 2.));
+  check (Alcotest.option Alcotest.int) "client unchanged" (Some 7)
+    (Option.map (fun s -> s.Unit_db.client) (Unit_db.find db "s"));
   check Alcotest.int "size" 1 (Unit_db.size db)
 
 let test_db_remove () =
   let db = mkdb () in
-  ignore (Unit_db.add_session db ~session_id:"s" ~client:1 ~started_at:0.);
+  add ~client:1 db "s";
   Unit_db.remove_session db "s";
   check Alcotest.bool "gone" false (Unit_db.mem db "s")
 
 let test_db_sessions_sorted () =
   let db = mkdb () in
   List.iter
-    (fun sid -> ignore (Unit_db.add_session db ~session_id:sid ~client:0 ~started_at:0.))
+    (add db)
     [ "b"; "a"; "c" ];
   check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c" ]
     (List.map (fun s -> s.Unit_db.session_id) (Unit_db.sessions db))
@@ -305,14 +322,14 @@ let snap ctx req_seq at =
 
 let test_db_propagate_freshness () =
   let db = mkdb () in
-  ignore (Unit_db.add_session db ~session_id:"s" ~client:1 ~started_at:0.);
-  Unit_db.set_propagated db "s" (snap "new" 5 10.);
-  Unit_db.set_propagated db "s" (snap "old" 3 20.);
+  add ~client:1 db "s";
+  propagate db "s" (snap "new" 5 10.);
+  propagate db "s" (snap "old" 3 20.);
   (match Unit_db.find db "s" with
   | Some { Unit_db.propagated = Some p; _ } ->
       check Alcotest.string "older req_seq never wins" "new" p.Unit_db.snap_ctx
   | _ -> Alcotest.fail "missing");
-  Unit_db.set_propagated db "s" (snap "newer" 5 30.);
+  propagate db "s" (snap "newer" 5 30.);
   match Unit_db.find db "s" with
   | Some { Unit_db.propagated = Some p; _ } ->
       check Alcotest.string "same req_seq, later time wins" "newer" p.Unit_db.snap_ctx
@@ -320,23 +337,23 @@ let test_db_propagate_freshness () =
 
 let test_db_merge_union () =
   let a = mkdb () and b = mkdb () in
-  ignore (Unit_db.add_session a ~session_id:"s1" ~client:1 ~started_at:0.);
-  ignore (Unit_db.add_session b ~session_id:"s2" ~client:2 ~started_at:0.);
+  add ~client:1 a "s1";
+  add ~client:2 b "s2";
   let merged = mkdb () in
-  List.iter (Unit_db.merge_records merged) [ Unit_db.export a; Unit_db.export b ];
+  List.iter (merge merged) [ Unit_db.export a; Unit_db.export b ];
   check (Alcotest.list Alcotest.string) "union" [ "s1"; "s2" ]
     (List.map (fun s -> s.Unit_db.session_id) (Unit_db.sessions merged))
 
 let test_db_merge_freshest_assignment_wins () =
   let a = mkdb () and b = mkdb () in
-  ignore (Unit_db.add_session a ~session_id:"s" ~client:1 ~started_at:0.);
-  ignore (Unit_db.add_session b ~session_id:"s" ~client:1 ~started_at:0.);
-  Unit_db.set_propagated a "s" (snap "stale" 3 5.);
-  Unit_db.set_assignment a "s" ~primary:7 ~backups:[ 8 ];
-  Unit_db.set_propagated b "s" (snap "fresh" 9 6.);
-  Unit_db.set_assignment b "s" ~primary:4 ~backups:[ 5 ];
+  add ~client:1 a "s";
+  add ~client:1 b "s";
+  propagate a "s" (snap "stale" 3 5.);
+  assign a "s" ~primary:7 ~backups:[ 8 ];
+  propagate b "s" (snap "fresh" 9 6.);
+  assign b "s" ~primary:4 ~backups:[ 5 ];
   let merged = mkdb () in
-  List.iter (Unit_db.merge_records merged) [ Unit_db.export a; Unit_db.export b ];
+  List.iter (merge merged) [ Unit_db.export a; Unit_db.export b ];
   match Unit_db.find merged "s" with
   | Some s ->
       check (Alcotest.option Alcotest.int) "fresh side's primary" (Some 4)
@@ -347,28 +364,28 @@ let test_db_merge_freshest_assignment_wins () =
   | None -> Alcotest.fail "missing"
 
 let test_db_merge_records_staleness () =
-  (* merge_records (the state-exchange delta path): fresher incoming
+  (* Merge (the state-exchange delta path): fresher incoming
      content replaces stale, stale incoming never clobbers fresh, and
      unknown sessions are adopted. *)
   let db = mkdb () in
-  ignore (Unit_db.add_session db ~session_id:"s" ~client:1 ~started_at:0.);
-  Unit_db.set_propagated db "s" (snap "mine" 7 10.);
+  add ~client:1 db "s";
+  propagate db "s" (snap "mine" 7 10.);
   let incoming_of other =
     match Unit_db.export other with rs -> rs
   in
   let fresh = mkdb () in
-  ignore (Unit_db.add_session fresh ~session_id:"s" ~client:1 ~started_at:0.);
-  Unit_db.set_propagated fresh "s" (snap "theirs" 9 11.);
-  Unit_db.merge_records db (incoming_of fresh);
+  add ~client:1 fresh "s";
+  propagate fresh "s" (snap "theirs" 9 11.);
+  merge db (incoming_of fresh);
   (match Unit_db.find db "s" with
   | Some { Unit_db.propagated = Some p; _ } ->
       check Alcotest.string "fresher incoming wins" "theirs" p.Unit_db.snap_ctx
   | _ -> Alcotest.fail "missing");
   let stale = mkdb () in
-  ignore (Unit_db.add_session stale ~session_id:"s" ~client:1 ~started_at:0.);
-  Unit_db.set_propagated stale "s" (snap "old" 2 1.);
-  ignore (Unit_db.add_session stale ~session_id:"t" ~client:2 ~started_at:0.);
-  Unit_db.merge_records db (incoming_of stale);
+  add ~client:1 stale "s";
+  propagate stale "s" (snap "old" 2 1.);
+  add ~client:2 stale "t";
+  merge db (incoming_of stale);
   (match Unit_db.find db "s" with
   | Some { Unit_db.propagated = Some p; _ } ->
       check Alcotest.string "stale incoming loses" "theirs" p.Unit_db.snap_ctx
@@ -416,21 +433,16 @@ let prop_db_merge_order_independent =
       let exports =
         List.mapi
           (fun i (sid, (rs, at)) ->
-            let db = mkdb () in
-            ignore
-              (Unit_db.add_session db
-                 ~session_id:(Printf.sprintf "s%d" sid)
-                 ~client:0 ~started_at:0.);
-            Unit_db.set_propagated db
-              (Printf.sprintf "s%d" sid)
-              (snap (Printf.sprintf "v%d" i) rs (float_of_int at));
-            Unit_db.set_assignment db (Printf.sprintf "s%d" sid) ~primary:i ~backups:[];
+            let db = mkdb () and sid = Printf.sprintf "s%d" sid in
+            add db sid;
+            propagate db sid (snap (Printf.sprintf "v%d" i) rs (float_of_int at));
+            assign db sid ~primary:i ~backups:[];
             Unit_db.export db)
           specs
       in
       let m1 = mkdb () and m2 = mkdb () in
-      List.iter (Unit_db.merge_records m1) exports;
-      List.iter (Unit_db.merge_records m2) (List.rev exports);
+      List.iter (merge m1) exports;
+      List.iter (merge m2) (List.rev exports);
       Unit_db.equal_shape m1 m2)
 
 (* Random operation histories for the digest/delta reconciliation
@@ -442,15 +454,11 @@ type db_op = Op_add of int | Op_end of int | Op_assign of int * int | Op_prop of
 let apply_db_op db op =
   let sid i = Printf.sprintf "s%d" i in
   match op with
-  | Op_add i -> ignore (Unit_db.add_session db ~session_id:(sid i) ~client:i ~started_at:0.)
-  | Op_end i -> Unit_db.end_session db (sid i)
-  | Op_assign (i, p) ->
-      if Unit_db.live db (sid i) then
-        Unit_db.set_assignment db (sid i) ~primary:p ~backups:[ (p + 1) mod 4 ]
+  | Op_add i -> add ~client:i db (sid i)
+  | Op_end i -> end_ db (sid i)
+  | Op_assign (i, p) -> assign db (sid i) ~primary:p ~backups:[ (p + 1) mod 4 ]
   | Op_prop (i, seq) ->
-      if Unit_db.live db (sid i) then
-        Unit_db.set_propagated db (sid i)
-          (snap (Printf.sprintf "c%d" seq) seq (float_of_int seq))
+      propagate db (sid i) (snap (Printf.sprintf "c%d" seq) seq (float_of_int seq))
 
 let arb_db_ops =
   let gen_op =
@@ -484,8 +492,8 @@ let prop_db_exchange_converges =
       List.iter (apply_db_op db1) ops1;
       List.iter (apply_db_op db2) ops2;
       let e1 = Unit_db.export db1 and e2 = Unit_db.export db2 in
-      Unit_db.merge_records db1 e2;
-      Unit_db.merge_records db2 e1;
+      merge db1 e2;
+      merge db2 e1;
       Unit_db.equal_shape db1 db2 && Unit_db.equal_assignments db1 db2)
 
 let prop_db_tombstones_win =
@@ -502,14 +510,94 @@ let prop_db_tombstones_win =
           (e1 @ e2)
         |> List.sort_uniq String.compare
       in
-      Unit_db.merge_records db1 e2;
-      Unit_db.merge_records db2 e1;
+      merge db1 e2;
+      merge db2 e1;
       List.for_all
         (fun sid ->
           Unit_db.mem db1 sid && Unit_db.mem db2 sid
           && (not (Unit_db.live db1 sid))
           && not (Unit_db.live db2 sid))
         tombstoned)
+
+(* Random op streams over a few sessions, for the log-replay property:
+   repeated [Add]s, [End]s of live, ended and absent sessions, [Assign]s
+   and stale or fresh [Ctx]s whatever the session's state, and [Merge]s
+   of other random databases' exports. *)
+type log_op =
+  | L_add of int * int
+  | L_end of int
+  | L_assign of int * int
+  | L_ctx of int * int * int
+  | L_merge of log_op list
+
+let rec op_of_log = function
+  | L_add (i, client) ->
+      Unit_db.Add
+        { unit_id = "u"; session_id = Printf.sprintf "s%d" i; client; started_at = 0. }
+  | L_end i -> End { unit_id = "u"; session_id = Printf.sprintf "s%d" i }
+  | L_assign (i, p) ->
+      Assign
+        {
+          unit_id = "u";
+          session_id = Printf.sprintf "s%d" i;
+          primary = p;
+          backups = [ (p + 1) mod 4 ];
+        }
+  | L_ctx (i, seq, at) ->
+      Ctx
+        {
+          unit_id = "u";
+          session_id = Printf.sprintf "s%d" i;
+          snap = snap (Printf.sprintf "c%d.%d" seq at) seq (float_of_int at);
+        }
+  | L_merge ops ->
+      let other = mkdb () in
+      List.iter (fun op -> ignore (Unit_db.apply other (op_of_log op))) ops;
+      Merge { unit_id = "u"; records = Unit_db.export other }
+
+let rec print_log_op = function
+  | L_add (i, c) -> Printf.sprintf "add s%d/c%d" i c
+  | L_end i -> Printf.sprintf "end s%d" i
+  | L_assign (i, p) -> Printf.sprintf "assign s%d->%d" i p
+  | L_ctx (i, seq, at) -> Printf.sprintf "ctx s%d@%d/%d" i seq at
+  | L_merge ops ->
+      Printf.sprintf "merge[%s]" (String.concat "; " (List.map print_log_op ops))
+
+let arb_log_ops =
+  let open QCheck.Gen in
+  let sid = int_bound 3 in
+  let simple =
+    frequency
+      [
+        (3, map2 (fun i c -> L_add (i, c)) sid (int_bound 1));
+        (2, map (fun i -> L_end i) sid);
+        (3, map2 (fun i p -> L_assign (i, p)) sid (int_bound 3));
+        (4, map3 (fun i seq at -> L_ctx (i, seq, at)) sid (int_bound 5) (int_bound 3));
+      ]
+  in
+  let op =
+    frequency
+      [ (6, simple); (1, map (fun ops -> L_merge ops) (list_size (int_bound 8) simple)) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_log_op ops))
+    (list_size (int_bound 40) op)
+
+let prop_db_log_replays =
+  QCheck.Test.make
+    ~name:"unit_db replaying the ops that changed it rebuilds it" ~count:500
+    arb_log_ops
+    (fun ops ->
+      let a = mkdb () in
+      let logged =
+        List.filter (fun op -> Unit_db.apply a op) (List.map op_of_log ops)
+      in
+      let b = mkdb () in
+      List.iter (fun op -> ignore (Unit_db.apply b op)) logged;
+      Unit_db.equal_shape a b
+      && Unit_db.checksum a = Unit_db.checksum b
+      && Unit_db.export a = Unit_db.export b
+      && Unit_db.cached_checksum a = Unit_db.checksum a)
 
 (* The two folds the exchange plan replaced, kept here as its oracle:
    the best-copy pick (over every member's first digest per session, in
@@ -782,6 +870,7 @@ let suite =
             prop_db_merge_order_independent;
             prop_db_exchange_converges;
             prop_db_tombstones_win;
+            prop_db_log_replays;
             prop_exchange_plan_matches_reference;
           ] );
     ("core.events", [ Alcotest.test_case "sink" `Quick test_events_sink ]);

@@ -192,7 +192,7 @@ let test_fast_path_knobs_combined () =
    on and no fault, composed here over a substrate whose [send] records
    the largest datagram of the current window.  The largest datagram of
    the 10 s ending at 60 s of session age must equal that of the 10 s
-   ending at 180 s, and so must the largest [P_ctx] record in the
+   ending at 180 s, and so must the largest [Ctx] record in the
    durable WAL at those two ages.  While every applied seq travelled as
    its own list cell, the 60 s / 180 s figures were 6,818 / 21,218 B per
    datagram and 2,256 / 7,056 B per record; with interval sets they are
@@ -268,9 +268,9 @@ let test_context_flat_in_session_age () =
         let wal = Haf_store.Wal.replay (Haf_store.Disk.durable (Haf_store.Store.wal_disk st)) in
         List.fold_left
           (fun acc r ->
-            match RV.Fw.decode_persisted r with
-            | RV.Fw.P_ctx _ -> Int.max acc (String.length r)
-            | RV.Fw.P_session _ | RV.Fw.P_end _ | RV.Fw.P_assign _ | RV.Fw.P_merge _ -> acc)
+            match RV.Fw.decode_op r with
+            | Ctx _ -> Int.max acc (String.length r)
+            | Add _ | End _ | Assign _ | Merge _ -> acc)
           acc wal.Haf_store.Wal.records)
       0 stores
   in
@@ -284,7 +284,7 @@ let test_context_flat_in_session_age () =
   let dgram_180, ctx_180 = at_age 180. in
   check Alcotest.bool "updates flowed" true (ctx_60 > 0);
   check Alcotest.int "largest datagram: 180 s as at 60 s" dgram_60 dgram_180;
-  check Alcotest.int "largest P_ctx record: 180 s as at 60 s" ctx_60 ctx_180
+  check Alcotest.int "largest Ctx record: 180 s as at 60 s" ctx_60 ctx_180
 
 let suite =
   [

@@ -1084,36 +1084,44 @@ let test_raw_frame_memo_needs_equal_bytes () =
 
 module Unit_db = Haf_core.Unit_db
 
-(* A random healthy database: sanctioned mutations only, so [sound]
-   holds and the checksum matches its own recomputation. *)
+(* Apply one protocol op to a unit "u00" database. *)
+let apply db op = ignore (Unit_db.apply db op)
+
+let merge db records = apply db (Merge { unit_id = "u00"; records })
+
+(* A random healthy database: sanctioned ops only, so [sound] holds and
+   the checksum matches its own recomputation. *)
 let build_db rng =
   let db = Unit_db.create ~unit_id:"u00" () in
   let n = 1 + Haf_sim.Rng.int rng 6 in
   for i = 0 to n - 1 do
-    let sid = Printf.sprintf "s%02d" i in
-    ignore
-      (Unit_db.add_session db ~session_id:sid
-         ~client:(Haf_sim.Rng.int rng 4)
-         ~started_at:(Haf_sim.Rng.float rng 50.));
+    let session_id = Printf.sprintf "s%02d" i in
+    let client = Haf_sim.Rng.int rng 4 in
+    let started_at = Haf_sim.Rng.float rng 50. in
+    apply db (Add { unit_id = "u00"; session_id; client; started_at });
     if Haf_sim.Rng.int rng 3 > 0 then begin
       let primary = Haf_sim.Rng.int rng 4 in
       let backups =
         List.filter (fun b -> b <> primary) [ (primary + 1) mod 4 ]
       in
-      Unit_db.set_assignment db sid ~primary ~backups
+      apply db (Assign { unit_id = "u00"; session_id; primary; backups })
     end;
-    if Haf_sim.Rng.int rng 3 > 0 then
-      Unit_db.set_propagated db sid
+    if Haf_sim.Rng.int rng 3 > 0 then begin
+      let seq = Haf_sim.Rng.int rng 20 in
+      let snap =
         {
           Unit_db.snap_ctx = i;
-          snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 20) empty);
+          snap_applied = Haf_core.Seqset.(add seq empty);
           snap_at = Haf_sim.Rng.float rng 50.;
-        };
-    if Haf_sim.Rng.int rng 4 = 0 then Unit_db.end_session db sid
+        }
+      in
+      apply db (Ctx { unit_id = "u00"; session_id; snap })
+    end;
+    if Haf_sim.Rng.int rng 4 = 0 then apply db (End { unit_id = "u00"; session_id })
   done;
   db
 
-(* Damage one record out-of-band, bypassing the sanctioned mutators —
+(* Damage one record out-of-band, bypassing [Unit_db.apply] —
    exactly what the chaos [corrupt-record] fault does. *)
 let corrupt_record rng db =
   match Unit_db.sessions db with
@@ -1146,7 +1154,7 @@ let prop_corruption_detected_and_reconciled =
       let rng = Haf_sim.Rng.create (seed + 11) in
       let healthy = build_db rng in
       let replica = Unit_db.create ~unit_id:"u00" () in
-      Unit_db.merge_records replica (Unit_db.export healthy);
+      merge replica (Unit_db.export healthy);
       let before = Unit_db.checksum replica in
       if not (Unit_db.equal_shape healthy replica) then false
       else if not (corrupt_record rng replica) then true (* empty db: no-op *)
@@ -1163,7 +1171,7 @@ let prop_corruption_detected_and_reconciled =
         (* Reset-and-rejoin: throw the damaged copy away and merge the
            healthy peer's delta into an empty database. *)
         let fresh = Unit_db.create ~unit_id:"u00" () in
-        Unit_db.merge_records fresh (Unit_db.export healthy);
+        merge fresh (Unit_db.export healthy);
         detected && Unit_db.equal_shape healthy fresh)
 
 let prop_tombstone_survives_flag_corruption =
@@ -1177,8 +1185,8 @@ let prop_tombstone_survives_flag_corruption =
     (fun seed ->
       let rng = Haf_sim.Rng.create (seed + 13) in
       let db = Unit_db.create ~unit_id:"u00" () in
-      ignore (Unit_db.add_session db ~session_id:"s00" ~client:1 ~started_at:1.);
-      Unit_db.end_session db "s00";
+      apply db (Add { unit_id = "u00"; session_id = "s00"; client = 1; started_at = 1. });
+      apply db (End { unit_id = "u00"; session_id = "s00" });
       let zombie =
         {
           Unit_db.session_id = "s00";
@@ -1197,7 +1205,7 @@ let prop_tombstone_survives_flag_corruption =
           ended = false;
         }
       in
-      Unit_db.merge_records db [ zombie ];
+      merge db [ zombie ];
       (not (Unit_db.live db "s00"))
       && Result.is_ok (Unit_db.sound db)
       &&
@@ -1275,28 +1283,32 @@ let apply_sanctioned seed db =
   let nops = 30 + Haf_sim.Rng.int rng 40 in
   for _ = 1 to nops do
     let n = Haf_sim.Rng.int rng 20 in
-    let sid = Printf.sprintf "s%02d" n in
+    let session_id = Printf.sprintf "s%02d" n in
     match Haf_sim.Rng.int rng 10 with
     | 0 | 1 | 2 ->
         (* Session identity is a function of the id: in the protocol one
            Start_session multicast defines (client, started_at) for a
            given session id, identically at every replica. *)
-        ignore
-          (Unit_db.add_session db ~session_id:sid ~client:(n mod 5)
-             ~started_at:(float_of_int n))
+        apply db
+          (Add
+             { unit_id = "u00"; session_id; client = n mod 5; started_at = float_of_int n })
     | 3 | 4 ->
         let primary = Haf_sim.Rng.int rng 5 in
-        Unit_db.set_assignment db sid ~primary
-          ~backups:(List.filter (fun b -> b <> primary) [ (primary + 1) mod 5 ])
+        let backups = List.filter (fun b -> b <> primary) [ (primary + 1) mod 5 ] in
+        apply db (Assign { unit_id = "u00"; session_id; primary; backups })
     | 5 | 6 ->
-        Unit_db.set_propagated db sid
+        let snap_ctx = Haf_sim.Rng.int rng 1000 in
+        let seq = Haf_sim.Rng.int rng 50 in
+        let snap =
           {
-            Unit_db.snap_ctx = Haf_sim.Rng.int rng 1000;
-            snap_applied = Haf_core.Seqset.(add (Haf_sim.Rng.int rng 50) empty);
+            Unit_db.snap_ctx;
+            snap_applied = Haf_core.Seqset.(add seq empty);
             snap_at = Haf_sim.Rng.float rng 100.;
           }
-    | 7 -> Unit_db.end_session db sid
-    | 8 -> Unit_db.remove_session db sid
+        in
+        apply db (Ctx { unit_id = "u00"; session_id; snap })
+    | 7 -> apply db (End { unit_id = "u00"; session_id })
+    | 8 -> Unit_db.remove_session db session_id
     | _ -> ()
   done
 
@@ -1319,10 +1331,10 @@ let prop_shuffled_merge_fixed_point =
       let cache_ok db = Unit_db.cached_checksum db = Unit_db.checksum db in
       let ra = Unit_db.export a and rb = Unit_db.export b in
       let base = Unit_db.create ~unit_id:"u00" () in
-      Unit_db.merge_records base ra;
-      Unit_db.merge_records base rb;
+      merge base ra;
+      merge base rb;
       let shuffled = Unit_db.create ~unit_id:"u00" () in
-      Unit_db.merge_records shuffled (Haf_sim.Rng.shuffle rng (ra @ rb));
+      merge shuffled (Haf_sim.Rng.shuffle rng (ra @ rb));
       cache_ok a && cache_ok b
       && Unit_db.equal_shape base shuffled
       && Unit_db.checksum base = Unit_db.checksum shuffled

@@ -343,6 +343,161 @@ let test_whole_group_crash_recovers_with_store () =
   in
   check Alcotest.bool "responses resume after recovery" true late_responses
 
+(* Replaying a live server's store yields the database it serves.  The
+   servers are stopped first, so nothing changes a database after the
+   last sync. *)
+module Unit_db = Haf_core.Unit_db
+
+let replay_store st db =
+  (match List.rev (Wal.replay (Disk.durable (Store.snap_disk st))).Wal.records with
+  | blob :: _ ->
+      List.iter
+        (fun (unit_id, records) ->
+          if unit_id = Unit_db.unit_id db then
+            ignore (Unit_db.apply db (Merge { unit_id; records })))
+        (Marshal.from_string blob 0 : (string * _ Unit_db.session list) list)
+  | [] -> ());
+  List.iter
+    (fun r ->
+      match R.Fw.decode_op r with
+      | ( Add { unit_id; _ }
+        | End { unit_id; _ }
+        | Assign { unit_id; _ }
+        | Ctx { unit_id; _ }
+        | Merge { unit_id; _ } ) as op ->
+          if unit_id = Unit_db.unit_id db then ignore (Unit_db.apply db op))
+    (Wal.replay (Disk.durable (Store.wal_disk st))).Wal.records
+
+let check_store_replays sc ~prepare =
+  let _, w = R.run_scenario sc ~prepare in
+  let live = R.live_servers w in
+  List.iter (fun (_, srv) -> R.Fw.Server.stop srv) live;
+  List.iter
+    (fun (p, _) -> Store.sync (Option.get (R.store_of w p)) (fun ~ok:_ -> ()))
+    live;
+  Engine.run ~until:(Engine.now w.R.engine +. 5.) w.R.engine;
+  check Alcotest.bool "some server is live" true (live <> []);
+  List.iter
+    (fun (p, srv) ->
+      List.iter
+        (fun u ->
+          let db = Option.get (R.Fw.Server.db srv u) in
+          let replayed = Unit_db.create ~unit_id:u () in
+          replay_store (Option.get (R.store_of w p)) replayed;
+          check Alcotest.bool (Printf.sprintf "s%d holds sessions" p) true
+            (Unit_db.size db > 0);
+          check Alcotest.bool
+            (Printf.sprintf "s%d %s: replayed store = live database" p u)
+            true
+            (Unit_db.equal_shape db replayed))
+        (R.Fw.Server.units srv))
+    live
+
+let test_store_replays_to_live_db () =
+  (* Snapshot plus WAL: one crash and restart. *)
+  check_store_replays stored_scenario ~prepare:(fun w ->
+      ignore (Engine.schedule_at w.R.engine ~time:20. (fun () -> R.crash_server w 1));
+      ignore (Engine.schedule_at w.R.engine ~time:24. (fun () -> R.restart_server w 1)));
+  (* WAL only (no snapshot in the run), repeated primary kills and
+     sessions that outlive the run: the log alone must carry every
+     change, the state exchanges' reconciled assignments included.
+     With those unlogged, s3's replay keeps a stale assignment. *)
+  check_store_replays
+    {
+      stored_scenario with
+      seed = 1;
+      n_servers = 4;
+      replication = 4;
+      n_clients = 6;
+      duration = 100.;
+      session_duration = 200.;
+      store = Some { Store.default_config with snapshot_period = 1000. };
+      policy =
+        { stored_scenario.Scenario.policy with n_backups = 1; propagation_period = 2.0 };
+    }
+    ~prepare:(fun w -> R.schedule_primary_kills w ~every:20. ~repair:0.6 ~start:15. ())
+
+(* The WAL's disk format: a frozen copy of the record type the store was
+   first written with.  Every op marshals to the bytes of its frozen
+   twin and decodes back to itself, so the constructor and field order
+   of [Unit_db.op] stays the disk format. *)
+type 'ctx frozen_record =
+  | P_session of {
+      unit_id : string;
+      session_id : string;
+      client : int;
+      started_at : float;
+    }
+  | P_end of { unit_id : string; session_id : string }
+  | P_assign of {
+      unit_id : string;
+      session_id : string;
+      primary : int;
+      backups : int list;
+    }
+  | P_ctx of { unit_id : string; session_id : string; snap : 'ctx Unit_db.snapshot }
+  | P_merge of { unit_id : string; records : 'ctx Unit_db.session list }
+
+let test_wal_format_frozen () =
+  let snap =
+    {
+      Unit_db.snap_ctx = { Haf_services.Synthetic.pos = 41; marker = 7 };
+      snap_applied = Haf_core.Seqset.(add 7 (add 5 (add 1 empty)));
+      snap_at = 12.5;
+    }
+  in
+  let session =
+    {
+      Unit_db.session_id = "c3-1";
+      client = 3;
+      unit_id = "u0";
+      started_at = 2.25;
+      propagated = Some snap;
+      primary = Some 1;
+      backups = [ 2; 0 ];
+      ended = false;
+    }
+  in
+  let tombstone =
+    {
+      session with
+      session_id = "c4-0";
+      propagated = None;
+      primary = None;
+      backups = [];
+      ended = true;
+    }
+  in
+  let u = "u0" and sid = "c3-1" in
+  let pairs =
+    [
+      ( P_session { unit_id = u; session_id = sid; client = 3; started_at = 2.25 },
+        Unit_db.Add { unit_id = u; session_id = sid; client = 3; started_at = 2.25 } );
+      (P_end { unit_id = u; session_id = sid }, End { unit_id = u; session_id = sid });
+      ( P_assign { unit_id = u; session_id = sid; primary = 1; backups = [ 2; 0 ] },
+        Assign { unit_id = u; session_id = sid; primary = 1; backups = [ 2; 0 ] } );
+      ( P_ctx { unit_id = u; session_id = sid; snap },
+        Ctx { unit_id = u; session_id = sid; snap } );
+      ( P_merge { unit_id = u; records = [ session; tombstone ] },
+        Merge { unit_id = u; records = [ session; tombstone ] } );
+    ]
+  in
+  List.iter
+    (fun (frozen, op) ->
+      let name =
+        match op with
+        | Unit_db.Add _ -> "Add"
+        | End _ -> "End"
+        | Assign _ -> "Assign"
+        | Ctx _ -> "Ctx"
+        | Merge _ -> "Merge"
+      in
+      let bytes = Marshal.to_string frozen [] in
+      check Alcotest.string (name ^ ": same bytes as the frozen record") bytes
+        (R.Fw.encode_op op);
+      check Alcotest.bool (name ^ ": decodes back") true (R.Fw.decode_op bytes = op))
+    pairs
+
 let suite =
   [
     ( "store.crc",
@@ -383,5 +538,9 @@ let suite =
           test_replay_byte_identical_with_store;
         Alcotest.test_case "whole-group crash recovers" `Quick
           test_whole_group_crash_recovers_with_store;
+        Alcotest.test_case "replayed store = live database" `Quick
+          test_store_replays_to_live_db;
       ] );
+    ( "store.format",
+      [ Alcotest.test_case "WAL records keep their bytes" `Quick test_wal_format_frozen ] );
   ]
