@@ -94,8 +94,6 @@ val count : sink -> (t -> bool) -> int
 
 val clear : sink -> unit
 
-val role_to_string : role -> string
-
 val kind_to_string : takeover_kind -> string
 
 val pp : Format.formatter -> t -> unit

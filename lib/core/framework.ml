@@ -9,9 +9,11 @@
     consistently with no extra messages.  The primary streams responses
     point-to-point and periodically propagates session context to the
     content group; backups additionally see every client request in the
-    session group.  On a crash-only view change, survivors reassign
-    immediately (virtual synchrony guarantees identical databases); when
-    servers join, members first run a state exchange, then rebalance. *)
+    session group.  When every member of a new view moved together from
+    one previous view, they reassign immediately (virtual synchrony
+    guarantees identical databases); when the view is [merged] (a join,
+    heal, restart or GCS reset), members first run a state exchange,
+    then rebalance. *)
 
 module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
@@ -792,8 +794,10 @@ module Make (S : Service_intf.SERVICE) = struct
     let exchange_complete t us ex plan =
       dbg t "s%d exchange COMPLETE %s vid=%a senders=[%a]" t.proc us.u_id View.Id.pp
         ex.ex_vid pp_senders ex.ex_deltas;
+      (* Our own delta holds copies of records we still have. *)
       let deltas =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) ex.ex_deltas
+        List.filter (fun (sender, _) -> sender <> t.proc) ex.ex_deltas
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.concat_map snd
       in
       ignore (mutate t us (Merge { unit_id = us.u_id; records = deltas }));
@@ -875,48 +879,21 @@ module Make (S : Service_intf.SERVICE) = struct
       multicast_content t us.u_id msg
 
     let on_content_view t us view =
-      let prev = us.u_view in
       us.u_view <- Some view;
       emit t
         (Events.View_noted
            { server = t.proc; group = view.View.group; members = view.View.members });
-      let crash_only =
-        match prev with
-        | Some pv ->
-            List.for_all (fun m -> List.mem m pv.View.members) view.View.members
-        | None -> view.View.members = [ t.proc ]
-      in
       let carried = match us.u_exchange with Some ex -> ex.ex_deferred | None -> [] in
-      if crash_only && us.u_exchange = None then
-        (* Virtual synchrony: every survivor has the same database, so
-           everyone recomputes the same assignment with no extra round. *)
+      if (not view.View.merged) && us.u_exchange = None then
+        (* Virtual synchrony: every member moved together from one view,
+           so all hold the same database and recompute the same
+           assignment with no extra round.  [merged] is the GCS's fact,
+           the same at every member, so they all take the same branch. *)
         reassign t us ~rebalance:false
       else start_exchange t us view ~carried
 
-    let rec on_content_msg t us ~sender msg =
+    let on_content_msg t us ~sender msg =
       match us.u_exchange with
-      | None
-        when match (msg, us.u_view) with
-             | State_digest { vid; _ }, Some v -> View.Id.equal vid v.View.id
-             | State_digest _, None -> false
-             | ( ( List_units | Start_session _ | Propagate _ | End_session _
-                 | State_delta _ | Request _ ),
-                 _ ) ->
-                 false -> (
-          (* A member started an exchange for our current view that we
-             classified as crash-only: it rejoined so fast that we never
-             saw it leave, so the join that is a state-exchange trigger
-             from its side looks like a no-op membership change from
-             ours.  The decision must be symmetric — join the exchange.
-             Total order delivers this first digest before any digest or
-             delta that follows it, so every member converges on the
-             same exchange regardless of which side it classified the
-             view change from. *)
-          match us.u_view with
-          | Some view ->
-              start_exchange t us view ~carried:[];
-              on_content_msg t us ~sender msg
-          | None -> ())
       | Some ex -> (
           match msg with
           | State_digest { vid; digest } when View.Id.equal vid ex.ex_vid ->

@@ -55,5 +55,3 @@ val vod_paper : t
 val validate : t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
-
-val takeover_to_string : takeover -> string

@@ -98,8 +98,6 @@ module Exec : sig
 
   val detach : t -> unit
 
-  val branches : t -> decision list list
-
   val taken : t -> schedule
 
   val outcome : t -> violation:string option -> outcome

@@ -440,7 +440,11 @@ let rec apply_install t gs ~view_id ~members ~sync =
       if not (View.Id.equal vid gs.view.View.id) then
         List.iter (fun (_, entry) -> note_logged gs entry) entries)
     sync;
-  let view = View.make ~id:view_id ~group:gs.group ~members in
+  (* [sync] has one key per previous view of the members, so more than
+     one key means they did not all move together. *)
+  let view =
+    View.make ~id:view_id ~group:gs.group ~members ~merged:(List.length sync > 1)
+  in
   gs.view <- view;
   Hashtbl.reset gs.log;
   gs.delivered_up_to <- 0;

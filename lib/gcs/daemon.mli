@@ -25,7 +25,10 @@ type proc = int
 
 type callbacks = {
   on_view : View.t -> unit;
-      (** A new view was installed for a group this process is in. *)
+      (** A new view was installed for a group this process is in: the
+          singleton of a {!join}, or a view the membership protocol
+          installed, whose [merged] is [true] iff its members' flush
+          replies named more than one previous view. *)
   on_message : group:string -> sender:proc -> string -> unit;
       (** Totally ordered delivery of a group multicast. *)
   on_p2p : sender:proc -> string -> unit;
@@ -91,8 +94,6 @@ val p2p : t -> dst:proc -> string -> unit
 
 val believed_members : t -> string -> proc list
 (** Own view if a member, else peers advertising the group, else []. *)
-
-val monitor_peer : t -> proc -> unit
 
 val groups : t -> string list
 

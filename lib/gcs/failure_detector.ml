@@ -27,12 +27,6 @@ let monitor t p ~now =
     reindex t
   end
 
-let unmonitor t p =
-  if Hashtbl.mem t.peers p then begin
-    Hashtbl.remove t.peers p;
-    reindex t
-  end
-
 let monitored t = t.procs
 
 let is_monitored t p = Hashtbl.mem t.peers p

@@ -17,8 +17,6 @@ val monitor : t -> proc -> now:float -> unit
 (** Start watching a peer.  A freshly monitored peer gets a grace period
     of one timeout before it can be suspected. *)
 
-val unmonitor : t -> proc -> unit
-
 val monitored : t -> proc list
 
 val is_monitored : t -> proc -> bool

@@ -16,15 +16,15 @@ module Id = struct
   let pp ppf { epoch; coord } = Format.fprintf ppf "v%d.%d" epoch coord
 end
 
-type t = { id : Id.t; group : string; members : proc list }
+type t = { id : Id.t; group : string; members : proc list; merged : bool }
 
-let make ~id ~group ~members =
+let make ~id ~group ~members ~merged =
   let members = List.sort_uniq Int.compare members in
   if members = [] then invalid_arg "View.make: empty membership";
-  { id; group; members }
+  { id; group; members; merged }
 
 let singleton ~group proc =
-  { id = Id.initial proc; group; members = [ proc ] }
+  { id = Id.initial proc; group; members = [ proc ]; merged = false }
 
 let is_member t proc = List.mem proc t.members
 

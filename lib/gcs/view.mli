@@ -26,12 +26,19 @@ type t = {
   id : Id.t;
   group : string;
   members : proc list;  (** Sorted ascending; never empty. *)
+  merged : bool;
+      (** The members came from more than one previous view: a join, a
+          partition heal, a restart or a group reset by the audit.
+          [false] means every member moved together from one view, so
+          virtual synchrony gave them the same deliveries there.  A
+          property of the view, the same at every member. *)
 }
 
-val make : id:Id.t -> group:string -> members:proc list -> t
+val make : id:Id.t -> group:string -> members:proc list -> merged:bool -> t
 (** Sorts and dedupes [members].  @raise Invalid_argument if empty. *)
 
 val singleton : group:string -> proc -> t
+(** The view a process self-installs on join; not [merged]. *)
 
 val is_member : t -> proc -> bool
 

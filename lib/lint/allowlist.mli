@@ -17,6 +17,4 @@ val under : string -> string -> bool
 (** [under "lib/gcs" path]: is [path] inside that directory (matched at
     a path-component boundary, so absolute paths work too)? *)
 
-val base_is : string -> string -> bool
-
 val ends_with : string -> string -> bool

@@ -37,7 +37,3 @@ val r8 :
     [true] suppresses the finding (and lets the caller record pragma
     usage). *)
 
-val banned_ref : string -> (string * string) option
-(** The R8 ban table on a dotted name: [(base rule, description)]. *)
-
-val strip_stdlib : string -> string

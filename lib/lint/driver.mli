@@ -11,9 +11,6 @@ val lint_source :
     allowlist key off the path).  [has_mli] feeds rule R5; omitting it
     skips that rule — used by the in-memory fixture tests. *)
 
-val lint_file : string -> Diagnostic.t list
-(** Read and lint a file on disk; R5 checks for a sibling [.mli]. *)
-
 val lint_paths : string list -> Diagnostic.t list
 (** Walk files and directory trees (skipping [_build]-style and hidden
     directories), lint every [.ml]/[.mli], and return all findings in

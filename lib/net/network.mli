@@ -73,8 +73,6 @@ val set_link_delay : t -> node_id -> node_id -> float option -> unit
 val link_delay : t -> node_id -> node_id -> float option
 (** The currently installed override for the directed link, if any. *)
 
-val link_up : t -> node_id -> node_id -> bool
-
 val partition : t -> node_id list list -> unit
 (** Install a symmetric partition: links inside each component are up,
     links across components are down.  Nodes not listed form an implicit

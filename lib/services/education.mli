@@ -22,10 +22,6 @@ type response = Fragment of { obj : int; part : int; detailed : bool }
 
 val parts_terse : int
 
-val parts_detailed : int
-
-val pass_grade : int
-
 include
   Haf_core.Service_intf.SERVICE
     with type context := context

@@ -42,8 +42,6 @@ val exponential : t -> mean:float -> float
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list.  @raise Invalid_argument on []. *)
 
-val pick_array : t -> 'a array -> 'a
-
 val shuffle : t -> 'a list -> 'a list
 (** Fisher-Yates shuffle. *)
 

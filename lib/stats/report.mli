@@ -4,16 +4,8 @@
     would want after a drill; `examples/run_report.exe` shows it on a
     chaotic scenario. *)
 
-val per_session_table : horizon:float -> Metrics.timeline -> Table.t
-(** One row per session: responses, duplicates, missing, lost updates,
-    availability, crash/rebalance takeovers. *)
-
 val fault_table : Metrics.timeline -> Table.t
 (** Chronological fault and takeover log. *)
-
-val summary_table : horizon:float -> Metrics.timeline -> Table.t
-(** Global counters: sessions, responses, propagations, crashes,
-    takeovers by kind, mean availability. *)
 
 val render : ?title:string -> horizon:float -> Metrics.timeline -> string
 (** The three tables concatenated, ready to print. *)

@@ -384,6 +384,108 @@ let test_shrink_isolates_corruption () =
       check Alcotest.bool "parsed replay still caught" true (failing parsed)
   | Error e -> Alcotest.failf "minimal schedule does not parse: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* The state-exchange trigger: [View.merged], the same at every member  *)
+
+(* Three servers replicating one unit, so every server is in the one
+   content group the tests watch. *)
+let exchange_scenario ~seed ~sessions ~duration =
+  {
+    Scenario.default with
+    seed;
+    n_servers = 3;
+    n_units = 1;
+    replication = 3;
+    n_clients = 30;
+    sessions_per_client = sessions;
+    session_duration = 2.;
+    request_interval = 0.5;
+    duration;
+  }
+
+let check_replicas_agree w =
+  (match R.violations w with
+  | [] -> ()
+  | v :: _ as vs ->
+      Alcotest.failf "%d monitor violation(s), first: %s" (List.length vs)
+        (Format.asprintf "%a" Metrics.pp_violation v));
+  match List.filter_map (fun (_, srv) -> R.Fw.Server.db srv "u00") (R.live_servers w) with
+  | first :: rest ->
+      check Alcotest.int "every server live" 3 (1 + List.length rest);
+      List.iteri
+        (fun i db ->
+          check Alcotest.bool
+            (Printf.sprintf "replica %d agrees with the first" (i + 1))
+            true (Haf_core.Unit_db.equal_shape first db))
+        rest
+  | [] -> Alcotest.fail "no live replica of u00"
+
+(* Server 2 crashes and restarts 0.1 s later, inside the 0.35 s
+   suspicion timeout: the survivors never install a view without it, so
+   from their own history the view that readmits it looks like nothing
+   changed.  The view is [merged] (server 2 comes from its join
+   singleton), so every member starts the exchange at the install
+   itself: its digest goes out at the instant it notes the view. *)
+let test_fast_rejoin_exchanges_at_install () =
+  let sc = exchange_scenario ~seed:5 ~sessions:3 ~duration:20. in
+  let crash_at = 6.0 in
+  let tl, w =
+    R.run_scenario sc ~prepare:(fun w ->
+        R.apply_schedule w [ (crash_at, Chaos.Crash 2); (crash_at +. 0.1, Chaos.Restart 2) ])
+  in
+  let group = Haf_core.Naming.content_group "u00" in
+  List.iter
+    (fun p ->
+      let readmitted =
+        List.find_map
+          (fun (t, e) ->
+            match e with
+            | Haf_core.Events.View_noted { server; group = g; members }
+              when server = p && t > crash_at && String.equal g group
+                   && members = [ 0; 1; 2 ] ->
+                Some t
+            | _ -> None)
+          tl
+      in
+      match readmitted with
+      | None -> Alcotest.failf "s%d never noted the view readmitting s2" p
+      | Some at ->
+          let digest_at =
+            List.find_map
+              (fun (t, e) ->
+                match e with
+                | Haf_core.Events.Exchange_sent { server; group = "u00"; digest = true; _ }
+                  when server = p && t >= at ->
+                    Some t
+                | _ -> None)
+              tl
+          in
+          check
+            (Alcotest.option (Alcotest.float 0.))
+            (Printf.sprintf "s%d sends its digest as it notes the view" p)
+            (Some at) digest_at)
+    [ 0; 1; 2 ];
+  check_replicas_agree w
+
+(* A GCS audit reset puts server 2's content group in a singleton view
+   with no [on_view]; what the others sequence meanwhile reaches it only
+   as another previous view's sync entries, noted but not delivered.
+   The re-merge is [merged], so the exchange repairs its database; were
+   it judged crash-only, the reset replica would keep a session fewer
+   than the others. *)
+let test_exchange_after_audit_reset () =
+  List.iter
+    (fun (seed, at, target) ->
+      let sc = exchange_scenario ~seed ~sessions:6 ~duration:45. in
+      let _tl, w =
+        R.run_scenario sc ~prepare:(fun w ->
+            R.apply_schedule w [ (at, Chaos.Corrupt { server = 2; target }) ])
+      in
+      check Alcotest.bool "the audit reset the group" true
+        (Haf_gcs.Gcs.total_resets w.R.gcs > 0);
+      check_replicas_agree w)
+    [ (3, 18.6, Chaos.Epoch); (1, 13.1, Chaos.Clock) ]
+
 let suite =
   [
     ( "chaos.schedule",
@@ -425,5 +527,12 @@ let suite =
           test_hardened_corruption_converges;
         Alcotest.test_case "ddmin isolates the corruption" `Slow
           test_shrink_isolates_corruption;
+      ] );
+    ( "chaos.exchange_trigger",
+      [
+        Alcotest.test_case "fast rejoin exchanges at install" `Quick
+          test_fast_rejoin_exchanges_at_install;
+        Alcotest.test_case "exchange after a GCS audit reset" `Slow
+          test_exchange_after_audit_reset;
       ] );
   ]

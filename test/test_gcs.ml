@@ -620,6 +620,98 @@ let prop_total_order_random_crashes =
       (* ...and in each origin's send order. *)
       && List.for_all in_send_order seqs)
 
+(* Property: [View.merged] is a fact of the view, not of the member
+   reading it.  Under random partitions, heals, crashes, restarts, joins
+   and leaves, every member that installs a view reports the same
+   [merged], and for a view all its members installed, [merged] holds
+   iff their previous views (as each member last installed one, join
+   singletons included) differ.  No corruption is injected, so no audit
+   reset installs a view behind the application's back. *)
+let prop_merged_is_shared =
+  QCheck.Test.make ~name:"gcs: merged agrees at every member, iff previous views differ"
+    ~count:20
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let engine = Engine.create ~seed:(seed + 1) () in
+      let gcs = Gcs.create ~num_servers:4 engine in
+      let procs = Gcs.servers gcs in
+      let current = Hashtbl.create 4 in
+      let installs = ref [] in
+      List.iter
+        (fun p ->
+          Gcs.set_app gcs p
+            {
+              Haf_gcs.Daemon.no_callbacks with
+              on_view =
+                (fun v ->
+                  installs := (p, Hashtbl.find_opt current p, v) :: !installs;
+                  Hashtbl.replace current p v.View.id);
+            })
+        procs;
+      List.iter (fun p -> Gcs.join gcs p "g") procs;
+      let rng = Haf_sim.Rng.create (seed + 31) in
+      let member p = Gcs.view_of gcs p "g" <> None in
+      let random_op () =
+        let p = Haf_sim.Rng.int rng 4 in
+        match Haf_sim.Rng.int rng 6 with
+        | 0 -> if Gcs.alive gcs p then Gcs.crash gcs p
+        | 1 ->
+            if not (Gcs.alive gcs p) then begin
+              Gcs.restart gcs p;
+              Gcs.join gcs p "g"
+            end
+        | 2 ->
+            let side = List.filter (fun _ -> Haf_sim.Rng.bool rng) procs in
+            Gcs.partition gcs [ side; List.filter (fun q -> not (List.mem q side)) procs ]
+        | 3 -> Gcs.heal gcs
+        | 4 -> if Gcs.alive gcs p && member p then Gcs.leave gcs p "g"
+        | _ -> if Gcs.alive gcs p && not (member p) then Gcs.join gcs p "g"
+      in
+      for _ = 1 to 8 do
+        let at = 3. +. Haf_sim.Rng.float rng 12. in
+        ignore (Engine.schedule_at engine ~time:at random_op)
+      done;
+      ignore
+        (Engine.schedule_at engine ~time:16. (fun () ->
+             Gcs.heal gcs;
+             List.iter
+               (fun p ->
+                 if not (Gcs.alive gcs p) then Gcs.restart gcs p;
+                 if not (member p) then Gcs.join gcs p "g")
+               procs));
+      Engine.run ~until:30. engine;
+      (* Join singletons share an id across lives; key the protocol's
+         views by id and members, and check the singletons apart. *)
+      let by_view = Hashtbl.create 16 in
+      let singletons_unmerged =
+        List.for_all
+          (fun (p, prev, (v : View.t)) ->
+            if View.Id.equal v.View.id (View.Id.initial p) then not v.View.merged
+            else begin
+              let key = (v.View.id, v.View.members) in
+              let seen = Option.value (Hashtbl.find_opt by_view key) ~default:[] in
+              Hashtbl.replace by_view key ((p, prev, v.View.merged) :: seen);
+              true
+            end)
+          !installs
+      in
+      let views_consistent =
+        Hashtbl.fold
+          (fun (_, members) installers ok ->
+            let merged = List.map (fun (_, _, m) -> m) installers in
+            let agree = List.for_all (Bool.equal (List.hd merged)) merged in
+            let all_installed =
+              List.sort_uniq Int.compare (List.map (fun (p, _, _) -> p) installers) = members
+            in
+            let prevs =
+              List.sort_uniq compare (List.map (fun (_, prev, _) -> prev) installers)
+            in
+            ok && agree
+            && ((not all_installed) || Bool.equal (List.hd merged) (List.length prevs > 1)))
+          by_view true
+      in
+      Gcs.total_resets gcs = 0 && singletons_unmerged && views_consistent)
+
 (* ------------------------------------------------------------------ *)
 (* View-ordering under exploration: across every explored delivery
    schedule of a three-daemon merge (bounded to 8 branch points), no
@@ -783,7 +875,7 @@ let suite =
         Alcotest.test_case "virtual synchrony on crash" `Quick
           test_virtual_synchrony_on_crash;
       ]
-      @ qsuite [ prop_total_order_random_crashes ] );
+      @ qsuite [ prop_total_order_random_crashes; prop_merged_is_shared ] );
     ( "gcs.open+p2p",
       [
         Alcotest.test_case "open send from client" `Quick test_open_send_from_client;

@@ -26,7 +26,7 @@ let test_view_id_order () =
   check Alcotest.bool "equal" true (View.Id.equal a { View.Id.epoch = 1; coord = 5 })
 
 let test_view_make_normalizes () =
-  let v = View.make ~id:(View.Id.initial 3) ~group:"g" ~members:[ 3; 1; 3; 2 ] in
+  let v = View.make ~id:(View.Id.initial 3) ~group:"g" ~members:[ 3; 1; 3; 2 ] ~merged:false in
   check (Alcotest.list Alcotest.int) "sorted, deduped" [ 1; 2; 3 ] v.View.members;
   check Alcotest.int "coordinator is min" 1 (View.coordinator v);
   check Alcotest.int "size" 3 (View.size v);
@@ -35,7 +35,7 @@ let test_view_make_normalizes () =
 
 let test_view_make_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "View.make: empty membership")
-    (fun () -> ignore (View.make ~id:(View.Id.initial 0) ~group:"g" ~members:[]))
+    (fun () -> ignore (View.make ~id:(View.Id.initial 0) ~group:"g" ~members:[] ~merged:false))
 
 let test_view_singleton () =
   let v = View.singleton ~group:"g" 7 in
@@ -149,12 +149,6 @@ let test_fd_self_and_unknown () =
   check (Alcotest.list Alcotest.int) "never monitors self" [] (Fd.monitored fd);
   check Alcotest.bool "unknown not suspected" false (Fd.suspected fd 42);
   check Alcotest.bool "unknown not reachable" false (Fd.reachable fd 42)
-
-let test_fd_unmonitor () =
-  let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
-  Fd.monitor fd 1 ~now:0.;
-  Fd.unmonitor fd 1;
-  check (Alcotest.list Alcotest.int) "gone" [] (fst (Fd.sweep fd ~now:10.))
 
 let test_fd_sweep_idempotent () =
   let fd = Fd.create ~me:0 ~suspect_timeout:1.0 in
@@ -1357,7 +1351,6 @@ let suite =
         Alcotest.test_case "wire frame per constructor" `Quick test_wire_frame_table;
         Alcotest.test_case "fd lifecycle" `Quick test_fd_lifecycle;
         Alcotest.test_case "fd self/unknown" `Quick test_fd_self_and_unknown;
-        Alcotest.test_case "fd unmonitor" `Quick test_fd_unmonitor;
         Alcotest.test_case "fd sweep idempotent" `Quick test_fd_sweep_idempotent;
         Alcotest.test_case "fd suspects at the exact deadline" `Quick test_fd_deadline_exact;
         Alcotest.test_case "fd hearing moves the deadline" `Quick test_fd_heard_moves_deadline;
