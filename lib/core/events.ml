@@ -73,11 +73,6 @@ let[@hot] emit sink ~now ev =
 
 let events sink = List.rev sink.items
 
-let count sink pred =
-  List.length (List.filter (fun (_, e) -> pred e) sink.items)
-
-let clear sink = sink.items <- []
-
 let role_to_string = function Primary -> "primary" | Backup -> "backup"
 
 let kind_to_string = function

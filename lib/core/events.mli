@@ -90,10 +90,6 @@ val emit : sink -> now:float -> t -> unit
 val events : sink -> (float * t) list
 (** Oldest first. *)
 
-val count : sink -> (t -> bool) -> int
-
-val clear : sink -> unit
-
 val kind_to_string : takeover_kind -> string
 
 val pp : Format.formatter -> t -> unit

@@ -17,7 +17,6 @@
 
 module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
-module Trace = Haf_sim.Trace
 module Det_tbl = Haf_sim.Det_tbl
 module Gcs = Haf_gcs.Gcs
 module View = Haf_gcs.View
@@ -177,7 +176,6 @@ module Make (S : Service_intf.SERVICE) = struct
              unit holding every local primary's snapshot). *)
       mutable svc_view : View.t option;
       mutable running : bool;
-      trace_component : string;  (* "exchange.<proc>", built once *)
     }
 
     let proc t = t.proc
@@ -763,13 +761,6 @@ module Make (S : Service_intf.SERVICE) = struct
       | State_digest _ | State_delta _ -> ()  (* handled by the exchange machinery *)
       | List_units | Request _ -> ()
 
-    (* Exchange debugging goes to the deterministic trace (visible with a
-       tracing Gcs + [Trace.echo]), not to stderr: haf-lint rule R4. *)
-    let dbg t fmt =
-      Trace.emitf (Gcs.trace t.gcs) ~time:(now t) ~component:t.trace_component fmt
-
-    let pp_senders ppf deltas = View.pp_procs ppf (List.map fst deltas)
-
     (* Assignment fields travel in the digests, not in the deltas: once
        every digest is in, each member installs the winning digest's
        primary/backups locally, so records that differ only in
@@ -792,8 +783,6 @@ module Make (S : Service_intf.SERVICE) = struct
         plan
 
     let exchange_complete t us ex plan =
-      dbg t "s%d exchange COMPLETE %s vid=%a senders=[%a]" t.proc us.u_id View.Id.pp
-        ex.ex_vid pp_senders ex.ex_deltas;
       (* Our own delta holds copies of records we still have. *)
       let deltas =
         List.filter (fun (sender, _) -> sender <> t.proc) ex.ex_deltas
@@ -863,8 +852,6 @@ module Make (S : Service_intf.SERVICE) = struct
         }
       in
       us.u_exchange <- Some ex;
-      dbg t "s%d exchange START %s vid=%a expect=[%a]" t.proc us.u_id View.Id.pp
-        view.View.id View.pp_procs view.View.members;
       let digest = List.map Unit_db.digest_of_session (Unit_db.sessions us.u_db) in
       let msg = State_digest { vid = view.View.id; digest } in
       emit t
@@ -897,8 +884,6 @@ module Make (S : Service_intf.SERVICE) = struct
       | Some ex -> (
           match msg with
           | State_digest { vid; digest } when View.Id.equal vid ex.ex_vid ->
-              dbg t "s%d exchange DIGEST %s from s%d vid=%a" t.proc us.u_id
-                sender View.Id.pp vid;
               if not (List.mem_assoc sender ex.ex_digests) then begin
                 ex.ex_digests <- (sender, digest) :: ex.ex_digests;
                 if
@@ -911,8 +896,6 @@ module Make (S : Service_intf.SERVICE) = struct
                   send_delta t us ex
               end
           | State_delta { vid; records } when View.Id.equal vid ex.ex_vid ->
-              dbg t "s%d exchange DELTA %s from s%d vid=%a (%d records)" t.proc
-                us.u_id sender View.Id.pp vid (List.length records);
               if not (List.mem_assoc sender ex.ex_deltas) then begin
                 ex.ex_deltas <- (sender, records) :: ex.ex_deltas;
                 match ex.ex_plan with
@@ -923,9 +906,9 @@ module Make (S : Service_intf.SERVICE) = struct
                     exchange_complete t us ex plan
                 | Some _ | None -> ()
               end
-          | State_digest { vid; _ } | State_delta { vid; _ } ->
-              dbg t "s%d exchange STALE %s from s%d vid=%a (want %a)" t.proc
-                us.u_id sender View.Id.pp vid View.Id.pp ex.ex_vid
+          | State_digest _ | State_delta _ ->
+              (* From an exchange of an earlier view: dropped. *)
+              ()
           | ( List_units | Start_session _ | Propagate _ | End_session _
             | Request _ ) as other ->
               ex.ex_deferred <- (sender, other) :: ex.ex_deferred)
@@ -1080,7 +1063,6 @@ module Make (S : Service_intf.SERVICE) = struct
           timers = [];
           svc_view = None;
           running = true;
-          trace_component = Printf.sprintf "exchange.%d" proc;
         }
       in
       List.iter

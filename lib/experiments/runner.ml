@@ -79,8 +79,7 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
         List.iter
           (fun p ->
             Hashtbl.replace stores p
-              (Haf_store.Store.create ~trace:(Gcs.trace gcs)
-                 ~name:(Printf.sprintf "disk.s%d" p) cfg engine))
+              (Haf_store.Store.create ~name:(Printf.sprintf "disk.s%d" p) cfg engine))
           (Gcs.servers gcs)
     | None -> ());
     let servers =

@@ -1,5 +1,4 @@
 module Engine = Haf_sim.Engine
-module Trace = Haf_sim.Trace
 module Det_tbl = Haf_sim.Det_tbl
 module Transport = Haf_net.Transport
 module Fd = Failure_detector
@@ -89,8 +88,6 @@ type t = {
   transport : Transport.t;
   config : Config.t;
   hb_interval : float;
-  trace : Trace.t;
-  component : string;  (* "gcs.<proc>": the trace tag, built once *)
   rng : Haf_sim.Rng.t;
   mutable is_alive : bool;
   mutable callbacks : callbacks;
@@ -135,10 +132,6 @@ let set_callbacks t cb = t.callbacks <- cb
 
 let now t = Engine.now t.engine
 
-let tr t fmt = Trace.emitf t.trace ~time:(now t) ~component:t.component fmt
-
-let pp_verdict ppf v = Format.pp_print_string ppf (Audit.describe v)
-
 let advert_cache groups =
   let adverts =
     List.map (fun (g, gs) -> { Wire.adv_group = g; adv_vid = gs.view.View.id }) groups
@@ -152,8 +145,7 @@ let advert_cache groups =
     ac_pong = lazy (Transport.raw (Wire.encode (Wire.Pong { adverts = descending })));
   }
 
-let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
-    ~contacts me =
+let create ~engine ~transport ~config ?heartbeat_interval ?incarnation ~contacts me =
   let hb = Option.value heartbeat_interval ~default:config.Config.heartbeat_interval in
   let incarnation =
     match incarnation with
@@ -167,8 +159,6 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     transport;
     config;
     hb_interval = hb;
-    trace;
-    component = Printf.sprintf "gcs.%d" me;
     rng = Engine.fork_rng engine;
     is_alive = false;
     callbacks = no_callbacks;
@@ -455,7 +445,6 @@ let rec apply_install t gs ~view_id ~members ~sync =
   Hashtbl.remove t.vid_mismatch gs.group;
   t.view_changes <- t.view_changes + 1;
   List.iter (fun m -> monitor_peer t m) members;
-  tr t "installed %a" View.pp view;
   t.callbacks.on_view view;
   (* Resubmit every held entry in uid order: each origin's entries in
      the order it sent them. *)
@@ -491,7 +480,6 @@ and propose t gs =
   let replies = Hashtbl.create 8 in
   Hashtbl.replace replies t.me (flush_info_of gs);
   gs.mstate <- Proposing { epoch; candidates; replies; started = now t };
-  tr t "propose %s e%d cands=[%a]" gs.group epoch View.pp_procs candidates;
   send_others t candidates (Wire.Propose { group = gs.group; epoch });
   check_finalize t gs
 
@@ -627,7 +615,6 @@ let audit_group t gs =
     | Audit.Sound -> true
     | (Audit.Bad_view _ | Audit.Bad_counter _ | Audit.Bad_clock _
       | Audit.Bad_record _) as v ->
-        tr t "audit failed: %a — reset and rejoin" pp_verdict v;
         (match t.audit_hook with
         | Some hook -> hook ~group:gs.group v
         | None -> ());
@@ -948,9 +935,8 @@ let checked_decode t ?pos payload =
   | Some msg -> (
       match Wire.validate msg with
       | Ok () -> Some msg
-      | Error reason ->
+      | Error _ ->
           Transport.note_rejected t.transport;
-          tr t "rejected inbound %a: %s" Wire.pp msg reason;
           None)
 
 let on_reliable t ~src payload =

@@ -42,7 +42,6 @@ val create :
   engine:Haf_sim.Engine.t ->
   transport:Haf_net.Transport.t ->
   config:Config.t ->
-  trace:Haf_sim.Trace.t ->
   ?heartbeat_interval:float ->
   ?incarnation:int ->
   contacts:proc list ->

@@ -1,5 +1,4 @@
 module Engine = Haf_sim.Engine
-module Trace = Haf_sim.Trace
 module Network = Haf_net.Network
 module Sub = Haf_net.Substrate
 module Transport = Haf_net.Transport
@@ -29,14 +28,11 @@ type t = {
   sub : Sub.t;
   transport : Transport.t;
   gcs_config : Config.t;
-  trace : Trace.t;
   slots : (proc, slot) Hashtbl.t;
   mutable server_list : proc list;
 }
 
 let engine t = t.engine
-
-let trace t = t.trace
 
 let sim_net t =
   match t.net with
@@ -65,7 +61,7 @@ let spawn_daemon ?incarnation t proc role =
   in
   let d =
     Daemon.create ~engine:t.engine ~transport:t.transport ~config:t.gcs_config
-      ~trace:t.trace ?heartbeat_interval ?incarnation ~contacts:(servers t) proc
+      ?heartbeat_interval ?incarnation ~contacts:(servers t) proc
   in
   Daemon.start d;
   d
@@ -92,7 +88,7 @@ let add_server t = add_process t Server
 let add_client t = add_process t Client
 
 (* The fabric with no process yet: both constructors go through here. *)
-let make ?net ~gcs_config ~trace sub =
+let make ?net ~gcs_config sub =
   (match Config.validate gcs_config with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Gcs: " ^ msg));
@@ -100,25 +96,23 @@ let make ?net ~gcs_config ~trace sub =
     engine = sub.Sub.engine;
     net;
     sub;
-    transport = Transport.create ~trace sub;
+    transport = Transport.create sub;
     gcs_config;
-    trace;
     slots = Hashtbl.create 32;
     server_list = [];
   }
 
 let create ?(net_config = Network.default_config) ?(gcs_config = Config.default)
-    ?(trace = Trace.disabled) ~num_servers engine =
-  let net = Network.create ~trace engine net_config in
-  let t = make ~net ~gcs_config ~trace (Network.substrate net) in
+    ~num_servers engine =
+  let net = Network.create engine net_config in
+  let t = make ~net ~gcs_config (Network.substrate net) in
   for _ = 1 to num_servers do
     ignore (add_server t)
   done;
   t
 
-let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled) ~servers ~local
-    sub =
-  let t = make ~gcs_config ~trace sub in
+let create_on ?(gcs_config = Config.default) ~servers ~local sub =
+  let t = make ~gcs_config sub in
   (* Register every server first (so each local daemon bootstraps with
      the full contact list), then start only the daemons this process
      hosts; the rest run in other OS processes over the same wire. *)

@@ -22,7 +22,6 @@ type t
 val create :
   ?net_config:Haf_net.Network.config ->
   ?gcs_config:Config.t ->
-  ?trace:Haf_sim.Trace.t ->
   num_servers:int ->
   Haf_sim.Engine.t ->
   t
@@ -32,7 +31,6 @@ val create :
 
 val create_on :
   ?gcs_config:Config.t ->
-  ?trace:Haf_sim.Trace.t ->
   servers:proc list ->
   local:proc list ->
   Haf_net.Substrate.t ->
@@ -50,10 +48,6 @@ val create_on :
     at the OS level. *)
 
 val engine : t -> Haf_sim.Engine.t
-
-val trace : t -> Haf_sim.Trace.t
-(** The trace sink this GCS (and everything above it) logs to;
-    [Trace.disabled] unless one was passed to {!create}. *)
 
 val network : t -> Haf_net.Network.t
 (** The simulated network under a {!create} fabric.

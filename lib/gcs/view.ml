@@ -12,8 +12,6 @@ module Id = struct
   let equal a b = compare a b = 0
 
   let initial proc = { epoch = 0; coord = proc }
-
-  let pp ppf { epoch; coord } = Format.fprintf ppf "v%d.%d" epoch coord
 end
 
 type t = { id : Id.t; group : string; members : proc list; merged : bool }
@@ -34,10 +32,3 @@ let coordinator t =
   match t.members with
   | m :: _ -> m
   | [] -> invalid_arg "View.coordinator: empty view"
-
-let pp_procs ppf ps =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-    Format.pp_print_int ppf ps
-
-let pp ppf t = Format.fprintf ppf "%s@%a{%a}" t.group Id.pp t.id pp_procs t.members

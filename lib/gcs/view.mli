@@ -18,8 +18,6 @@ module Id : sig
   val initial : proc -> t
   (** The id of the singleton view a process self-installs on join:
       epoch 0, coordinated by itself. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type t = {
@@ -47,8 +45,3 @@ val size : t -> int
 val coordinator : t -> proc
 (** The lowest-id member: sequencer of the view's totally ordered
     multicasts. *)
-
-val pp_procs : Format.formatter -> proc list -> unit
-(** Comma-separated process ids. *)
-
-val pp : Format.formatter -> t -> unit

@@ -103,16 +103,3 @@ let validate = function
         "malformed open_send"
   | Leave { group } -> check (String.length group > 0) "malformed leave"
   | P2p _ -> Ok ()
-
-let pp ppf = function
-  | Ping _ -> Format.pp_print_string ppf "ping"
-  | Pong _ -> Format.pp_print_string ppf "pong"
-  | Propose { group; epoch; _ } -> Format.fprintf ppf "propose(%s,e%d)" group epoch
-  | Flush_reply { group; epoch; _ } -> Format.fprintf ppf "flush(%s,e%d)" group epoch
-  | Nack { group; epoch_hint } -> Format.fprintf ppf "nack(%s,e%d)" group epoch_hint
-  | Install { group; view_id; _ } ->
-      Format.fprintf ppf "install(%s,e%d)" group view_id.View.Id.epoch
-  | Data { group; seq; _ } -> Format.fprintf ppf "data(%s,%d)" group seq
-  | Open_send { group; _ } -> Format.fprintf ppf "open_send(%s)" group
-  | Leave { group } -> Format.fprintf ppf "leave(%s)" group
-  | P2p _ -> Format.pp_print_string ppf "p2p"

@@ -73,6 +73,3 @@ val validate : msg -> (unit, string) result
     cannot propagate garbage into healthy peers.  Receivers drop — and
     count, via {!Haf_net.Transport.note_rejected} — anything that
     fails. *)
-
-val pp : Format.formatter -> msg -> unit
-(** Short human-readable tag for traces. *)

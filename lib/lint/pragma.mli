@@ -10,7 +10,7 @@
     (possibly multi-line) comment immediately above it.  Several rules
     may be listed ([allow R2 R3]).  [allow-file] scopes the waiver to
     the whole file — reserve it for files that *are* the mechanism a
-    rule protects (e.g. the trace sink).
+    rule protects (e.g. the one module that wraps a banned primitive).
 
     The deep tier additionally supports {e attribute} pragmas — rule
     scoped, attached to the construct they waive:

@@ -101,9 +101,9 @@ let bans =
       b_message =
         (fun id ->
           Printf.sprintf
-            "direct console output (%s) in library code; route through \
-             Sim.Trace or return renderable data (Stats.Table/Report) and \
-             print at the bin/ edge"
+            "direct console output (%s) in library code; emit typed Events, \
+             fill Stats tables/reports or return data, and print at the \
+             bin/ edge"
             id);
     };
   ]
@@ -143,7 +143,7 @@ let descriptions =
      "no polymorphic compare/hash/Marshal in lib/gcs, lib/core, lib/store, \
       lib/chaos, lib/monitor, lib/explore");
     ("R3", "no unordered Hashtbl iteration over protocol state");
-    ("R4", "no direct stdout/stderr in lib/ (use Sim.Trace / Stats)");
+    ("R4", "no direct stdout/stderr in lib/ (use typed Events / Stats / returned data)");
     ("R5", "every lib/**/*.ml has a matching .mli");
     ("R6",
      "(deep) handler totality: no catch-all arms over [@@haf.protocol] \

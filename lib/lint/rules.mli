@@ -13,7 +13,8 @@
       protocol state in [lib/gcs]/[lib/core] — bucket order is not part
       of program semantics; use [Sim.Det_tbl].
     - R4: no direct console output in [lib/] — output flows through
-      [Sim.Trace] or is returned as data and printed at the [bin/] edge.
+      typed [Events], [Stats] tables and reports, or returned data, and
+      is printed at the [bin/] edge.
     - R5: every [lib/**/*.ml] has a matching [.mli] (exempt:
       [*_intf.ml] pure-interface files).
 

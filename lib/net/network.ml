@@ -1,6 +1,5 @@
 module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
-module Trace = Haf_sim.Trace
 
 type node_id = int
 
@@ -26,7 +25,6 @@ type t = {
   engine : Engine.t;
   config : config;
   rng : Rng.t;
-  trace : Trace.t;
   mutable nodes : node array;
   mutable n : int;
   down_links : (node_id * node_id, unit) Hashtbl.t;
@@ -35,12 +33,11 @@ type t = {
 
 let fresh_counters = Substrate.fresh_counters
 
-let create ?(trace = Trace.disabled) engine config =
+let create engine config =
   {
     engine;
     config;
     rng = Engine.fork_rng engine;
-    trace;
     nodes = [||];
     n = 0;
     down_links = Hashtbl.create 64;
@@ -110,21 +107,9 @@ let partition t components =
 
 let connected t a b = alive t a && alive t b && link_up t a b
 
-let crash t id =
-  let nd = node t id in
-  if nd.up then begin
-    nd.up <- false;
-    Trace.emitf t.trace ~time:(Engine.now t.engine) ~component:"net"
-      "node %d crashed" id
-  end
+let crash t id = (node t id).up <- false
 
-let recover t id =
-  let nd = node t id in
-  if not nd.up then begin
-    nd.up <- true;
-    Trace.emitf t.trace ~time:(Engine.now t.engine) ~component:"net"
-      "node %d recovered" id
-  end
+let recover t id = (node t id).up <- true
 
 let send t ?(label = Engine.Internal) ~src ~dst payload =
   let source = node t src in

@@ -23,7 +23,7 @@ type config = {
 val default_config : config
 (** LAN latency, no loss. *)
 
-val create : ?trace:Haf_sim.Trace.t -> Haf_sim.Engine.t -> config -> t
+val create : Haf_sim.Engine.t -> config -> t
 
 val add_node : t -> node_id
 (** Nodes get consecutive ids starting from 0. *)

@@ -1,5 +1,4 @@
 module Engine = Haf_sim.Engine
-module Trace = Haf_sim.Trace
 module Sub = Substrate
 
 (* Frames.  The first byte names the kind; integers are fixed 8-byte
@@ -79,7 +78,6 @@ type stats = {
 type t = {
   sub : Sub.t;
   engine : Engine.t;
-  trace : Trace.t;
   mutable give_up_after : float option;
   mutable give_ups : int;
   mutable payloads_sent : int;
@@ -101,11 +99,10 @@ let rto = 0.05
 
 let max_backoff = 2.0
 
-let create ?(trace = Trace.disabled) sub =
+let create sub =
   {
     sub;
     engine = sub.Sub.engine;
-    trace;
     give_up_after = None;
     give_ups = 0;
     payloads_sent = 0;
@@ -181,10 +178,7 @@ let give_up t ~src ~dst ch =
   ch.timer <- None;
   Hashtbl.reset ch.unsent;
   Hashtbl.remove t.senders (src, dst);
-  t.give_ups <- t.give_ups + 1;
-  Trace.emitf t.trace ~time:(Engine.now t.engine) ~component:"transport"
-    "channel %d->%d dead: gave up after %gs of silence" src dst
-    (Option.value t.give_up_after ~default:0.)
+  t.give_ups <- t.give_ups + 1
 
 let rec arm_timer t ~src ~dst ch =
   ch.timer <-

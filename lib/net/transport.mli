@@ -35,7 +35,7 @@ type stats = {
   unacked : int;  (** Payloads queued now, awaiting acknowledgement. *)
 }
 
-val create : ?trace:Haf_sim.Trace.t -> Substrate.t -> t
+val create : Substrate.t -> t
 (** The initial retransmission timeout is 50 ms; it doubles per silent
     round up to 2 s. *)
 

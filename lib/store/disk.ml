@@ -1,6 +1,5 @@
 module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
-module Trace = Haf_sim.Trace
 
 type fault_config = {
   fsync_latency : float;
@@ -34,8 +33,6 @@ type stats = {
 type t = {
   engine : Engine.t;
   rng : Rng.t;
-  trace : Trace.t;
-  name : string;
   mutable faults : fault_config;
   mutable durable : string;  (* bytes a post-crash recovery reads back *)
   pending : Buffer.t;  (* written but not yet synced (the page cache) *)
@@ -54,12 +51,10 @@ let fresh_stats () =
     corruptions = 0;
   }
 
-let create ?(trace = Trace.disabled) ?(faults = no_faults) ~name engine =
+let create ?(faults = no_faults) engine =
   {
     engine;
     rng = Engine.fork_rng engine;
-    trace;
-    name;
     faults;
     durable = "";
     pending = Buffer.create 256;
@@ -67,10 +62,6 @@ let create ?(trace = Trace.disabled) ?(faults = no_faults) ~name engine =
     epoch = 0;
     stats = fresh_stats ();
   }
-
-let tr t fmt =
-  Trace.emitf t.trace ~time:(Engine.now t.engine)
-    ~component:(Printf.sprintf "disk.%s" t.name) fmt
 
 let append t bytes =
   Buffer.add_string t.pending bytes;
@@ -92,7 +83,6 @@ let schedule_sync t ~bytes k =
          if t.epoch = epoch then
            if Rng.chance t.rng t.faults.fsync_fail_prob then begin
              t.stats.fsync_failures <- t.stats.fsync_failures + 1;
-             tr t "fsync FAILED (%d bytes)" bytes;
              k ~ok:false
            end
            else k ~ok:true))
@@ -146,15 +136,13 @@ let crash t =
   if String.length lost > 0 && Rng.chance t.rng t.faults.torn_write_prob then begin
     let keep = Rng.int t.rng (String.length lost) in
     t.durable <- t.durable ^ String.sub lost 0 keep;
-    t.stats.torn_writes <- t.stats.torn_writes + 1;
-    tr t "torn write: %d of %d unsynced bytes persisted" keep (String.length lost)
+    t.stats.torn_writes <- t.stats.torn_writes + 1
   end;
   (* Bit rot near the write head: one flipped bit in the tail of the
      durable region — a complete record whose CRC no longer matches. *)
   if String.length t.durable > 0 && Rng.chance t.rng t.faults.corrupt_prob then begin
     t.durable <- flip_byte t t.durable;
-    t.stats.corruptions <- t.stats.corruptions + 1;
-    tr t "corruption: flipped a bit in the durable tail"
+    t.stats.corruptions <- t.stats.corruptions + 1
   end
 
 let durable t = t.durable

@@ -47,13 +47,8 @@ type stats = {
 
 type t
 
-val create :
-  ?trace:Haf_sim.Trace.t ->
-  ?faults:fault_config ->
-  name:string ->
-  Haf_sim.Engine.t ->
-  t
-(** A fresh, empty disk.  [name] labels trace output. *)
+val create : ?faults:fault_config -> Haf_sim.Engine.t -> t
+(** A fresh, empty disk. *)
 
 val append : t -> string -> unit
 (** Write into the pending buffer.  Instantaneous (page-cache write);

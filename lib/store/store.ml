@@ -1,6 +1,3 @@
-module Engine = Haf_sim.Engine
-module Trace = Haf_sim.Trace
-
 type config = {
   snapshot_period : float;
   sync_period : float;
@@ -16,9 +13,6 @@ let validate c =
   else Ok c
 
 type t = {
-  engine : Engine.t;
-  trace : Trace.t;
-  name : string;
   config : config;
   wal : Disk.t;
   snap : Disk.t;
@@ -28,17 +22,14 @@ type t = {
   mutable recoveries : int;
 }
 
-let create ?(trace = Trace.disabled) ~name config engine =
+let create ~name config engine =
   (match validate config with
   | Ok _ -> ()
-  | Error msg -> invalid_arg ("Store.create: " ^ msg));
+  | Error msg -> invalid_arg (Printf.sprintf "Store.create %s: %s" name msg));
   {
-    engine;
-    trace;
-    name;
     config;
-    wal = Disk.create ~trace ~faults:config.faults ~name:(name ^ ".wal") engine;
-    snap = Disk.create ~trace ~faults:config.faults ~name:(name ^ ".snap") engine;
+    wal = Disk.create ~faults:config.faults engine;
+    snap = Disk.create ~faults:config.faults engine;
     wal_records = 0;
     snapshots_taken = 0;
     compactions = 0;
@@ -46,10 +37,6 @@ let create ?(trace = Trace.disabled) ~name config engine =
   }
 
 let config t = t.config
-
-let tr t fmt =
-  Trace.emitf t.trace ~time:(Engine.now t.engine)
-    ~component:(Printf.sprintf "store.%s" t.name) fmt
 
 let log t payload =
   Wal.append t.wal payload;
@@ -66,8 +53,7 @@ let snapshot t payload k =
       if ok then begin
         t.snapshots_taken <- t.snapshots_taken + 1;
         Disk.truncate_prefix t.wal mark;
-        t.compactions <- t.compactions + 1;
-        tr t "snapshot %d bytes, compacted %d wal bytes" (String.length payload) mark
+        t.compactions <- t.compactions + 1
       end;
       k ~ok)
 
@@ -98,10 +84,6 @@ let recover t =
      frame boundary; the truncated records are re-learned from the
      peers' state exchange, never read corrupt. *)
   Disk.truncate_to t.wal wal_replay.Wal.valid_bytes;
-  tr t "recovery: snapshot=%b wal=%d torn=%b crc=%b snap_lost=%b"
-    (rec_snapshot <> None)
-    (List.length wal_replay.Wal.records)
-    wal_replay.Wal.torn_tail wal_replay.Wal.crc_mismatch rec_snapshot_lost;
   {
     rec_snapshot;
     rec_wal = wal_replay.Wal.records;

@@ -31,10 +31,9 @@ val validate : config -> (config, string) result
 
 type t
 
-val create :
-  ?trace:Haf_sim.Trace.t -> name:string -> config -> Haf_sim.Engine.t -> t
-(** An empty store (first boot).  @raise Invalid_argument on a config
-    that fails {!validate}. *)
+val create : name:string -> config -> Haf_sim.Engine.t -> t
+(** An empty store (first boot).  @raise Invalid_argument, naming the
+    store by [name], on a config that fails {!validate}. *)
 
 val config : t -> config
 

@@ -1,5 +1,5 @@
 (* Unit tests for the GCS building blocks (views, config, failure
-   detector, latency models, trace) plus adversarial whole-protocol
+   detector, latency models) plus adversarial whole-protocol
    scenarios: partitions striking during view changes, cascades, and
    randomized partition schedules. *)
 
@@ -8,7 +8,6 @@ module View = Haf_gcs.View
 module Config = Haf_gcs.Config
 module Fd = Haf_gcs.Failure_detector
 module Latency = Haf_net.Latency
-module Trace = Haf_sim.Trace
 module Gcs = Haf_gcs.Gcs
 module Wire = Haf_gcs.Wire
 
@@ -209,48 +208,6 @@ let test_latency_positive_and_mean () =
           (Format.asprintf "%a" Latency.pp model)
           mean expected)
     [ Latency.lan; Latency.wan; Latency.Constant 0.01 ]
-
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_capture_and_filter () =
-  let tr = Trace.create ~capacity:3 () in
-  Trace.emit tr ~time:1. ~component:"a" "one";
-  Trace.emitf tr ~time:2. ~component:"b" "n=%d" 2;
-  Trace.emit tr ~time:3. ~component:"a" "three";
-  check Alcotest.int "all lines" 3 (List.length (Trace.lines tr));
-  check Alcotest.int "filtered" 2 (List.length (Trace.matching tr ~component:"a"));
-  Trace.emit tr ~time:4. ~component:"c" "four";
-  check Alcotest.int "capacity bound drops oldest" 3 (List.length (Trace.lines tr));
-  (match Trace.lines tr with
-  | { Trace.message = "n=2"; _ } :: _ -> ()
-  | _ -> Alcotest.fail "oldest line should be the n=2 one");
-  Trace.set_enabled tr false;
-  Trace.emit tr ~time:5. ~component:"a" "ignored";
-  check Alcotest.int "disabled records nothing" 3 (List.length (Trace.lines tr));
-  check Alcotest.int "disabled sink inert" 0
-    (Trace.emit Trace.disabled ~time:0. ~component:"x" "y";
-     List.length (Trace.lines Trace.disabled))
-
-let test_trace_disabled_never_formats () =
-  (* A disabled trace must cost a branch, not a formatting pass: no [%a]
-     printer may run, whichever way the trace was turned off. *)
-  let calls = ref 0 in
-  let pp ppf () =
-    incr calls;
-    Format.pp_print_string ppf "x"
-  in
-  Trace.emitf Trace.disabled ~time:0. ~component:"c" "%a %d" pp () 1;
-  let tr = Trace.create () in
-  Trace.set_enabled tr false;
-  Trace.emitf tr ~time:0. ~component:"c" "%a" pp ();
-  check Alcotest.int "no printer ran while disabled" 0 !calls;
-  Trace.set_enabled tr true;
-  Trace.emitf tr ~time:1. ~component:"c" "%a=%d" pp () 2;
-  check Alcotest.int "an enabled trace formats once" 1 !calls;
-  match Trace.lines tr with
-  | [ { Trace.message = "x=2"; _ } ] -> ()
-  | _ -> Alcotest.fail "expected exactly the enabled line"
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial protocol scenarios                                      *)
@@ -1073,6 +1030,36 @@ let test_raw_frame_memo_needs_equal_bytes () =
   check ints "the original still delivers" [ 1 ] (advertisers group);
   check ints "over the flipped one" [] (advertisers "Memo-group")
 
+(* A message that decodes but fails [Wire.validate] is dropped at the
+   decode boundary and counted; it reaches no handler, so it moves no
+   view.  Each malformed row of [wire_table] goes from server 1 to a
+   live server 0 on the path a daemon would send it: heartbeats as raw
+   datagrams, everything else on the reliable channel. *)
+let test_malformed_inbound_dropped_and_counted () =
+  let f = make_fabric ~n:2 ~seed:9 (fun ~src:_ ~dst:_ frame -> Some frame) in
+  List.iter (fun p -> Gcs.join f.gcs p "g") [ 0; 1 ];
+  Engine.run ~until:2. f.engine;
+  check ints "settled" [ 0; 1 ] (members_at f.gcs 0 "g");
+  let tr = Gcs.transport f.gcs in
+  let rejected () = (Transport.stats tr).Transport.rejected in
+  let views = Gcs.total_view_changes f.gcs in
+  List.iter
+    (fun (good, bad) ->
+      match bad with
+      | None -> ()
+      | Some bad ->
+          let tag = wire_tag good in
+          let before = rejected () in
+          (match bad with
+          | Wire.Ping _ | Wire.Pong _ ->
+              Transport.send_unreliable tr ~src:1 ~dst:0 (Transport.raw (Wire.encode bad))
+          | _ -> Transport.send tr ~src:1 ~dst:0 (Wire.encode bad));
+          Engine.run ~until:(Engine.now f.engine +. 0.5) f.engine;
+          check Alcotest.int (tag ^ " rejected once") (before + 1) (rejected ());
+          check Alcotest.int (tag ^ " moves no view") views (Gcs.total_view_changes f.gcs);
+          check ints (tag ^ " keeps the membership") [ 0; 1 ] (members_at f.gcs 0 "g"))
+    wire_table
+
 (* ------------------------------------------------------------------ *)
 (* Unit-db self-checking: corruption detection and reconciliation      *)
 
@@ -1357,9 +1344,6 @@ let suite =
         Alcotest.test_case "fd suspects have no deadline" `Quick
           test_fd_suspects_have_no_deadline;
         Alcotest.test_case "latency models" `Quick test_latency_positive_and_mean;
-        Alcotest.test_case "trace" `Quick test_trace_capture_and_filter;
-        Alcotest.test_case "trace off never formats" `Quick
-          test_trace_disabled_never_formats;
       ] );
     ( "gcs.adversarial",
       [
@@ -1380,6 +1364,8 @@ let suite =
           test_unchanged_advert_after_install_and_reset;
         Alcotest.test_case "raw frame memo needs equal bytes" `Quick
           test_raw_frame_memo_needs_equal_bytes;
+        Alcotest.test_case "malformed inbound dropped and counted" `Quick
+          test_malformed_inbound_dropped_and_counted;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [

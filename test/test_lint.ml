@@ -162,11 +162,11 @@ let test_r4_out_of_scope () =
 
 let test_r4_multiline_pragma () =
   (* The pragma comment itself spans two lines; it must still cover the
-     line right after it — the lib/sim/trace.ml echo-sink pattern. *)
+     line right after it. *)
   check_rules "multi-line pragma covers next line" []
     (lint "lib/sim/foo.ml"
-       "(* haf-lint: allow R4 — fixture sink, mirroring the trace\n\
-       \   echo behaviour *)\n\
+       "(* haf-lint: allow R4 — fixture sink whose waiver\n\
+       \   spans two lines *)\n\
         let shout () = Printf.eprintf \"hi\\n\"")
 
 (* ------------------------------------------------------------------ *)

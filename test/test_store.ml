@@ -65,7 +65,7 @@ let test_wal_crc_mismatch () =
 
 let test_disk_fsync_boundary () =
   let engine = Engine.create ~seed:7 () in
-  let disk = Disk.create ~name:"d" engine in
+  let disk = Disk.create engine in
   Disk.append disk "unsynced-";
   check Alcotest.int "nothing durable before fsync" 0 (Disk.durable_size disk);
   let synced = ref None in
@@ -80,7 +80,7 @@ let test_disk_fsync_boundary () =
 
 let test_disk_crash_loses_unsynced () =
   let engine = Engine.create ~seed:7 () in
-  let disk = Disk.create ~name:"d" engine in
+  let disk = Disk.create engine in
   Disk.append disk "durable";
   Disk.fsync disk (fun ~ok:_ -> ());
   Engine.run engine;
@@ -94,7 +94,7 @@ let test_disk_deterministic () =
   let run () =
     let engine = Engine.create ~seed:42 () in
     let disk =
-      Disk.create ~name:"d" ~faults:Disk.default_faults engine
+      Disk.create ~faults:Disk.default_faults engine
     in
     let log = Buffer.create 64 in
     for i = 0 to 19 do
