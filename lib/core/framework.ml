@@ -1115,23 +1115,22 @@ module Make (S : Service_intf.SERVICE) = struct
           Daemon.on_view = (fun v -> on_view t v);
           on_message = (fun ~group ~sender payload -> on_message t ~group ~sender payload);
           on_p2p = (fun ~sender payload -> on_p2p t ~sender payload);
+          (* Surface the daemon's own audit failures as events: this
+             fires just before the GCS-level reset-and-rejoin, so the
+             monitor and the explore spec see the conviction/reset pair. *)
+          on_reset =
+            (fun ~group v ->
+              if t.running then begin
+                emit t
+                  (Events.Audit_failed
+                     {
+                       server = proc;
+                       subsystem = "gcs:" ^ group;
+                       detail = Haf_gcs.Audit.describe v;
+                     });
+                emit t (Events.Server_reset { server = proc; subsystem = "gcs:" ^ group })
+              end);
         };
-      (* Surface the daemon's own audit failures as events: the hook
-         fires just before the GCS-level reset-and-rejoin, so the
-         monitor and the explore spec see the conviction/reset pair. *)
-      Gcs.set_audit_hook gcs proc
-        (Some
-           (fun ~group v ->
-             if t.running then begin
-               emit t
-                 (Events.Audit_failed
-                    {
-                      server = proc;
-                      subsystem = "gcs:" ^ group;
-                      detail = Haf_gcs.Audit.describe v;
-                    });
-               emit t (Events.Server_reset { server = proc; subsystem = "gcs:" ^ group })
-             end));
       (* Periodic unit-db self-audit, scaled to the fabric's heartbeat so
          hair-trigger experiment configs audit proportionally faster.
          The corruption point is consulted after the audit, in the same
@@ -1280,8 +1279,7 @@ module Make (S : Service_intf.SERVICE) = struct
                 items
           | Handoff _ -> ()
       in
-      Gcs.set_app gcs proc
-        { Daemon.on_view = (fun _ -> ()); on_message = (fun ~group:_ ~sender:_ _ -> ()); on_p2p };
+      Gcs.set_app gcs proc { Daemon.no_callbacks with on_p2p };
       t
 
     let proc t = t.proc

@@ -24,13 +24,3 @@ let validate t =
   else if t.propagation_period <= 0. then Error "propagation_period must be positive"
   else if t.session_shards < 0 then Error "session_shards must be non-negative"
   else Ok t
-
-let takeover_to_string = function
-  | Resume -> "resume"
-  | Skip_ahead -> "skip-ahead"
-  | Hybrid -> "hybrid"
-
-let pp ppf t =
-  Format.fprintf ppf "backups=%d prop=%gs takeover=%s" t.n_backups t.propagation_period
-    (takeover_to_string t.takeover);
-  if t.session_shards > 0 then Format.fprintf ppf " shards=%d" t.session_shards

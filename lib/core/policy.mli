@@ -54,4 +54,3 @@ val vod_paper : t
 
 val validate : t -> (t, string) result
 
-val pp : Format.formatter -> t -> unit

@@ -19,25 +19,6 @@ let id = "e12"
 
 let title = "E12: scaling with concurrent sessions (Sec. 2, variable client load)"
 
-let grant_latencies tl =
-  List.filter_map
-    (fun (at, e) ->
-      match e with
-      | Events.Session_granted { session_id; _ } -> (
-          match
-            List.find_map
-              (fun (t0, e0) ->
-                match e0 with
-                | Events.Session_requested { session_id = s0; _ } when s0 = session_id ->
-                    Some t0
-                | _ -> None)
-              tl
-          with
-          | Some t0 -> Some (at -. t0)
-          | None -> None)
-      | _ -> None)
-    tl
-
 (* ------------------------------------------------------------------ *)
 (* Engine scale bench: 10^4..10^5+ concurrent sessions in ONE process  *)
 (* ------------------------------------------------------------------ *)
@@ -65,7 +46,6 @@ module Slow_synthetic = struct
 end
 
 module Rb = Runner.Make (Slow_synthetic)
-module Sketch = Haf_stats.Sketch
 module Profile = Haf_sim.Profile
 
 (* Per-rung self-profile: what the engine spent its time and allocation
@@ -83,7 +63,7 @@ type bench_profile = {
 
 type bench_rung = {
   br_target : int;  (** Sessions the ramp asked for. *)
-  br_peak : int;  (** Concurrently granted when the crash hit. *)
+  br_peak : int;  (** Sessions granted, one grant sample each; none ends in the run. *)
   br_grant_p50 : float;
   br_grant_p95 : float;
   br_takeovers : int;
@@ -128,53 +108,25 @@ let bench_scenario ~sessions =
   }
 
 (* Streaming probe: the sink retains nothing at this scale, so every
-   number comes from an online tap.  Latencies stream into fixed-memory
-   sketches (deterministic seeds, so artifacts replay identically) —
-   nothing here grows with the population or the event count. *)
+   number comes from online taps: both latencies from the {!Metrics}
+   fold, client traffic from this one. *)
 type bench_probe = {
-  bp_req_at : (string, float) Hashtbl.t;  (* first ask, cleared on grant *)
-  bp_granted : (string, unit) Hashtbl.t;
-  bp_grant : Sketch.t;
   mutable bp_requests : int;
   mutable bp_responses : int;
-  mutable bp_crash_at : float option;
-  mutable bp_takeovers : int;
-  bp_takeover : Sketch.t;
 }
 
-let bench_tap st ~now ev =
+let bench_tap st ~now:_ ev =
   match ev with
-  | Events.Session_requested { session_id; _ } ->
-      st.bp_requests <- st.bp_requests + 1;
-      if
-        (not (Hashtbl.mem st.bp_granted session_id))
-        && not (Hashtbl.mem st.bp_req_at session_id)
-      then Hashtbl.replace st.bp_req_at session_id now
-  | Events.Session_granted { session_id; _ } ->
-      if not (Hashtbl.mem st.bp_granted session_id) then begin
-        Hashtbl.replace st.bp_granted session_id ();
-        match Hashtbl.find_opt st.bp_req_at session_id with
-        | Some t0 ->
-            Hashtbl.remove st.bp_req_at session_id;
-            Sketch.add st.bp_grant (now -. t0)
-        | None -> ()
-      end
-  | Events.Request_sent _ -> st.bp_requests <- st.bp_requests + 1
+  | Events.Session_requested _ | Events.Request_sent _ ->
+      st.bp_requests <- st.bp_requests + 1
   | Events.Response_received _ -> st.bp_responses <- st.bp_responses + 1
-  | Events.Server_crashed _ ->
-      if st.bp_crash_at = None then st.bp_crash_at <- Some now
-  | Events.Takeover { kind = Events.Crash; _ } -> (
-      match st.bp_crash_at with
-      | Some t0 ->
-          st.bp_takeovers <- st.bp_takeovers + 1;
-          Sketch.add st.bp_takeover (now -. t0)
-      | None -> ())
   | _ -> ()
 
 (* Admission ramp: each client owns a repeating starter that admits one
    session per fire and cancels itself at quota — O(clients) live
    timers, not O(sessions) pre-scheduled closures. *)
-let bench_prepare ~sessions st (w : Rb.world) =
+let bench_prepare ~sessions ~latencies st (w : Rb.world) =
+  Events.subscribe w.Rb.events (Metrics.observe latencies);
   Events.subscribe w.Rb.events (bench_tap st);
   let sc = w.Rb.scenario in
   List.iteri
@@ -213,18 +165,8 @@ let bench_prepare ~sessions st (w : Rb.world) =
 
 let bench_rung ~clock ~sessions =
   let sc = bench_scenario ~sessions in
-  let st =
-    {
-      bp_req_at = Hashtbl.create 1024;
-      bp_granted = Hashtbl.create 1024;
-      bp_grant = Sketch.create ~seed:((2 * sc.Scenario.seed) + 1) ();
-      bp_requests = 0;
-      bp_responses = 0;
-      bp_crash_at = None;
-      bp_takeovers = 0;
-      bp_takeover = Sketch.create ~seed:((2 * sc.Scenario.seed) + 2) ();
-    }
-  in
+  let latencies = Metrics.latencies () in
+  let st = { bp_requests = 0; bp_responses = 0 } in
   (* Self-profile the rung: subsystem slots sample 1-in-64 guarded
      entries, a 1 sim-s engine tick tracks the major-heap peak.  The
      injected clock keeps ambient time out of the library (R1). *)
@@ -236,7 +178,7 @@ let bench_rung ~clock ~sessions =
   let t0 = clock () in
   let _tl, w =
     Rb.run_scenario sc ~prepare:(fun w ->
-        bench_prepare ~sessions st w;
+        bench_prepare ~sessions ~latencies st w;
         ignore
           (Haf_sim.Engine.every w.Rb.engine ~first:1.0 ~period:1.0 (fun () ->
                let g = Profile.gc_sample () in
@@ -260,14 +202,16 @@ let bench_rung ~clock ~sessions =
       bpr_heap_words_peak = Int.max !heap_peak g1.Profile.g_heap_words;
     }
   in
+  let grants = Summary.of_list (Metrics.grants latencies) in
+  let takeovers = Metrics.takeovers latencies in
   {
     br_target = sessions;
-    br_peak = Hashtbl.length st.bp_granted;
-    br_grant_p50 = Sketch.p50 st.bp_grant;
-    br_grant_p95 = Sketch.p95 st.bp_grant;
-    br_takeovers = st.bp_takeovers;
+    br_peak = grants.Summary.n;
+    br_grant_p50 = grants.Summary.p50;
+    br_grant_p95 = grants.Summary.p95;
+    br_takeovers = List.length takeovers;
     br_takeover_p95 =
-      (if st.bp_takeovers = 0 then None else Some (Sketch.p95 st.bp_takeover));
+      (if takeovers = [] then None else Some (Summary.percentile takeovers 95.));
     br_sim_events = Haf_sim.Engine.events_processed w.Rb.engine;
     br_cpu_s = cpu;
     br_requests = st.bp_requests;
@@ -492,9 +436,10 @@ let json_of_bench rungs =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-(* Shared by [haf_experiments --engine-bench] and the bench harness, so
-   both gate alike: the scale claim is "monitored, clean and fast", not
-   just "didn't crash". *)
+(* Behind [haf_experiments --engine-bench]: the scale claim is
+   "monitored, clean, measured and fast", not just "didn't crash", so a
+   rung fails on a monitor violation, a throughput below its floor, or
+   a missing grant or crash-takeover sample. *)
 let bench ~clock ~ladder ?(profile_all = false) ?json ppf =
   let table, rungs = run_bench ~clock ~ladder () in
   Table.print ppf table;
@@ -523,7 +468,14 @@ let bench ~clock ~ladder ?(profile_all = false) ?json ppf =
       Format.fprintf ppf "MONITOR VIOLATIONS: %d at %d sessions@." r.br_violations
         r.br_target)
     dirty;
-  regressions = [] && dirty = []
+  let unmeasured = List.filter (fun r -> r.br_peak = 0 || r.br_takeovers = 0) rungs in
+  List.iter
+    (fun r ->
+      Format.fprintf ppf
+        "MISSING SAMPLES: %d grant and %d crash-takeover samples at %d sessions@."
+        r.br_peak r.br_takeovers r.br_target)
+    unmeasured;
+  regressions = [] && dirty = [] && unmeasured = []
 
 let run ~quick =
   let table =
@@ -564,13 +516,13 @@ let run ~quick =
             /. duration)
           (R.server_counters w)
       in
-      let grants = Summary.of_list (grant_latencies tl) in
+      let grants = Summary.of_list (Metrics.grant_latencies tl) in
       Table.add_row table
         [
           Table.fint n_clients;
           Table.fint (Metrics.responses_sent tl);
           Table.ffloat ~prec:1 (Summary.mean per_server);
-          Printf.sprintf "%.3fs" grants.Summary.p95;
+          Printf.sprintf "%.1fms" (grants.Summary.p95 *. 1000.);
           Table.fpct (mean_availability tl ~until:duration);
         ])
     populations;

@@ -10,11 +10,11 @@ val run : quick:bool -> Haf_stats.Table.t list
 
 (** {2 Engine scale bench}
 
-    One-process benchmark behind [haf_experiments --engine-bench] and
-    the bench harness: every hot-path knob on (sharded session groups,
-    batched propagation, incremental placement, the timer wheel), a
-    ramp to each target population, a mid-run primary crash, and the
-    invariant monitor watching throughout. *)
+    One-process benchmark behind [haf_experiments --engine-bench]: the
+    scale mode ([Policy.session_shards = 64]: shard groups), a ramp to
+    each target population, a mid-run primary crash, and the invariant
+    monitor watching throughout.  Grant and crash-takeover latencies
+    come from {!Haf_stats.Metrics}' fold, subscribed online. *)
 
 val bench :
   clock:(unit -> float) ->
@@ -30,6 +30,6 @@ val bench :
     payload there: per-rung results and profiles, the checked-in
     throughput floors and the headline max-sessions-under-the-takeover-
     ceiling figure.  Returns [true] iff no rung recorded a monitor
-    violation and none ran below its tolerated floor; each failure is
-    printed.  [clock] supplies CPU seconds, passed in from the binary so
+    violation, none ran below its tolerated floor and each took at least
+    one grant and one crash-takeover sample; each failure is printed.  [clock] supplies CPU seconds, passed in from the binary so
     the library stays free of ambient time. *)

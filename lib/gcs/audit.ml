@@ -17,7 +17,6 @@ type verdict =
   | Bad_view of { group : string; detail : string }
   | Bad_counter of { group : string; detail : string }
   | Bad_clock of { group : string; detail : string }
-  | Bad_record of { unit_id : string; detail : string }
 [@@haf.protocol]
 (* Deep-lint R6 (handler totality): every [match] over [verdict] in
    protocol code must name each constructor, so a new audit dimension
@@ -29,12 +28,10 @@ let describe = function
   | Bad_counter { group; detail } ->
       Printf.sprintf "bad-counter(%s): %s" group detail
   | Bad_clock { group; detail } -> Printf.sprintf "bad-clock(%s): %s" group detail
-  | Bad_record { unit_id; detail } ->
-      Printf.sprintf "bad-record(%s): %s" unit_id detail
 
 let is_sound = function
   | Sound -> true
-  | Bad_view _ | Bad_counter _ | Bad_clock _ | Bad_record _ -> false
+  | Bad_view _ | Bad_counter _ | Bad_clock _ -> false
 
 (* View sanity: the member list is a smart-constructed invariant
    (sorted, non-empty, includes self for an installed view), but

@@ -21,8 +21,6 @@ type verdict =
       (** Epoch/sequencer counters out of their monotonicity bounds. *)
   | Bad_clock of { group : string; detail : string }
       (** Delivery clock points outside the view log. *)
-  | Bad_record of { unit_id : string; detail : string }
-      (** Unit-database checksum mismatch (framework layer). *)
 
 val describe : verdict -> string
 

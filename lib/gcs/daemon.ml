@@ -9,6 +9,7 @@ type callbacks = {
   on_view : View.t -> unit;
   on_message : group:string -> sender:proc -> string -> unit;
   on_p2p : sender:proc -> string -> unit;
+  on_reset : group:string -> Audit.verdict -> unit;
 }
 
 let no_callbacks =
@@ -16,6 +17,7 @@ let no_callbacks =
     on_view = (fun _ -> ());
     on_message = (fun ~group:_ ~sender:_ _ -> ());
     on_p2p = (fun ~sender:_ _ -> ());
+    on_reset = (fun ~group:_ _ -> ());
   }
 
 type mstate =
@@ -120,9 +122,6 @@ type t = {
       (* The one-shot suspicion timer and the deadline it fires at.  See
          [arm_deadline]. *)
   mutable view_changes : int;
-  mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
-      (* Observer for audit failures (the framework emits events from
-         it); called just before the group resets. *)
   mutable resets : int;
 }
 
@@ -176,7 +175,6 @@ let create ~engine ~transport ~config ?heartbeat_interval ?incarnation ~contacts
     hb_timer = None;
     deadline_timer = None;
     view_changes = 0;
-    audit_hook = None;
     resets = 0;
   }
 
@@ -265,16 +263,12 @@ let heard_from t p =
 
 let groups t = List.map fst (sorted_gstates t)
 
-let is_member t group = Hashtbl.mem t.gstates group
-
 let view_of t group =
   Option.map (fun gs -> gs.view) (Hashtbl.find_opt t.gstates group)
 
 let stats_view_changes t = t.view_changes
 
 let incarnation t = t.incarnation
-
-let set_audit_hook t h = t.audit_hook <- h
 
 let stats_resets t = t.resets
 
@@ -613,11 +607,8 @@ let audit_group t gs =
   else
     match group_verdict t gs with
     | Audit.Sound -> true
-    | (Audit.Bad_view _ | Audit.Bad_counter _ | Audit.Bad_clock _
-      | Audit.Bad_record _) as v ->
-        (match t.audit_hook with
-        | Some hook -> hook ~group:gs.group v
-        | None -> ());
+    | (Audit.Bad_view _ | Audit.Bad_counter _ | Audit.Bad_clock _) as v ->
+        t.callbacks.on_reset ~group:gs.group v;
         reset_group t gs;
         false
 

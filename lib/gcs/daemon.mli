@@ -32,6 +32,10 @@ type callbacks = {
   on_message : group:string -> sender:proc -> string -> unit;
       (** Totally ordered delivery of a group multicast. *)
   on_p2p : sender:proc -> string -> unit;
+  on_reset : group:string -> Audit.verdict -> unit;
+      (** The group's state failed its self-audit with this verdict and
+          is about to be reset (see Self-stabilization below).  The
+          framework emits [Audit_failed]/[Server_reset] events here. *)
 }
 
 val no_callbacks : callbacks
@@ -74,8 +78,6 @@ val join : t -> string -> unit
 
 val leave : t -> string -> unit
 
-val is_member : t -> string -> bool
-
 val view_of : t -> string -> View.t option
 (** The currently installed view, if a member. *)
 
@@ -115,11 +117,6 @@ val incarnation : t -> int
     back to a fresh singleton view and the ordinary vid-mismatch merge
     machinery reconciles it with the surviving members, resubmitting
     every entry it holds that no log has shown yet.  Gated by {!Audit.enabled}. *)
-
-val set_audit_hook : t -> (group:string -> Audit.verdict -> unit) option -> unit
-(** Observer called once per audit failure, just before the group's
-    reset.  The framework uses it to emit [Audit_failed]/[Server_reset]
-    events; survives via {!Gcs.set_audit_hook} across restarts. *)
 
 val audit_ok : t -> bool
 (** Pure: every joined group currently passes its audit checks.

@@ -11,8 +11,6 @@ type slot = {
   role : role;
   mutable daemon : Daemon.t option;  (* None while crashed *)
   mutable callbacks : Daemon.callbacks;
-  mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
-      (* Like callbacks: re-applied to the successor daemon on restart. *)
   mutable retired_resets : int;
   mutable retired_view_changes : int;  (* from previous incarnations *)
   mutable last_incarnation : int option;
@@ -71,7 +69,6 @@ let new_slot role daemon =
     role;
     daemon;
     callbacks = Daemon.no_callbacks;
-    audit_hook = None;
     retired_resets = 0;
     retired_view_changes = 0;
     last_incarnation = None;
@@ -149,13 +146,6 @@ let set_app t p callbacks =
   | Some d -> Daemon.set_callbacks d callbacks
   | None -> ()
 
-let set_audit_hook t p hook =
-  let s = slot t p in
-  s.audit_hook <- hook;
-  match s.daemon with
-  | Some d -> Daemon.set_audit_hook d hook
-  | None -> ()
-
 let join t p g = Daemon.join (daemon t p) g
 
 let leave t p g = Daemon.leave (daemon t p) g
@@ -195,7 +185,6 @@ let restart t p =
     let incarnation = Option.map (fun i -> i + 1) s.last_incarnation in
     let d = spawn_daemon ?incarnation t p s.role in
     Daemon.set_callbacks d s.callbacks;
-    Daemon.set_audit_hook d s.audit_hook;
     s.daemon <- Some d
   end
 

@@ -75,13 +75,6 @@ val add_client : t -> proc
 
 val set_app : t -> proc -> Daemon.callbacks -> unit
 
-val set_audit_hook :
-  t -> proc -> (group:string -> Audit.verdict -> unit) option -> unit
-(** Install the audit-failure observer for a process's daemon (see
-    {!Daemon.set_audit_hook}).  Like app callbacks, the hook is stored
-    in the fabric and re-applied to the successor daemon after
-    {!restart}. *)
-
 val join : t -> proc -> string -> unit
 
 val leave : t -> proc -> string -> unit
@@ -103,8 +96,9 @@ val membership_stable : t -> proc -> string -> bool
 val crash : t -> proc -> unit
 
 val restart : t -> proc -> unit
-(** The process comes back with empty GCS state (a fresh daemon); the
-    application layer must re-register callbacks and re-join groups.
+(** The process comes back with empty GCS state (a fresh daemon) that
+    keeps the {!set_app} callbacks; the application layer must re-join
+    groups.
     The new daemon's incarnation is the crashed one's plus one — the
     fabric persists that single integer across the crash, so peers are
     guaranteed to distinguish the two lives. *)

@@ -22,12 +22,12 @@ type t = {
 
 let check_node t id what =
   if id < 0 || id >= t.nodes then
-    invalid_arg (Fmt.str "Udp.%s: unknown node %d" what id)
+    invalid_arg (Printf.sprintf "Udp.%s: unknown node %d" what id)
 
 let socket_of t id =
   match List.assoc_opt id t.sockets with
   | Some fd -> fd
-  | None -> invalid_arg (Fmt.str "Udp: node %d is not hosted by this process" id)
+  | None -> invalid_arg (Printf.sprintf "Udp: node %d is not hosted by this process" id)
 
 let create ?(seed = 1) ?(base_port = 7600) ?(drop_probability = 0.) ~nodes
     ~local () =

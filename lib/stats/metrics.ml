@@ -231,29 +231,67 @@ let multi_source_time tl ~sid ~window =
   in
   List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0. merged
 
-(* One chronological pass over the latest crash of each server and the
-   latest time each server assumed each session's primary role.  A
-   predecessor that assumed the role after its latest crash was live
-   when it was taken over; one that restarted without assuming it is
-   still the crashed primary (the restart beat the takeover). *)
-let takeover_latencies tl =
-  let crashed = Hashtbl.create 8 and assumed = Hashtbl.create 64 in
-  List.filter_map
-    (fun (at, e) ->
-      match e with
-      | Events.Server_crashed { server } ->
-          Hashtbl.replace crashed server at;
-          None
-      | Events.Role_assumed { server; session_id; role = Events.Primary } ->
-          Hashtbl.replace assumed (server, session_id) at;
-          None
-      | Events.Takeover { kind = Events.Crash; from_primary = Some p; session_id; _ } -> (
-          match (Hashtbl.find_opt crashed p, Hashtbl.find_opt assumed (p, session_id)) with
-          | Some crash, Some since when since < crash -> Some (at -. crash)
-          | Some crash, None -> Some (at -. crash)
-          | Some _, Some _ | None, _ -> None)
-      | _ -> None)
-    tl
+(* The client-visible latencies, in one chronological fold.  A session's
+   grant is timed from its first request to its first grant: the
+   client's receipt of the server's grant and any re-grant add no
+   sample.  A crash takeover is timed from its predecessor's latest
+   crash, kept per server, together with the latest time each server
+   assumed each session's primary role: a predecessor that assumed the
+   role after its latest crash was live when it was taken over; one that
+   restarted without assuming it is still the crashed primary (the
+   restart beat the takeover). *)
+type grant_state = Asked of float | Answered
+
+type latencies = {
+  sessions : (string, grant_state) Hashtbl.t;
+  crashed : (int, float) Hashtbl.t;
+  assumed : (int * string, float) Hashtbl.t;
+  mutable grants : float list;  (* newest first *)
+  mutable takeovers : float list;  (* newest first *)
+}
+
+let latencies () =
+  {
+    sessions = Hashtbl.create 64;
+    crashed = Hashtbl.create 8;
+    assumed = Hashtbl.create 64;
+    grants = [];
+    takeovers = [];
+  }
+
+let observe l ~now = function
+  | Events.Session_requested { session_id; _ } ->
+      if not (Hashtbl.mem l.sessions session_id) then
+        Hashtbl.replace l.sessions session_id (Asked now)
+  | Events.Session_granted { session_id; _ } -> (
+      match Hashtbl.find_opt l.sessions session_id with
+      | Some (Asked t0) ->
+          Hashtbl.replace l.sessions session_id Answered;
+          l.grants <- (now -. t0) :: l.grants
+      | Some Answered | None -> ())
+  | Events.Server_crashed { server } -> Hashtbl.replace l.crashed server now
+  | Events.Role_assumed { server; session_id; role = Events.Primary } ->
+      Hashtbl.replace l.assumed (server, session_id) now
+  | Events.Takeover { kind = Events.Crash; from_primary = Some p; session_id; _ } -> (
+      match (Hashtbl.find_opt l.crashed p, Hashtbl.find_opt l.assumed (p, session_id)) with
+      | Some crash, Some since when since < crash ->
+          l.takeovers <- (now -. crash) :: l.takeovers
+      | Some crash, None -> l.takeovers <- (now -. crash) :: l.takeovers
+      | Some _, Some _ | None, _ -> ())
+  | _ -> ()
+
+let grants l = List.rev l.grants
+
+let takeovers l = List.rev l.takeovers
+
+let fold_timeline tl =
+  let l = latencies () in
+  List.iter (fun (at, e) -> observe l ~now:at e) tl;
+  l
+
+let grant_latencies tl = grants (fold_timeline tl)
+
+let takeover_latencies tl = takeovers (fold_timeline tl)
 
 let count_takeovers ?kind tl =
   List.length

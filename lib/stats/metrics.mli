@@ -59,13 +59,6 @@ val multi_source_time : timeline -> sid:string -> window:float -> float
     client-visible signature of a dual primary (paper: non-transitive
     WAN connectivity). *)
 
-val takeover_latencies : timeline -> float list
-(** For each crash-kind takeover, the delay since its [from_primary]'s
-    latest crash.  A takeover from a predecessor that never crashed, or
-    that assumed the session's primary role again after its latest
-    crash, was a false suspicion of a live primary and yields no
-    sample. *)
-
 val count_takeovers : ?kind:Haf_core.Events.takeover_kind -> timeline -> int
 
 val count_propagations : ?server:int -> timeline -> int
@@ -73,6 +66,39 @@ val count_propagations : ?server:int -> timeline -> int
 val count_requests_applied : ?server:int -> ?role:Haf_core.Events.role -> timeline -> int
 
 val responses_sent : ?server:int -> timeline -> int
+
+(** {2 Client-visible latencies}
+
+    One chronological fold derives both: grant latency, from a session's
+    first [Session_requested] to its first [Session_granted] (the
+    client's receipt of the server's grant and any re-grant add no
+    sample), and crash-takeover latency, for each crash-kind takeover
+    the delay since its [from_primary]'s latest crash.  A takeover from
+    a predecessor that never crashed, or that assumed the session's
+    primary role again after its latest crash, was a false suspicion of
+    a live primary and yields no sample.  Run the fold online by
+    subscribing {!observe} to a sink, or over a retained timeline with
+    {!grant_latencies} and {!takeover_latencies}; both see the same
+    samples. *)
+
+type latencies
+(** The fold's state: one entry per session, per crashed server and per
+    (server, session) primary assumption, plus the samples. *)
+
+val latencies : unit -> latencies
+
+val observe : latencies -> now:float -> Haf_core.Events.t -> unit
+(** Fold one event; an {!Haf_core.Events.subscribe} tap. *)
+
+val grants : latencies -> float list
+(** Grant latency samples so far, oldest first. *)
+
+val takeovers : latencies -> float list
+(** Crash-takeover latency samples so far, oldest first. *)
+
+val grant_latencies : timeline -> float list
+
+val takeover_latencies : timeline -> float list
 
 (** {2 Invariant violations (online monitor)}
 

@@ -171,6 +171,4 @@ let truncate_to t n =
 
 let stats t = t.stats
 
-let faults t = t.faults
-
 let set_faults t f = t.faults <- f

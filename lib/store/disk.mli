@@ -89,8 +89,6 @@ val truncate_to : t -> int -> unit
 
 val stats : t -> stats
 
-val faults : t -> fault_config
-
 val set_faults : t -> fault_config -> unit
 (** Swap the fault model at runtime.  Affects every subsequent sync and
     crash; the chaos engine uses this to open and close disk-fault

@@ -186,6 +186,27 @@ let test_fast_path_knobs_combined () =
   check Alcotest.bool "crash triggered at least one takeover" true
     (List.length takeovers >= 1)
 
+(* The latency fold subscribed online sees the run exactly as the
+   retained timeline replays it: one grant sample per session and the
+   same crash-takeover samples after a primary crash. *)
+let test_latency_fold_online_matches_timeline () =
+  let online = Metrics.latencies () in
+  let tl, _ =
+    R.run_scenario (small_scenario ()) ~prepare:(fun w ->
+        Events.subscribe w.R.events (Metrics.observe online);
+        ignore
+          (Haf_sim.Engine.schedule_at w.R.engine ~time:12. (fun () ->
+               R.crash_server w 0)))
+  in
+  let samples = Alcotest.list (Alcotest.float 0.) in
+  let grants = Metrics.grant_latencies tl and takeovers = Metrics.takeover_latencies tl in
+  check Alcotest.int "one grant sample per session"
+    (List.length (Metrics.session_ids tl))
+    (List.length grants);
+  check Alcotest.bool "the crash was taken over" true (takeovers <> []);
+  check samples "grants online = timeline" grants (Metrics.grants online);
+  check samples "takeovers online = timeline" takeovers (Metrics.takeovers online)
+
 (* Per-session context must not grow with session age.  The deployment
    [Runner.setup] builds for [Scenario.default], under Vod with 4
    clients x 4 concurrent sessions, one update per 0.1 s, stable storage
@@ -297,6 +318,8 @@ let suite =
         Alcotest.test_case "fault events emitted" `Quick test_crash_and_restart_emit_events;
         Alcotest.test_case "poisson crashes" `Quick test_poisson_crashes_eventually_fire;
         Alcotest.test_case "group wipes scoped" `Quick test_group_wipes_scoped;
+        Alcotest.test_case "latency fold online = timeline" `Quick
+          test_latency_fold_online_matches_timeline;
         Alcotest.test_case "fast-path knobs combined" `Quick
           test_fast_path_knobs_combined;
         Alcotest.test_case "context flat in session age" `Quick

@@ -24,7 +24,8 @@ let make ?(n = 3) ?(seed = 42) ?gcs_config () =
     (fun p ->
       Gcs.set_app gcs p
         {
-          Haf_gcs.Daemon.on_view = (fun v -> rec_.views <- (p, v) :: rec_.views);
+          Haf_gcs.Daemon.no_callbacks with
+          on_view = (fun v -> rec_.views <- (p, v) :: rec_.views);
           on_message =
             (fun ~group ~sender payload ->
               rec_.delivered <- (p, group, sender, payload) :: rec_.delivered);
@@ -330,7 +331,8 @@ let crash_0_harness () =
   let wrap p on_view =
     Gcs.set_app gcs p
       {
-        Haf_gcs.Daemon.on_view =
+        Haf_gcs.Daemon.no_callbacks with
+        on_view =
           (fun v ->
             rec_.views <- (p, v) :: rec_.views;
             on_view v);

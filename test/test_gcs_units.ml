@@ -225,11 +225,11 @@ let make ?(n = 4) ?(seed = 21) () =
     (fun p ->
       Gcs.set_app gcs p
         {
-          Haf_gcs.Daemon.on_view = (fun v -> rec_.views <- (p, v) :: rec_.views);
+          Haf_gcs.Daemon.no_callbacks with
+          on_view = (fun v -> rec_.views <- (p, v) :: rec_.views);
           on_message =
             (fun ~group ~sender:_ payload ->
               rec_.delivered <- (p, group, payload) :: rec_.delivered);
-          on_p2p = (fun ~sender:_ _ -> ());
         })
     (Gcs.servers gcs);
   (engine, gcs, rec_)
@@ -380,11 +380,7 @@ let run_partition_schedule seed =
   List.iter
     (fun p ->
       Gcs.set_app gcs p
-        {
-          Haf_gcs.Daemon.on_view = (fun v -> Hashtbl.replace views p v);
-          on_message = (fun ~group:_ ~sender:_ _ -> ());
-          on_p2p = (fun ~sender:_ _ -> ());
-        })
+        { Haf_gcs.Daemon.no_callbacks with on_view = (fun v -> Hashtbl.replace views p v) })
     (Gcs.servers gcs);
   let rng = Haf_sim.Rng.create (seed + 5) in
   List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
@@ -447,10 +443,9 @@ let log_installs gcs =
     (fun p ->
       Gcs.set_app gcs p
         {
-          Haf_gcs.Daemon.on_view =
+          Haf_gcs.Daemon.no_callbacks with
+          on_view =
             (fun v -> log := (p, v, Gcs.membership_stable gcs p v.View.group) :: !log);
-          on_message = (fun ~group:_ ~sender:_ _ -> ());
-          on_p2p = (fun ~sender:_ _ -> ());
         })
     (Gcs.servers gcs);
   log
@@ -560,15 +555,14 @@ let callback_mid_sweep action =
   let installs = ref [] and armed = ref false in
   Gcs.set_app gcs 0
     {
-      Haf_gcs.Daemon.on_view =
+      Haf_gcs.Daemon.no_callbacks with
+      on_view =
         (fun v ->
           installs := (v.View.group, v.View.members, Engine.now engine) :: !installs;
           if String.equal v.View.group "b" && v.View.members = [ 0 ] && !armed then begin
             armed := false;
             action gcs
           end);
-      on_message = (fun ~group:_ ~sender:_ _ -> ());
-      on_p2p = (fun ~sender:_ _ -> ());
     };
   List.iter (fun p -> List.iter (fun g -> Gcs.join gcs p g) [ "a"; "b"; "c" ]) [ 0; 1 ];
   Engine.run ~until:3. engine;
@@ -613,7 +607,8 @@ let virtual_synchrony_holds seed =
       let done_, cur_vid, cur = Hashtbl.find segments p in
       Gcs.set_app gcs p
         {
-          Haf_gcs.Daemon.on_view =
+          Haf_gcs.Daemon.no_callbacks with
+          on_view =
             (fun v ->
               (match !cur_vid with
               | Some vid -> done_ := (vid, List.rev !cur) :: !done_
@@ -621,7 +616,6 @@ let virtual_synchrony_holds seed =
               cur_vid := Some v.View.id;
               cur := []);
           on_message = (fun ~group:_ ~sender:_ payload -> cur := payload :: !cur);
-          on_p2p = (fun ~sender:_ _ -> ());
         })
     (Gcs.servers gcs);
   let rng = Haf_sim.Rng.create (seed + 43) in
@@ -939,11 +933,7 @@ let frozen_advert_installs trigger =
   let f = make_fabric ~seed:21 route in
   let installs = ref 0 in
   Gcs.set_app f.gcs 0
-    {
-      Daemon.on_view = (fun _ -> incr installs);
-      on_message = (fun ~group:_ ~sender:_ _ -> ());
-      on_p2p = (fun ~sender:_ _ -> ());
-    };
+    { Daemon.no_callbacks with on_view = (fun _ -> incr installs) };
   List.iter (fun p -> Gcs.join f.gcs p "g") [ 0; 1; 2 ];
   Engine.run ~until:3. f.engine;
   freeze := true;
@@ -1211,12 +1201,11 @@ let burst_deliveries seed =
     (fun p ->
       Gcs.set_app gcs p
         {
-          Haf_gcs.Daemon.on_view = (fun _ -> ());
+          Haf_gcs.Daemon.no_callbacks with
           on_message =
             (fun ~group:_ ~sender:_ payload ->
               let prev = Option.value (Hashtbl.find_opt delivered p) ~default:[] in
               Hashtbl.replace delivered p (payload :: prev));
-          on_p2p = (fun ~sender:_ _ -> ());
         })
     (Gcs.servers gcs);
   List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);

@@ -245,6 +245,28 @@ let test_takeover_latency () =
   in
   check latencies "restart before the takeover" [ 0.5 ] (Metrics.takeover_latencies tl)
 
+(* The server's grant, the client's receipt of it and a later re-grant
+   are three [Session_granted] events for one session; only the first
+   times the admission. *)
+let test_grant_latency_first_grant () =
+  let latencies = Alcotest.list (Alcotest.float 1e-9) in
+  let grant at client =
+    ev at (Events.Session_granted { client; session_id = "s"; primary = 0 })
+  in
+  let tl =
+    [
+      ev 1. (Events.Session_requested { client = 9; session_id = "s"; unit_id = "u" });
+      grant 1.25 9;
+      grant 1.5 9;
+      ev 2. (Events.Session_requested { client = 9; session_id = "s"; unit_id = "u" });
+      grant 7. 9;
+    ]
+  in
+  check latencies "one sample per session" [ 0.25 ] (Metrics.grant_latencies tl);
+  let l = Metrics.latencies () in
+  List.iter (fun (at, e) -> Metrics.observe l ~now:at e) tl;
+  check latencies "online fold agrees" [ 0.25 ] (Metrics.grants l)
+
 let test_multi_source_time () =
   (* Interleaved arrivals from two servers for 4 seconds, then single. *)
   let tl =
@@ -278,131 +300,6 @@ let test_session_ids_and_counts () =
     (Metrics.count_requests_applied ~role:Events.Backup tl);
   check Alcotest.int "primary applies" 0
     (Metrics.count_requests_applied ~role:Events.Primary tl)
-
-(* ------------------------------------------------------------------ *)
-(* Sketch: fixed-memory streaming quantiles *)
-
-module Sketch = Haf_stats.Sketch
-
-let sketch_of ?alpha ?reservoir ~seed xs =
-  let s = Sketch.create ?alpha ?reservoir ~seed () in
-  List.iter (Sketch.add s) xs;
-  s
-
-let test_sketch_moments () =
-  let xs = [ 0.004; 1.2; 0.66; 31.; 0.125; 7.5 ] in
-  let s = sketch_of ~seed:1 xs in
-  let exact = Summary.of_list xs in
-  check Alcotest.int "n" exact.Summary.n (Sketch.count s);
-  check (Alcotest.float 1e-9) "mean" exact.Summary.mean (Sketch.mean s);
-  check (Alcotest.float 1e-6) "stddev" exact.Summary.stddev (Sketch.stddev s);
-  check (Alcotest.float 1e-9) "min" exact.Summary.min (Sketch.min_value s);
-  check (Alcotest.float 1e-9) "max" exact.Summary.max (Sketch.max_value s)
-
-(* Adversarial shapes for a log-bucket sketch: a point mass (every value
-   in one bucket), a bimodal mix nine decades apart, and a geometric
-   cascade where each decade holds the same mass.  The error bound is
-   relative [alpha] for any value inside the bucketed range. *)
-(* Exact nearest-rank reference with the sketch's own rank arithmetic,
-   so the comparison tests the bucketing error alone (a one-rank
-   disagreement from float rounding would dwarf alpha at a decade
-   boundary). *)
-let exact_quantile xs q =
-  let sorted = List.sort compare xs in
-  let n = List.length sorted in
-  let rank =
-    int_of_float (ceil (q *. float_of_int n)) |> Stdlib.max 1 |> Stdlib.min n
-  in
-  List.nth sorted (rank - 1)
-
-let sketch_err_ok ~alpha xs q =
-  let s = sketch_of ~alpha ~seed:7 xs in
-  let exact = exact_quantile xs q in
-  let approx = Sketch.quantile s q in
-  (* The geometric-midpoint representative is within gamma^0.5 of any
-     bucket member, i.e. relative error alpha + O(alpha^2) — allow the
-     second-order term. *)
-  Float.abs (approx -. exact) <= (alpha *. (1. +. alpha) *. exact) +. 1e-12
-
-let test_sketch_adversarial () =
-  let alpha = 0.01 in
-  let point = List.init 500 (fun _ -> 0.125) in
-  let bimodal =
-    List.init 400 (fun i -> if i mod 2 = 0 then 1e-4 else 1e5)
-  in
-  let cascade =
-    List.concat_map
-      (fun d -> List.init 50 (fun i -> (10. ** float_of_int (d - 3)) *. (1. +. (0.01 *. float_of_int i))))
-      [ 0; 1; 2; 3; 4; 5 ]
-  in
-  List.iter
-    (fun (name, xs) ->
-      List.iter
-        (fun q ->
-          check Alcotest.bool
-            (Printf.sprintf "%s q=%.2f within alpha" name q)
-            true
-            (sketch_err_ok ~alpha xs q))
-        [ 0.5; 0.9; 0.95; 0.99; 1.0 ])
-    [ ("point-mass", point); ("bimodal", bimodal); ("cascade", cascade) ]
-
-let test_sketch_underflow_clamp () =
-  (* Observations at/below min_value collapse into the underflow bucket
-     and report exactly min_value; the observed min/max still clamp. *)
-  let s = sketch_of ~seed:3 [ 1e-9; 1e-9; 1e-9; 5. ] in
-  check Alcotest.bool "p50 clamped into observed range" true
-    (Sketch.p50 s >= 1e-9 && Sketch.p50 s <= 5.)
-
-let test_sketch_deterministic_replay () =
-  let xs = List.init 3000 (fun i -> 0.001 *. float_of_int ((i * 7919 mod 997) + 1)) in
-  let a = sketch_of ~reservoir:64 ~seed:42 xs in
-  let b = sketch_of ~reservoir:64 ~seed:42 xs in
-  check (Alcotest.list (Alcotest.float 0.)) "same seed, same reservoir"
-    (Sketch.reservoir_sample a) (Sketch.reservoir_sample b);
-  check (Alcotest.float 0.) "same p95" (Sketch.p95 a) (Sketch.p95 b);
-  check (Alcotest.float 0.) "same p99" (Sketch.p99 a) (Sketch.p99 b)
-
-let test_sketch_reservoir_contents () =
-  (* Below capacity the reservoir is the exact input; above, it is a
-     size-capped subset of the input. *)
-  let xs = List.init 10 (fun i -> float_of_int (i + 1)) in
-  let s = sketch_of ~reservoir:64 ~seed:5 xs in
-  check (Alcotest.list (Alcotest.float 0.)) "exact below capacity" xs
-    (Sketch.reservoir_sample s);
-  let big = List.init 1000 (fun i -> float_of_int (i + 1)) in
-  let s = sketch_of ~reservoir:64 ~seed:5 big in
-  let r = Sketch.reservoir_sample s in
-  check Alcotest.int "capped" 64 (List.length r);
-  check Alcotest.bool "members of input" true
-    (List.for_all (fun v -> List.mem v big) r)
-
-let test_sketch_to_summary () =
-  let xs = [ 0.01; 0.02; 0.04; 0.08; 0.16 ] in
-  let s = Sketch.to_summary (sketch_of ~seed:9 xs) in
-  check Alcotest.int "n" 5 s.Summary.n;
-  check (Alcotest.float 1e-9) "min" 0.01 s.Summary.min;
-  check (Alcotest.float 1e-9) "max" 0.16 s.Summary.max
-
-let prop_sketch_quantile_bound =
-  QCheck.Test.make ~name:"sketch: quantiles within alpha of exact" ~count:200
-    QCheck.(
-      list_of_size (Gen.int_range 1 400)
-        (map (fun x -> 1e-5 +. (abs_float x /. 100.)) (float_bound_inclusive 1e6)))
-    (fun xs ->
-      List.for_all
-        (fun q -> sketch_err_ok ~alpha:0.01 xs q)
-        [ 0.5; 0.95; 0.99 ])
-
-let prop_sketch_in_range =
-  QCheck.Test.make ~name:"sketch: quantile inside observed [min,max]" ~count:200
-    QCheck.(
-      pair (float_bound_inclusive 1.)
-        (list_of_size (Gen.int_range 1 100)
-           (map (fun x -> 1e-7 +. abs_float x) (float_bound_inclusive 1e3))))
-    (fun (q, xs) ->
-      let s = sketch_of ~seed:11 xs in
-      let v = Sketch.quantile s q in
-      v >= Sketch.min_value s -. 1e-12 && v <= Sketch.max_value s +. 1e-12)
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -450,16 +347,6 @@ let suite =
         Alcotest.test_case "csv" `Quick test_table_csv;
         Alcotest.test_case "formatters" `Quick test_table_formatters;
       ] );
-    ( "stats.sketch",
-      [
-        Alcotest.test_case "moments match exact" `Quick test_sketch_moments;
-        Alcotest.test_case "adversarial distributions" `Quick test_sketch_adversarial;
-        Alcotest.test_case "underflow clamp" `Quick test_sketch_underflow_clamp;
-        Alcotest.test_case "deterministic replay" `Quick test_sketch_deterministic_replay;
-        Alcotest.test_case "reservoir contents" `Quick test_sketch_reservoir_contents;
-        Alcotest.test_case "to_summary bridge" `Quick test_sketch_to_summary;
-      ]
-      @ qsuite [ prop_sketch_quantile_bound; prop_sketch_in_range ] );
     ( "stats.metrics",
       [
         Alcotest.test_case "duplicates+missing" `Quick test_metrics_duplicates_missing;
@@ -474,6 +361,7 @@ let suite =
         Alcotest.test_case "dual primary crash" `Quick test_dual_primary_truncated_by_crash;
         Alcotest.test_case "no primary" `Quick test_no_primary_time;
         Alcotest.test_case "takeover latency" `Quick test_takeover_latency;
+        Alcotest.test_case "grant latency: first grant" `Quick test_grant_latency_first_grant;
         Alcotest.test_case "multi source" `Quick test_multi_source_time;
         Alcotest.test_case "session ids and counts" `Quick test_session_ids_and_counts;
         Alcotest.test_case "report renders" `Quick test_report_renders;
